@@ -47,7 +47,6 @@ from .metrics import (
     MetricKind,
     TaskScore,
     UtilityDelta,
-    Weighting,
     aggregate_suite,
     brier_score,
     exact_match,
@@ -61,9 +60,7 @@ from .scaling import (
     crossover,
     fit_by_source,
     fit_log_linear,
-    fit_power_law,
     predict,
-    predict_power,
     rank_at_budget,
 )
 from .simulate import GroundTruthSource, Scenario, generate_manifest, scenario_rank_flip

@@ -13,19 +13,16 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from .allocation import AllocationPlan, allocate_grid_oracle, allocate_proportional
+from .allocation import allocate_grid_oracle, allocate_proportional
 from .costs import (
+    PRESET_FLOPS_PER_CURATED_TOKEN,
     AnnealingGeometry,
     CostBasis,
     ModelSpec,
     SourceCostModel,
     SourceKind,
-    TINYGSM_GENERATION_FLOPS_PER_TOKEN,
-    TINYGSM_MIND_EXPANSION,
-    TINYGSM_MIND_GENERATION_FLOPS_PER_TOKEN,
     cost_breakdown,
     tinygsm_curation_cost,
     tinygsm_mind_curation_cost,
@@ -37,24 +34,13 @@ from .diversity import (
     read_binary_token_documents,
     read_text_token_documents,
 )
-from .manifest import ManifestError, RunSet, UtilityPoint, build_utility_points, load_manifest
+from .manifest import ManifestError, UtilityPoint, build_utility_points, load_manifest
 from .metrics import MetricDirection
-from .scaling import Crossover, ScalingFit, crossover, fit_by_source, rank_at_budget
+from .scaling import ScalingFit, crossover, fit_by_source, rank_at_budget
 from .simulate import generate_manifest, scenario_rank_flip
 from .svg import render_fit_svg
 
-__all__ = ["ReportBundle", "main"]
-
-
-@dataclass
-class ReportBundle:
-    """Everything one command computed, before serialization."""
-
-    fits: list[ScalingFit] = field(default_factory=list)
-    points: list[UtilityPoint] = field(default_factory=list)
-    crossovers: list[tuple[str, str, str, Crossover | None]] = field(default_factory=list)
-    plan: AllocationPlan | None = None
-    warnings: list[str] = field(default_factory=list)
+__all__ = ["main"]
 
 
 class _UsageError(Exception):
@@ -99,22 +85,19 @@ def _parse_tasks(spec: str | None) -> list[str] | None:
     return patterns
 
 
-def _load_points(args) -> tuple[RunSet, list[UtilityPoint], CostBasis]:
-    basis = CostBasis(args.basis)
+def _load_fits(args) -> tuple[list[UtilityPoint], list[ScalingFit], list[str]]:
+    """Utility points, per-source fits and clamp warnings of ``--manifest``."""
     runset = load_manifest(args.manifest)
-    points = build_utility_points(runset, _parse_tasks(args.tasks), basis)
+    points = build_utility_points(runset, _parse_tasks(args.tasks), CostBasis(args.basis))
     if not points:
         raise ManifestError("manifest contains no treated runs to analyze")
-    return runset, points, basis
-
-
-def _clamp_warnings(runset: RunSet) -> list[str]:
-    notes = []
-    for run in runset.runs:
-        note = run.metadata.get("clamp_warning")
-        if note:
-            notes.append(f"run ({run.source_id}, seed {run.seed}, steps {run.steps}): {note}")
-    return notes
+    fits = fit_by_source(points, drop_smallest=args.drop_smallest)
+    warnings = [
+        f"run ({run.source_id}, seed {run.seed}, steps {run.steps}): {note}"
+        for run in runset.runs
+        if (note := run.metadata.get("clamp_warning"))
+    ]
+    return points, fits, warnings
 
 
 _FIT_HEADER = [
@@ -134,136 +117,95 @@ _FIT_HEADER = [
 ]
 
 
-def _fit_rows(bundle: ReportBundle, metric_oriented: bool = False) -> list[list]:
-    rows = []
-    for fit in bundle.fits:
-        rows.append(
-            [
-                "fit",
-                fit.source_id,
-                fit.basis.value,
-                fit.intercept,
-                fit.slope,
-                fit.rmse,
-                fit.n_points,
-                fit.compute_range[0],
-                fit.compute_range[1],
-                "",
-                "",
-                "",
-                "",
-            ]
-        )
-    for point in bundle.points:
+def _fit_rows(
+    fits: list[ScalingFit], points: list[UtilityPoint], metric_oriented: bool
+) -> list[list]:
+    rows = [
+        ["fit", fit.source_id, fit.basis.value, fit.intercept, fit.slope, fit.rmse,
+         fit.n_points, *fit.compute_range, "", "", "", ""]
+        for fit in fits
+    ]
+    for point in points:
         delta = point.delta.value
         if metric_oriented and point.delta.metric.direction is MetricDirection.LOWER_IS_BETTER:
             # Display in the metric's own orientation (an improvement on
             # a lower-is-better metric prints negative).
             delta = -delta
         rows.append(
-            [
-                "point",
-                point.source_id,
-                point.basis.value,
-                "",
-                "",
-                "",
-                "",
-                "",
-                "",
-                point.steps,
-                point.compute,
-                point.tokens_upsampled,
-                delta,
-            ]
+            ["point", point.source_id, point.basis.value, "", "", "", "", "", "",
+             point.steps, point.compute, point.tokens_upsampled, delta]
         )
     return rows
 
 
 def _cmd_fit(args) -> int:
-    runset, points, _ = _load_points(args)
-    fits = fit_by_source(points, drop_smallest=args.drop_smallest)
-    bundle = ReportBundle(fits=fits, points=points, warnings=_clamp_warnings(runset))
-    text = _csv_text(_FIT_HEADER, _fit_rows(bundle, metric_oriented=args.delta_sign == "metric"))
+    points, fits, warnings = _load_fits(args)
+    text = _csv_text(_FIT_HEADER, _fit_rows(fits, points, args.delta_sign == "metric"))
     # SVG first: if its path is unwritable the command fails with no
     # partial output, and the CSV stays the source of truth either way.
     if args.svg:
         Path(args.svg).write_text(render_fit_svg(points, fits), encoding="utf-8", newline="")
     _emit(text, args.out)
-    _warn(bundle.warnings)
+    _warn(warnings)
     return 0
 
 
 def _cmd_rank(args) -> int:
     if not args.budget > 0:
         raise _UsageError("--budget must be positive")
-    runset, points, basis = _load_points(args)
-    fits = fit_by_source(points, drop_smallest=args.drop_smallest)
+    _, fits, warnings = _load_fits(args)
     ranked = rank_at_budget(fits, args.budget)
-    bundle = ReportBundle(fits=fits, points=points, warnings=_clamp_warnings(runset))
     extrapolated = [r.source_id for r in ranked if r.extrapolated]
     if extrapolated:
-        bundle.warnings.append(
+        warnings.append(
             f"predictions at budget {args.budget:.6g} are extrapolated for: "
             + ", ".join(extrapolated)
         )
     if any(r.tied for r in ranked):
-        bundle.warnings.append("tied predictions broken lexicographically by source id")
+        warnings.append("tied predictions broken lexicographically by source id")
     header = ["rank", "source_id", "predicted_delta", "extrapolated", "tied", "budget", "basis"]
     rows = [
         [i + 1, r.source_id, r.predicted_delta, _bool(r.extrapolated), _bool(r.tied),
-         args.budget, basis.value]
+         args.budget, args.basis]
         for i, r in enumerate(ranked)
     ]
     _emit(_csv_text(header, rows), args.out)
-    _warn(bundle.warnings)
+    _warn(warnings)
     return 0
 
 
 def _cmd_crossover(args) -> int:
-    runset, points, _ = _load_points(args)
-    fits = fit_by_source(points, drop_smallest=args.drop_smallest)
-    bundle = ReportBundle(fits=fits, points=points, warnings=_clamp_warnings(runset))
+    _, fits, warnings = _load_fits(args)
+    rows = []
     for i, fit_a in enumerate(fits):
         for fit_b in fits[i + 1 :]:
+            pair = [fit_a.source_id, fit_b.source_id]
             result = crossover(fit_a, fit_b)
             if result is not None:
-                status = "crossover"
-            elif fit_a.slope == fit_b.slope and fit_a.intercept == fit_b.intercept:
+                rows.append(pair + ["crossover", result.compute, result.leader_below,
+                                    result.leader_above, _bool(result.in_range)])
+                continue
+            if fit_a.slope == fit_b.slope and fit_a.intercept == fit_b.intercept:
                 status = "identical"
-                bundle.warnings.append(
+                warnings.append(
                     f"{fit_a.source_id} and {fit_b.source_id} have identical fits (degenerate)"
                 )
             elif fit_a.slope == fit_b.slope:
                 status = "parallel"
             else:
                 status = "no-crossover"
-            bundle.crossovers.append((fit_a.source_id, fit_b.source_id, status, result))
+            rows.append(pair + [status, "", "", "", ""])
     header = ["source_a", "source_b", "status", "compute", "leader_below", "leader_above", "in_range"]
-    rows = []
-    for source_a, source_b, status, result in bundle.crossovers:
-        if result is None:
-            rows.append([source_a, source_b, status, "", "", "", ""])
-        else:
-            rows.append(
-                [source_a, source_b, status, result.compute, result.leader_below,
-                 result.leader_above, _bool(result.in_range)]
-            )
     _emit(_csv_text(header, rows), args.out)
-    _warn(bundle.warnings)
+    _warn(warnings)
     return 0
 
 
 def _cmd_allocate(args) -> int:
     if not args.c_max > 0:
         raise _UsageError("--c-max must be positive")
-    runset, points, _ = _load_points(args)
-    fits = fit_by_source(points, drop_smallest=args.drop_smallest)
+    _, fits, warnings = _load_fits(args)
     plan = allocate_proportional(fits, args.c_max)
-    bundle = ReportBundle(
-        fits=fits, points=points, plan=plan,
-        warnings=_clamp_warnings(runset) + list(plan.warnings),
-    )
     oracle_utility = ""
     oracle_gap = ""
     if args.with_oracle:
@@ -295,7 +237,7 @@ def _cmd_allocate(args) -> int:
          oracle_utility, oracle_gap]
     )
     _emit(_csv_text(header, rows), args.out)
-    _warn(bundle.warnings)
+    _warn(warnings + list(plan.warnings))
     return 0
 
 
@@ -314,7 +256,7 @@ def _cmd_cost(args) -> int:
     if (args.steps is None) == (args.tokens is None):
         raise _UsageError("provide exactly one of --steps or --tokens")
 
-    total_per_step, upsampled_per_step = tokens_per_step(geom)
+    total_per_step, _ = tokens_per_step(geom)
 
     if args.preset is not None:
         # Presets price curated tokens directly: --tokens counts curated
@@ -328,14 +270,7 @@ def _cmd_cost(args) -> int:
             total_tokens = args.steps * total_per_step
             steps_out, tokens_out = args.steps, total_tokens
         else:
-            if args.preset == "tinygsm":
-                per_token = TINYGSM_GENERATION_FLOPS_PER_TOKEN
-                curated_cost = args.tokens * per_token
-            else:
-                curated_cost = args.tokens * (
-                    TINYGSM_GENERATION_FLOPS_PER_TOKEN / TINYGSM_MIND_EXPANSION
-                    + 2.0 / TINYGSM_MIND_EXPANSION * TINYGSM_MIND_GENERATION_FLOPS_PER_TOKEN
-                )
+            curated_cost = args.tokens * PRESET_FLOPS_PER_CURATED_TOKEN[args.preset]
             total_tokens = args.tokens / geom.upsample_ratio
             steps_out, tokens_out = "", args.tokens
         training = 0.0
@@ -466,7 +401,7 @@ def _build_parser() -> _Parser:
     p_alloc.set_defaults(func=_cmd_allocate)
 
     p_cost = subparsers.add_parser("cost", help="price a data source in FLOPs")
-    p_cost.add_argument("--preset", choices=["tinygsm", "tinygsm-mind"], default=None)
+    p_cost.add_argument("--preset", choices=list(PRESET_FLOPS_PER_CURATED_TOKEN), default=None)
     p_cost.add_argument("--kind", choices=[k.value for k in SourceKind], default=None)
     p_cost.add_argument("--zero-cost", action="store_true", help="shorthand for --kind zero_cost")
     p_cost.add_argument("--expansion-factor", type=float, default=0.0)

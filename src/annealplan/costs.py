@@ -10,9 +10,11 @@ training itself.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 __all__ = [
+    "PRESET_FLOPS_PER_CURATED_TOKEN",
     "AnnealingGeometry",
     "CostBasis",
     "ModelSpec",
@@ -38,6 +40,13 @@ TINYGSM_GENERATION_FLOPS_PER_TOKEN = 350e9
 TINYGSM_MIND_GENERATION_FLOPS_PER_TOKEN = 14e9
 TINYGSM_MIND_EXPANSION = 3.6
 
+# Price of one curated token of each preset corpus.
+PRESET_FLOPS_PER_CURATED_TOKEN = {
+    "tinygsm": TINYGSM_GENERATION_FLOPS_PER_TOKEN,
+    "tinygsm-mind": TINYGSM_GENERATION_FLOPS_PER_TOKEN / TINYGSM_MIND_EXPANSION
+    + 2.0 / TINYGSM_MIND_EXPANSION * TINYGSM_MIND_GENERATION_FLOPS_PER_TOKEN,
+}
+
 
 class CostBasis(enum.Enum):
     """Which FLOPs are charged to a data source."""
@@ -53,6 +62,13 @@ class SourceKind(enum.Enum):
     ZERO_COST = "zero_cost"
 
 
+def _require_finite(obj, *names: str) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """A model identified only by its parameter count."""
@@ -62,6 +78,7 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if not self.param_count > 0:
             raise ValueError(f"param_count must be positive, got {self.param_count}")
+        _require_finite(self, "param_count")
 
 
 @dataclass(frozen=True)
@@ -90,6 +107,7 @@ class AnnealingGeometry:
             )
         if not self.epochs >= 1.0:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        _require_finite(self, "epochs")
 
 
 @dataclass(frozen=True)
@@ -134,6 +152,8 @@ class SourceCostModel:
                 or self.annotator_training_flops != 0.0
             ):
                 raise ValueError("zero_cost source must have all cost fields zero")
+        _require_finite(self, "expansion_factor", "annotator_per_token_flops",
+                        "annotator_training_flops", "mbf_recall")
 
 
 def training_flops(tokens: float, model: ModelSpec) -> float:
@@ -176,10 +196,12 @@ def seed_token_unit_cost(model: SourceCostModel, seed_tokens: float) -> float:
     """Per-token cost of obtaining seed tokens through annotation filtering.
 
     recall * per-token annotation cost, plus the annotator's one-time
-    training cost amortized over the requested seed tokens.
+    training cost amortized over the requested seed tokens. Synthetic and
+    rephrase sources may pay it too, for annotated seed selection; a
+    zero-cost source has no seed cost to price.
     """
-    if model.kind is not SourceKind.MBF:
-        raise ValueError(f"seed token cost is defined for mbf sources, not {model.kind.value}")
+    if model.kind is SourceKind.ZERO_COST:
+        raise ValueError("seed token cost is not defined for zero_cost sources")
     if seed_tokens <= 0:
         raise ValueError("no seed tokens requested")
     return (
@@ -208,17 +230,6 @@ def curation_cost(model: SourceCostModel, seed_tokens: float, seed_unit_cost: fl
     return seed_unit_cost * seed_tokens + generation
 
 
-def _internal_seed_unit_cost(model: SourceCostModel, seed_tokens: float) -> float:
-    # Same formula as seed_token_unit_cost but applicable to any kind:
-    # synthetic/rephrase sources may also pay for annotated seed selection.
-    if seed_tokens <= 0:
-        return 0.0
-    return (
-        model.mbf_recall * model.annotator_per_token_flops
-        + model.annotator_training_flops / seed_tokens
-    )
-
-
 def total_cost(
     model: SourceCostModel,
     geom: AnnealingGeometry,
@@ -232,8 +243,7 @@ def total_cost(
     tokens implied by the geometry; the full basis adds 6 * |params| *
     total_tokens of training.
     """
-    breakdown = cost_breakdown(model, geom, total_tokens, training_model)
-    curation, training = breakdown
+    curation, training = cost_breakdown(model, geom, total_tokens, training_model)
     if basis is CostBasis.CURATION_ONLY:
         return curation
     return curation + training
@@ -252,8 +262,8 @@ def cost_breakdown(
     if model.kind is SourceKind.ZERO_COST:
         return 0.0, training
     m = seed_tokens_required(geom, total_tokens, model.expansion_factor)
-    curation = curation_cost(model, m, _internal_seed_unit_cost(model, m))
-    return curation, training
+    unit_cost = seed_token_unit_cost(model, m) if m > 0 else 0.0
+    return curation_cost(model, m, unit_cost), training
 
 
 def tinygsm_curation_cost(steps: float, geom: AnnealingGeometry) -> float:

@@ -28,7 +28,14 @@ from .costs import (
     tokens_per_step,
     total_cost,
 )
-from .metrics import MetricKind, TaskScore, UtilityDelta, Weighting, aggregate_suite, utility_delta
+from .metrics import (
+    MetricKind,
+    TaskScore,
+    UtilityDelta,
+    aggregate_suite,
+    anchored_mean,
+    utility_delta,
+)
 
 __all__ = [
     "AGGREGATE_SEED",
@@ -335,19 +342,17 @@ def average_seeds(runs: Sequence[RunRecord]) -> RunRecord:
             raise ManifestError(f"runs have mismatched task sets; differing tasks: {diff}")
 
     by_task = [{s.task_id: s for s in run.scores} for run in runs]
-    averaged = []
-    for score in first.scores:
-        values = [m[score.task_id].value for m in by_task]
-        anchor = values[0]
-        mean = anchor + sum(v - anchor for v in values) / len(values)
-        averaged.append(replace(score, value=mean))
+    averaged = tuple(
+        replace(score, value=anchored_mean([m[score.task_id].value for m in by_task]))
+        for score in first.scores
+    )
     seeds = ",".join(str(run.seed) for run in runs)
     return RunRecord(
         source_id=first.source_id,
         seed=AGGREGATE_SEED,
         steps=first.steps,
         geometry=first.geometry,
-        scores=tuple(averaged),
+        scores=averaged,
         metadata={"averaged_seeds": seeds},
     )
 
@@ -371,8 +376,9 @@ def build_utility_points(
     macro-average over the filtered tasks, compared with the
     seed-averaged baseline at the same step count, and priced with the
     source's cost model under ``basis``. ``task_filter`` is a list of
-    glob patterns over task ids; None keeps every task. Output is
-    sorted by (source_id, steps).
+    glob patterns over task ids; None keeps every task. The filtered
+    task set of each treated group must equal the baseline's at the
+    same step count. Output is sorted by (source_id, steps).
     """
     baseline_by_steps: dict[int, list[RunRecord]] = {}
     treated_by_key: dict[tuple[str, int], list[RunRecord]] = {}
@@ -382,7 +388,7 @@ def build_utility_points(
         else:
             treated_by_key.setdefault((run.source_id, run.steps), []).append(run)
 
-    baseline_agg: dict[int, TaskScore] = {}
+    baseline_agg: dict[int, tuple[set[str], TaskScore]] = {}
     for steps, runs in baseline_by_steps.items():
         merged = average_seeds(sorted(runs, key=lambda r: r.seed))
         scores = _filter_scores(merged, task_filter)
@@ -390,7 +396,7 @@ def build_utility_points(
             raise ManifestError(
                 f"task filter {list(task_filter or [])} matches no baseline tasks at steps={steps}"
             )
-        baseline_agg[steps] = aggregate_suite(scores, Weighting.MACRO)
+        baseline_agg[steps] = ({s.task_id for s in scores}, aggregate_suite(scores))
 
     total_per_step, upsampled_per_step = tokens_per_step(runset.geometry)
 
@@ -405,8 +411,14 @@ def build_utility_points(
             raise ManifestError(
                 f"task filter {list(task_filter or [])} matches no tasks for ({source_id!r}, {steps})"
             )
-        treated_score = aggregate_suite(scores, Weighting.MACRO)
-        delta = utility_delta(baseline_agg[steps], treated_score, source_id=source_id)
+        baseline_tasks, baseline_score = baseline_agg[steps]
+        differing = baseline_tasks.symmetric_difference(s.task_id for s in scores)
+        if differing:
+            raise ManifestError(
+                f"task suite of ({source_id!r}, {steps}) differs from the baseline's at the"
+                f" same steps; differing tasks: {sorted(differing)}"
+            )
+        delta = utility_delta(baseline_score, aggregate_suite(scores), source_id=source_id)
         compute = total_cost(
             runset.sources[source_id],
             runset.geometry,

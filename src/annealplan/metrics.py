@@ -23,8 +23,8 @@ __all__ = [
     "MetricKind",
     "TaskScore",
     "UtilityDelta",
-    "Weighting",
     "aggregate_suite",
+    "anchored_mean",
     "brier_score",
     "exact_match",
     "normalize_identity",
@@ -54,11 +54,6 @@ class MetricKind(enum.Enum):
         if self is MetricKind.BRIER:
             return 0.0, 2.0
         return 0.0, 1.0
-
-
-class Weighting(enum.Enum):
-    MACRO = "macro"
-    EXAMPLE_WEIGHTED = "example"
 
 
 @dataclass(frozen=True)
@@ -141,23 +136,21 @@ def exact_match(
     return int(norm(prediction) == norm(reference))
 
 
-def _mean(values: Sequence[float], weights: Sequence[float] | None = None) -> float:
-    # Anchored at the first value so a constant input returns that value
-    # bit-for-bit, not a re-rounded sum/n.
+def anchored_mean(values: Sequence[float]) -> float:
+    """Mean of a nonempty sequence, anchored at its first value.
+
+    The offsets from the first value are summed exactly (``fsum``), so a
+    constant input returns that value bit-for-bit, not a re-rounded sum/n.
+    """
     anchor = values[0]
-    if weights is None:
-        return anchor + math.fsum(v - anchor for v in values) / len(values)
-    total = math.fsum(weights)
-    return anchor + math.fsum(w * (v - anchor) for v, w in zip(values, weights)) / total
+    return anchor + math.fsum(v - anchor for v in values) / len(values)
 
 
-def aggregate_suite(scores: Sequence[TaskScore], weighting: Weighting = Weighting.MACRO) -> TaskScore:
-    """Collapse per-task scores into one suite-level score.
+def aggregate_suite(scores: Sequence[TaskScore]) -> TaskScore:
+    """Collapse per-task scores into their macro average.
 
-    Macro weighting averages task values with equal weight; example
-    weighting weights each task by its example count. The aggregate's
-    ``n_examples`` is the total example count either way. A single task
-    aggregates to itself.
+    Every task weighs the same; the aggregate's ``n_examples`` is the
+    total example count. A single task aggregates to itself.
     """
     if not scores:
         raise ValueError("cannot aggregate an empty score list")
@@ -167,15 +160,10 @@ def aggregate_suite(scores: Sequence[TaskScore], weighting: Weighting = Weightin
         raise ValueError(f"cannot aggregate mixed metric kinds: {names}")
     if len(scores) == 1:
         return scores[0]
-    values = [s.value for s in scores]
-    if weighting is Weighting.MACRO:
-        value = _mean(values)
-    else:
-        value = _mean(values, [float(s.n_examples) for s in scores])
     return TaskScore(
         task_id="suite",
         metric=scores[0].metric,
-        value=value,
+        value=anchored_mean([s.value for s in scores]),
         n_examples=sum(s.n_examples for s in scores),
     )
 

@@ -1,10 +1,8 @@
 """Per-source utility scaling laws: delta = intercept + slope * ln(compute).
 
-The canonical model is log-linear in natural log of FLOPs, fitted by
-ordinary least squares in closed form. A power-law variant
-(ln|delta| = a + b * ln(compute)) is available as an alternate when all
-deltas share one sign. Predictions outside the fitted compute range are
-allowed but always flagged as extrapolation.
+The model is log-linear in the natural log of FLOPs, fitted by
+ordinary least squares in closed form. Predictions outside the fitted
+compute range are allowed but always flagged as extrapolation.
 """
 
 from __future__ import annotations
@@ -19,16 +17,13 @@ from .manifest import UtilityPoint
 
 __all__ = [
     "Crossover",
-    "PowerLawFit",
     "Prediction",
     "RankedSource",
     "ScalingFit",
     "crossover",
     "fit_by_source",
     "fit_log_linear",
-    "fit_power_law",
     "predict",
-    "predict_power",
     "rank_at_budget",
 ]
 
@@ -60,20 +55,6 @@ class ScalingFit:
             raise ValueError(f"invalid compute range [{c_lo}, {c_hi}]")
         if not math.isfinite(self.rmse) or self.rmse < 0:
             raise ValueError(f"rmse must be finite and nonnegative, got {self.rmse}")
-
-
-@dataclass(frozen=True)
-class PowerLawFit:
-    """Alternate power-law curve: delta = sign * exp(log_coeff) * compute**exponent."""
-
-    source_id: str
-    log_coeff: float
-    exponent: float
-    sign: int
-    n_points: int
-    rmse: float
-    compute_range: tuple[float, float]
-    basis: CostBasis
 
 
 class Prediction(NamedTuple):
@@ -172,46 +153,11 @@ def fit_log_linear(points: Sequence[UtilityPoint], drop_smallest: int = 0) -> Sc
     )
 
 
-def fit_power_law(points: Sequence[UtilityPoint], drop_smallest: int = 0) -> PowerLawFit:
-    """Alternate fit of ln|delta| against ln(compute).
-
-    Only valid when every delta has the same strict sign; mixed or zero
-    deltas have no log-log representation.
-    """
-    kept = _check_points(points, drop_smallest)
-    signs = {1 if p.delta.value > 0 else -1 if p.delta.value < 0 else 0 for p in kept}
-    if signs != {1} and signs != {-1}:
-        raise ValueError("power-law fit requires all deltas to share one strict sign")
-    sign = signs.pop()
-    xs = [math.log(p.compute) for p in kept]
-    ys = [math.log(abs(p.delta.value)) for p in kept]
-    log_coeff, exponent, rmse = _ols(xs, ys)
-    computes = [p.compute for p in kept]
-    return PowerLawFit(
-        source_id=kept[0].source_id,
-        log_coeff=log_coeff,
-        exponent=exponent,
-        sign=sign,
-        n_points=len(kept),
-        rmse=rmse,
-        compute_range=(min(computes), max(computes)),
-        basis=kept[0].basis,
-    )
-
-
 def predict(fit: ScalingFit, compute: float) -> Prediction:
     """Predicted delta at ``compute``, flagged when outside the fitted range."""
     if not compute > 0:
         raise ValueError(f"compute must be positive, got {compute}")
     value = fit.intercept + fit.slope * math.log(compute)
-    c_lo, c_hi = fit.compute_range
-    return Prediction(value=value, extrapolated=not c_lo <= compute <= c_hi)
-
-
-def predict_power(fit: PowerLawFit, compute: float) -> Prediction:
-    if not compute > 0:
-        raise ValueError(f"compute must be positive, got {compute}")
-    value = fit.sign * math.exp(fit.log_coeff + fit.exponent * math.log(compute))
     c_lo, c_hi = fit.compute_range
     return Prediction(value=value, extrapolated=not c_lo <= compute <= c_hi)
 

@@ -287,6 +287,20 @@ class TestCost:
         assert code == 1
         assert "--generator-params" in err
 
+    @pytest.mark.parametrize(
+        "flag, field",
+        [
+            ("--epochs", "epochs"),
+            ("--mbf-recall", "mbf_recall"),
+            ("--annotator-per-token-flops", "annotator_per_token_flops"),
+        ],
+    )
+    def test_non_finite_flag_rejected(self, capsys, flag, field):
+        code, out, err = run_cli(capsys, "cost", "--kind", "mbf", "--steps", "10", flag, "inf")
+        assert code == 1
+        assert out == ""
+        assert f"{field} must be finite" in err
+
     def test_steps_and_tokens_mutually_exclusive(self, capsys):
         code, _, err = run_cli(
             capsys, "cost", "--zero-cost", "--steps", "10", "--tokens", "100"

@@ -116,6 +116,16 @@ class TestSeedTokenUnitCost:
         with pytest.raises(ValueError, match="no seed tokens"):
             seed_token_unit_cost(model, 0)
 
+    def test_rephrase_pays_for_seed_selection(self):
+        model = SourceCostModel(
+            kind=SourceKind.REPHRASE,
+            generator=ModelSpec(3e9),
+            mbf_recall=4,
+            annotator_per_token_flops=1e8,
+            annotator_training_flops=1e12,
+        )
+        assert seed_token_unit_cost(model, 1e6) == 4e8 + 1e6
+
     def test_wrong_kind(self):
         model = SourceCostModel(kind=SourceKind.ZERO_COST)
         with pytest.raises(ValueError):

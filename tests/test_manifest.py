@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from annealplan.costs import (
@@ -108,6 +110,27 @@ class TestLoadManifest:
         with pytest.raises(ManifestError, match="steps"):
             load_manifest(write_manifest(data))
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "epochs",
+            "expansion_factor",
+            "annotator_per_token_flops",
+            "annotator_training_flops",
+            "mbf_recall",
+        ],
+    )
+    def test_non_finite_number_names_field(self, write_manifest, field, value):
+        data = manifest_dict()
+        # A rephrase source with a generator accepts every cost field, so
+        # only the value's finiteness can reject it.
+        source = {"kind": "rephrase", "generator_params": 3_000_000_000, "expansion_factor": 1.0}
+        data["sources"]["med_filter"] = source
+        (data["geometry"] if field == "epochs" else source)[field] = value
+        with pytest.raises(ManifestError, match=field):
+            load_manifest(write_manifest(data))
+
 
 def make_run(source="s", seed=0, steps=1000, tasks=(("t1", 0.5), ("t2", 0.6))):
     return RunRecord(
@@ -191,6 +214,29 @@ class TestBuildUtilityPoints:
         runset = load_manifest(write_manifest(data))
         with pytest.raises(ManifestError, match=r"\('med_filter', 2000\)"):
             build_utility_points(runset, None, CostBasis.CURATION_ONLY)
+
+    @pytest.mark.parametrize(
+        "treated_tasks, differing",
+        [
+            (["mmlu_anatomy", "mmlu_virology"], ["mmlu_college_biology", "mmlu_virology"]),
+            (["mmlu_anatomy"], ["mmlu_college_biology"]),
+        ],
+        ids=["swapped-task", "subset"],
+    )
+    def test_treated_suite_must_match_baseline(self, write_manifest, treated_tasks, differing):
+        data = manifest_dict()
+        data["runs"][-1]["scores"] = [
+            {"task_id": task, "metric": "brier", "value": 0.45, "n_examples": 135}
+            for task in treated_tasks
+        ]
+        runset = load_manifest(write_manifest(data))
+        with pytest.raises(ManifestError) as info:
+            build_utility_points(runset, None, CostBasis.CURATION_ONLY)
+        assert "('med_filter', 1000)" in str(info.value)
+        assert str(differing) in str(info.value)
+        # Filtered down to the shared task, the suites match again.
+        (point,) = build_utility_points(runset, ["mmlu_anatomy"], CostBasis.CURATION_ONLY)
+        assert point.delta.value == pytest.approx(0.06, rel=1e-9)
 
     def test_basis_changes_compute_not_delta(self, write_manifest):
         runset = load_manifest(write_manifest(manifest_dict()))

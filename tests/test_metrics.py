@@ -5,7 +5,6 @@ from annealplan.metrics import (
     MetricDirection,
     MetricKind,
     TaskScore,
-    Weighting,
     aggregate_suite,
     brier_score,
     exact_match,
@@ -112,13 +111,6 @@ class TestAggregateSuite:
         got = aggregate_suite([score("a", 0.4), score("b", 0.6)])
         assert got.value == pytest.approx(0.5, rel=1e-12)
         assert got.n_examples == 200
-
-    def test_example_weighted(self):
-        got = aggregate_suite(
-            [score("a", 0.4, n=100), score("b", 0.6, n=300)], Weighting.EXAMPLE_WEIGHTED
-        )
-        assert got.value == pytest.approx(0.55, rel=1e-12)
-        assert got.n_examples == 400
 
     def test_single_task_is_identity(self):
         one = score("a", 0.37)

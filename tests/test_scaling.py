@@ -10,9 +10,7 @@ from annealplan.scaling import (
     crossover,
     fit_by_source,
     fit_log_linear,
-    fit_power_law,
     predict,
-    predict_power,
     rank_at_budget,
 )
 
@@ -144,31 +142,6 @@ class TestPredict:
         fit = make_fit(0.0, 0.01)
         with pytest.raises(ValueError, match="positive"):
             predict(fit, 0.0)
-
-
-class TestPowerLaw:
-    def test_recovers_power_form(self):
-        computes = [1e19, 1e20, 1e21]
-        pts = [
-            point(c, 1e-3 * (c / 1e19) ** 0.1, steps=i + 1) for i, c in enumerate(computes)
-        ]
-        fit = fit_power_law(pts)
-        assert fit.sign == 1
-        assert fit.exponent == pytest.approx(0.1, rel=1e-9)
-        assert predict_power(fit, 1e20).value == pytest.approx(
-            1e-3 * 10 ** 0.1, rel=1e-9
-        )
-
-    def test_negative_branch(self):
-        pts = [point(c, -1e-3 * (c / 1e19) ** 0.2, steps=i + 1) for i, c in enumerate([1e19, 1e21])]
-        fit = fit_power_law(pts)
-        assert fit.sign == -1
-        assert predict_power(fit, 1e20).value < 0
-
-    def test_mixed_signs_rejected(self):
-        pts = [point(1e19, -0.1, steps=1), point(1e20, 0.1, steps=2)]
-        with pytest.raises(ValueError, match="sign"):
-            fit_power_law(pts)
 
 
 class TestCrossover:
