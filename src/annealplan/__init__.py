@@ -24,14 +24,6 @@ from .costs import (
     total_cost,
     training_flops,
 )
-from .diversity import (
-    DiversityReport,
-    NgramProfiler,
-    NgramStats,
-    distinct_ngram_ratio,
-    ngram_entropy,
-    profile_corpus,
-)
 from .manifest import (
     ManifestError,
     RunRecord,
@@ -66,3 +58,22 @@ from .scaling import (
 from .simulate import GroundTruthSource, Scenario, generate_manifest, scenario_rank_flip
 
 __version__ = "0.1.0"
+
+# Exported on first use by __getattr__: importing diversity loads numpy,
+# which the planning API does not need.
+_DIVERSITY_NAMES = (
+    "DiversityReport",
+    "NgramProfiler",
+    "NgramStats",
+    "distinct_ngram_ratio",
+    "ngram_entropy",
+    "profile_corpus",
+)
+
+
+def __getattr__(name: str):
+    if name not in _DIVERSITY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import diversity
+
+    return getattr(diversity, name)

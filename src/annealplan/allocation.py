@@ -15,10 +15,12 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .scaling import ScalingFit, predict
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "AllocationPlan",
@@ -101,6 +103,8 @@ def allocate_proportional(fits: Sequence[ScalingFit], c_max: float) -> Allocatio
     _check_fits(fits)
     if not c_max > 0:
         raise ValueError(f"c_max must be positive, got {c_max}")
+    if not math.isfinite(c_max):
+        raise ValueError(f"c_max must be finite, got {c_max}")
     included = [fit for fit in fits if fit.slope > 0]
     excluded = tuple(
         (fit.source_id, EXCLUDED_NON_POSITIVE_SLOPE) for fit in fits if fit.slope <= 0
@@ -142,6 +146,8 @@ def _compositions(n_parts: int, total: int) -> np.ndarray:
     the oracle's tie-breaking. Built by enumerating the free leading
     columns on a dense grid and solving for the last one.
     """
+    import numpy as np
+
     if n_parts == 1:
         return np.array([[total]], dtype=np.int64)
     free = np.indices((total + 1,) * (n_parts - 1), dtype=np.int32)
@@ -175,6 +181,8 @@ def allocate_grid_oracle(
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     if not c_max > 0:
         raise ValueError(f"c_max must be positive, got {c_max}")
+    if not math.isfinite(c_max):
+        raise ValueError(f"c_max must be finite, got {c_max}")
 
     included = [fit for fit in fits if fit.slope > 0]
     excluded = tuple(
@@ -203,6 +211,8 @@ def allocate_grid_oracle(
             f"resolution {resolution} cannot give {len(included)} sources"
             " a positive assignment each"
         )
+    import numpy as np  # the oracle is numpy's only user here, so load it on first call
+
     # Strictly positive compositions: distribute the leftover grid steps
     # freely, then give every included source its mandatory one.
     grid = _compositions(len(included), resolution - len(included)) + 1

@@ -29,11 +29,6 @@ from .costs import (
     tokens_per_step,
     training_flops,
 )
-from .diversity import (
-    NgramProfiler,
-    read_binary_token_documents,
-    read_text_token_documents,
-)
 from .manifest import ManifestError, UtilityPoint, build_utility_points, load_manifest
 from .metrics import MetricDirection
 from .scaling import ScalingFit, crossover, fit_by_source, rank_at_budget
@@ -41,6 +36,18 @@ from .simulate import generate_manifest, scenario_rank_flip
 from .svg import render_fit_svg
 
 __all__ = ["main"]
+
+# Bound on first use by __getattr__: importing diversity loads numpy,
+# which no planning command needs.
+_DIVERSITY_NAMES = ("NgramProfiler", "read_binary_token_documents", "read_text_token_documents")
+
+
+def __getattr__(name: str):
+    if name not in _DIVERSITY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import diversity
+
+    return getattr(diversity, name)
 
 
 class _UsageError(Exception):
@@ -270,6 +277,8 @@ def _cmd_cost(args) -> int:
             total_tokens = args.steps * total_per_step
             steps_out, tokens_out = args.steps, total_tokens
         else:
+            if args.tokens < 0:
+                raise ValueError(f"tokens must be >= 0, got {args.tokens}")
             curated_cost = args.tokens * PRESET_FLOPS_PER_CURATED_TOKEN[args.preset]
             total_tokens = args.tokens / geom.upsample_ratio
             steps_out, tokens_out = "", args.tokens
@@ -304,7 +313,7 @@ def _cmd_cost(args) -> int:
         tokens_out = total_tokens
         if basis is CostBasis.CURATION_PLUS_ANNEALING and args.training_params is None:
             raise _UsageError("--basis total requires --training-params")
-        training_model = ModelSpec(args.training_params) if args.training_params else ModelSpec(1)
+        training_model = ModelSpec(1 if args.training_params is None else args.training_params)
         curation, training_full = cost_breakdown(source, geom, total_tokens, training_model)
         training = training_full if basis is CostBasis.CURATION_PLUS_ANNEALING else 0.0
 
@@ -317,11 +326,14 @@ def _cmd_cost(args) -> int:
 def _cmd_diversity(args) -> int:
     if args.n_max < 1:
         raise _UsageError("--n-max must be >= 1")
+    # Attribute lookups on the module, not bare names, so the first one
+    # reaches __getattr__ and a name replaced on the module is honoured.
+    cli = sys.modules[__name__]
     if args.format == "text":
-        documents = read_text_token_documents(args.corpus)
+        documents = cli.read_text_token_documents(args.corpus)
     else:
-        documents = read_binary_token_documents(args.corpus)
-    profiler = NgramProfiler(args.n_max)
+        documents = cli.read_binary_token_documents(args.corpus)
+    profiler = cli.NgramProfiler(args.n_max)
     if args.single_stream:
         # One unbounded stream: n-grams may span input documents.
         profiler.add_document(token for document in documents for token in document)

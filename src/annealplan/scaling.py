@@ -214,6 +214,8 @@ def rank_at_budget(fits: Sequence[ScalingFit], budget: float) -> list[RankedSour
         raise ValueError("need at least one fit to rank")
     if not budget > 0:
         raise ValueError(f"budget must be positive, got {budget}")
+    if not math.isfinite(budget):
+        raise ValueError(f"budget must be finite, got {budget}")
     bases = {fit.basis for fit in fits}
     if len(bases) > 1:
         raise ValueError("cannot rank fits with mixed cost bases")

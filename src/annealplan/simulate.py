@@ -19,8 +19,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .costs import (
     AnnealingGeometry,
     CostBasis,
@@ -160,6 +158,8 @@ def generate_manifest(scenario: Scenario) -> bytes:
     ground truth are clamped, with a warning recorded in that run's
     metadata.
     """
+    import numpy as np  # only the RNG needs it; loaded here, not at import
+
     rng = np.random.default_rng(scenario.rng_seed)
     metric_name = scenario.metric.value
     runs = []

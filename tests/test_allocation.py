@@ -123,6 +123,10 @@ class TestAllocateProportional:
         with pytest.raises(ValueError, match="c_max"):
             allocate_proportional([make_fit(0.0, 1.0, "a")], 0.0)
 
+    def test_infinite_budget(self):
+        with pytest.raises(ValueError, match="c_max must be finite, got inf"):
+            allocate_proportional([make_fit(0.0, 1.0, "a")], math.inf)
+
     def test_extrapolation_warning(self):
         # Fit range is [1e18, 1e22]; a tiny budget lands below it.
         plan = allocate_proportional([make_fit(0.0, 1.0, "a")], 1e6)
@@ -182,6 +186,10 @@ class TestGridOracle:
     def test_resolution_floor(self):
         with pytest.raises(ValueError, match="resolution"):
             allocate_grid_oracle([make_fit(0.0, 1.0, "a")], 1.0, resolution=1)
+
+    def test_infinite_budget(self):
+        with pytest.raises(ValueError, match="c_max must be finite, got inf"):
+            allocate_grid_oracle([make_fit(0.0, 1.0, "a")], math.inf, resolution=10)
 
     def test_all_negative_fallback_matches_closed_form(self):
         fits = [make_fit(0.0, -0.5, "a"), make_fit(5.0, -1.0, "b")]

@@ -128,6 +128,14 @@ class TestRank:
         assert code == 1
         assert "budget" in err
 
+    def test_infinite_budget_rejected(self, sim_manifest, capsys):
+        code, out, err = run_cli(
+            capsys, "rank", "--manifest", str(sim_manifest), "--budget", "inf",
+        )
+        assert code == 1
+        assert out == ""
+        assert "error: budget must be finite, got inf" in err
+
 
 class TestCrossoverCmd:
     def test_reports_flip_point(self, sim_manifest, capsys):
@@ -156,6 +164,15 @@ class TestAllocate:
         assignments = {r["source_id"]: r for r in rows if r["record"] == "assignment"}
         assert float(assignments["mbf_like"]["assigned_compute"]) == 1e21
         assert assignments["wrap_like"]["excluded_reason"] == "non-positive slope"
+
+    @pytest.mark.parametrize("oracle", [[], ["--with-oracle"]])
+    def test_infinite_c_max_rejected(self, sim_manifest, capsys, oracle):
+        code, out, err = run_cli(
+            capsys, "allocate", "--manifest", str(sim_manifest), "--c-max", "inf", *oracle,
+        )
+        assert code == 1
+        assert out == ""
+        assert "error: c_max must be finite, got inf" in err
 
     def test_proportional_split_two_positive(self, tmp_path, capsys):
         # Hand-built manifest with two improving sources.
@@ -300,6 +317,24 @@ class TestCost:
         assert code == 1
         assert out == ""
         assert f"{field} must be finite" in err
+
+    @pytest.mark.parametrize("basis", [[], ["--basis", "total", "--training-params", "7e9"]])
+    def test_negative_preset_tokens_rejected(self, capsys, basis):
+        code, out, err = run_cli(capsys, "cost", "--preset", "tinygsm", "--tokens", "-5", *basis)
+        assert code == 1
+        assert out == ""
+        assert "tokens must be >= 0, got -5.0" in err
+
+    def test_zero_training_params_rejected(self, capsys):
+        # 0 is a given value, not an absent flag: it must not price a
+        # 1-parameter model.
+        code, out, err = run_cli(
+            capsys, "cost", "--kind", "mbf", "--steps", "10", "--basis", "total",
+            "--training-params", "0",
+        )
+        assert code == 1
+        assert out == ""
+        assert "param_count must be positive, got 0.0" in err
 
     def test_steps_and_tokens_mutually_exclusive(self, capsys):
         code, _, err = run_cli(

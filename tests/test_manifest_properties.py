@@ -1,0 +1,177 @@
+"""Property test: a mutated manifest gives finite utility points or fails cleanly.
+
+Every example starts from one valid manifest and applies one mutation: a
+missing field, a value of the wrong JSON type, ``Infinity``/``NaN`` in a
+number, an out-of-range score, or a task suite that no longer matches the
+baseline's. The library must then raise ``ManifestError`` or return points
+whose compute and delta are all finite, and ``annealplan fit`` must exit 1
+with the library's message, or exit 0 printing only finite numbers. The
+last three kinds are never valid, so they must raise.
+"""
+
+import contextlib
+import copy
+import csv
+import io
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from annealplan.cli import main
+from annealplan.costs import CostBasis
+from annealplan.manifest import ManifestError, build_utility_points, loads_manifest
+
+from conftest import manifest_dict
+
+
+def _base_manifest() -> dict:
+    """Two sources over two step counts, so ``fit`` succeeds unmutated."""
+    data = manifest_dict()
+    data["sources"]["rephrased"] = {
+        "kind": "rephrase",
+        "generator_params": 3_000_000_000,
+        "expansion_factor": 1.0,
+        "annotator_training_flops": 1e18,
+    }
+    rephrased = copy.deepcopy(data["runs"][2])
+    rephrased["source_id"] = "rephrased"
+    data["runs"].append(rephrased)
+    later = copy.deepcopy(data["runs"])
+    for run in later:
+        run["steps"] = 2000
+        for score in run["scores"]:
+            score["value"] -= 0.01 if run["source_id"] == "full_replay" else 0.05
+    data["runs"] += later
+    return data
+
+
+BASE = _base_manifest()
+
+
+def _paths(node, prefix=()):
+    """Every (path to container, key) pair below ``node``, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix, key
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+def _resolve(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+PATHS = list(_paths(BASE))
+NUMBER_PATHS = [
+    (path, key) for path, key in PATHS
+    if type(_resolve(BASE, path)[key]) in (int, float)
+]
+SCORE_PATHS = [
+    path + (key,) for path, key in PATHS
+    if len(path) == 3 and path[0] == "runs" and path[2] == "scores"
+]
+ALWAYS_INVALID = ("non-finite", "score range", "suite")
+WRONG_TYPES = [None, True, "1", [1], {"x": 1}, 0.5, 3]
+SCORE_OUT_OF_RANGE = st.one_of(
+    st.floats(max_value=0.0, exclude_max=True, allow_infinity=False),
+    st.floats(min_value=2.0, exclude_min=True, allow_infinity=False),
+)
+
+
+@st.composite
+def mutated_manifests(draw) -> tuple[str, str]:
+    """(mutation kind, manifest JSON text)."""
+    data = copy.deepcopy(BASE)
+    kind = draw(st.sampled_from(["missing", "wrong type", *ALWAYS_INVALID]))
+    if kind == "missing":
+        path, key = draw(st.sampled_from(PATHS))
+        del _resolve(data, path)[key]
+    elif kind == "wrong type":
+        path, key = draw(st.sampled_from(PATHS))
+        parent = _resolve(data, path)
+        old = parent[key]
+        parent[key] = draw(st.sampled_from([v for v in WRONG_TYPES if type(v) is not type(old)]))
+    elif kind == "non-finite":
+        path, key = draw(st.sampled_from(NUMBER_PATHS))
+        _resolve(data, path)[key] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    elif kind == "score range":
+        score = _resolve(data, draw(st.sampled_from(SCORE_PATHS)))
+        score["value"] = draw(SCORE_OUT_OF_RANGE)
+    else:
+        path = draw(st.sampled_from(SCORE_PATHS))
+        scores = _resolve(data, path[:-1])
+        if draw(st.booleans()):
+            del scores[path[-1]]
+        else:
+            scores[path[-1]]["task_id"] = "mmlu_virology"
+    # json.dumps writes non-finite floats as the Infinity/NaN that
+    # json.loads accepts back.
+    return kind, json.dumps(data)
+
+
+def _run_fit(manifest_path, basis: CostBasis) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["fit", "--manifest", str(manifest_path), "--basis", basis.value])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _csv_numbers_finite(text: str) -> bool:
+    for row in list(csv.reader(io.StringIO(text)))[1:]:
+        for cell in row:
+            try:
+                number = float(cell)
+            except ValueError:
+                continue
+            if not math.isfinite(number):
+                return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def manifest_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated") / "manifest.json"
+
+
+def test_base_manifest_fits(manifest_path):
+    manifest_path.write_text(json.dumps(BASE), encoding="utf-8")
+    for basis in CostBasis:
+        code, out, err = _run_fit(manifest_path, basis)
+        assert code == 0, err
+        assert out.count("\npoint,") == 4
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=300,
+    deadline=None,
+)
+@given(mutation=mutated_manifests(), basis=st.sampled_from(list(CostBasis)))
+def test_mutation_fails_cleanly_or_gives_finite_points(manifest_path, mutation, basis):
+    kind, text = mutation
+    try:
+        points = build_utility_points(loads_manifest(text), None, basis)
+    except ManifestError as exc:
+        error = exc
+    else:
+        error = None
+        assert kind not in ALWAYS_INVALID
+        for point in points:
+            assert math.isfinite(point.compute), point
+            assert math.isfinite(point.delta.value), point
+
+    manifest_path.write_text(text, encoding="utf-8")
+    code, out, err = _run_fit(manifest_path, basis)
+    if error is not None:
+        assert (code, out, err) == (1, "", f"error: {error}\n")
+    else:
+        # Valid points may still fail to fit (one point per source), but
+        # only with exit 1, and a success prints finite numbers only.
+        assert code in (0, 1), err
+        assert code == 1 or _csv_numbers_finite(out)

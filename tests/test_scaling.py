@@ -272,6 +272,10 @@ class TestRankAtBudget:
         with pytest.raises(ValueError, match="budget"):
             rank_at_budget([make_fit(0.0, 0.01)], 0.0)
 
+    def test_infinite_budget(self):
+        with pytest.raises(ValueError, match="budget must be finite, got inf"):
+            rank_at_budget([make_fit(0.0, 0.01)], math.inf)
+
 
 class TestFitBySource:
     def test_groups_and_sorts(self):
