@@ -5,9 +5,14 @@ corpus needs memory proportional to the number of distinct n-grams, not
 to vocabulary-sized tuples. Counts themselves are exact; hash collisions
 (expected well under one per billions of distinct n-grams) would merge
 two n-grams' counts and are accepted. Tokens are whatever the caller
-supplies: integers, or strings interned on the fly. N-grams never span
-document boundaries; feed a whole corpus as one document to get a
-single unbounded stream.
+supplies: integers, or strings. A string is keyed by a 64-bit hash of
+its UTF-8 bytes, computed in numpy for a whole batch at once, so
+profilers fed disjoint shards share keys and merge exactly. The text
+reader splits lines on Python's whitespace (``str.split()``, Unicode
+separators included) and yields those keys, one ``uint64`` array per
+line, without building a ``str`` per token. N-grams never span document
+boundaries; feed a whole corpus as one document to get a single
+unbounded stream.
 
 Shannon entropy is computed in bits from the exact count table. The
 reported value is clamped to its mathematical bound log2(distinct) so
@@ -19,7 +24,6 @@ from __future__ import annotations
 import struct
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from hashlib import blake2b
 from itertools import islice
 
 import numpy as np
@@ -41,8 +45,24 @@ _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 _MIX_OFFSET = np.uint64(0x9E3779B97F4A7C15)
 _WINDOW_MULTIPLIER = np.uint64(0xD6E8FEB86659FD93)
+_WORD_STEP = np.uint64(0xC2B2AE3D27D4EB4F)
+# _TAIL_MASK[r] keeps the low r bytes of a word.
+_TAIL_MASK = np.array([(1 << (8 * r)) - 1 for r in range(9)], dtype=np.uint64)
+
+# The code points str.split() separates on (those str.isspace() accepts):
+# the ASCII ones are bytes 9-13 and 28-32; the longer ones are matched
+# by their 2- and 3-byte UTF-8 codes.
+_WHITESPACE = (
+    "\t\n\v\f\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+    + "".join(map(chr, range(0x2000, 0x200B)))
+    + "\u2028\u2029\u202f\u205f\u3000"
+)
+_WHITESPACE_2 = [int.from_bytes(c.encode(), "big") for c in _WHITESPACE if len(c.encode()) == 2]
+_WHITESPACE_3 = [int.from_bytes(c.encode(), "big") for c in _WHITESPACE if len(c.encode()) == 3]
 
 _FLUSH_TOKENS = 1 << 20
+# The text reader reads this many bytes, then the rest of the line.
+_TEXT_BLOCK_BYTES = 4 << 20
 # Pending per-n chunk results are merged once they outgrow both this
 # floor and the already-consolidated table, so total merge work stays
 # O(N log N) while memory stays near the distinct-n-gram count.
@@ -57,6 +77,59 @@ def _mix64(values: np.ndarray) -> np.ndarray:
     x *= _MIX_2
     x ^= x >> np.uint64(31)
     return x
+
+
+def _token_keys(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """One ``uint64`` key per token; token ``i`` is ``data[starts[i]:][:lengths[i]]``.
+
+    Each token is cut into little-endian 8-byte words (the last one
+    zero-filled), every word is mixed together with its offset in the
+    token, and the wrap-around sum of a token's mixed words is mixed
+    once more with the token's byte length. Work is O(bytes) in numpy.
+    """
+    n_words = (lengths + 7) >> 3
+    word_end = np.cumsum(n_words)
+    first_word = word_end - n_words
+    token = np.repeat(np.arange(len(lengths)), n_words)
+    offset = (np.arange(len(token)) - first_word[token]) << 3
+    padded = np.zeros(len(data) + 8, dtype=np.uint8)
+    padded[: len(data)] = data
+    # Unaligned 8-byte little-endian window at every byte offset.
+    windows = np.ndarray((len(data) + 1,), dtype="<u8", buffer=padded, strides=(1,))
+    words = windows[starts[token] + offset]
+    words &= _TAIL_MASK[np.minimum(lengths[token] - offset, 8)]
+    words ^= offset.astype(np.uint64) * _WORD_STEP
+    sums = np.zeros(len(words) + 1, dtype=np.uint64)
+    np.cumsum(_mix64(words), out=sums[1:])
+    return _mix64((sums[word_end] - sums[first_word]) ^ lengths.astype(np.uint64))
+
+
+def _string_keys(tokens: list[str]) -> np.ndarray:
+    """Keys of string tokens: the :func:`_token_keys` of their UTF-8 bytes.
+
+    Strings are keyed by their bytes, not by an interning order, so
+    profilers fed disjoint document shards count the same n-grams under
+    the same keys and can be merged.
+    """
+    joined = "".join(tokens)
+    data = np.frombuffer(joined.encode(), dtype=np.uint8)
+    lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
+    if len(data) != len(joined):
+        # Not all ASCII: a token ends where the code point after its last
+        # one starts, at a byte that is not a UTF-8 continuation byte.
+        point_at = np.append(np.flatnonzero((data & 0xC0) != 0x80), len(data))
+        lengths = np.diff(point_at[np.cumsum(lengths)], prepend=0)
+    return _token_keys(data, np.cumsum(lengths) - lengths, lengths)
+
+
+def _id_keys(tokens) -> np.ndarray:
+    """Keys of integer tokens, in a new array the caller cannot refill.
+
+    ``uint64`` ids are keys already (the text reader's, or ids that need
+    no widening); other integers are widened through ``int64``.
+    """
+    ids = np.array(tokens)
+    return ids if ids.dtype == np.uint64 else ids.astype(np.int64).astype(np.uint64)
 
 
 @dataclass(frozen=True)
@@ -108,10 +181,11 @@ class NgramProfiler:
         ]
         self._pending_keys = [0] * (n_max + 1)
         self._consolidated_keys = [0] * (n_max + 1)
-        self._vocab: dict = {}
         self._doc_counter = 0
-        self._buf_tokens: list = []
+        self._buf_keys: list[np.ndarray] = []
+        self._buf_text: list[str] = []  # string tokens not yet keyed, after _buf_keys
         self._buf_segments: list[tuple[int, int]] = []  # (doc id, token count)
+        self._buf_len = 0
         self._tail_hashes = np.empty(0, dtype=np.uint64)
         self._tail_docs = np.empty(0, dtype=np.int64)
 
@@ -120,59 +194,46 @@ class NgramProfiler:
         doc_id = self._doc_counter
         self._doc_counter += 1
         if isinstance(tokens, (list, tuple, np.ndarray)):
-            pos, size = 0, len(tokens)
-            while pos < size:
-                take = min(_FLUSH_TOKENS - len(self._buf_tokens), size - pos)
-                self._buf_tokens.extend(
-                    tokens if pos == 0 and take == size else tokens[pos : pos + take]
-                )
-                self._buf_segments.append((doc_id, take))
-                self._token_total += take
-                pos += take
-                if len(self._buf_tokens) >= _FLUSH_TOKENS:
-                    self._flush()
+            size = len(tokens)
+            # Slicing copies a list, so only documents longer than a flush are cut.
+            for start in range(0, size, _FLUSH_TOKENS):
+                chunk = tokens if size <= _FLUSH_TOKENS else tokens[start : start + _FLUSH_TOKENS]
+                self._buffer(doc_id, chunk)
             return
         iterator = iter(tokens)
-        while True:
-            room = _FLUSH_TOKENS - len(self._buf_tokens)
-            chunk = list(islice(iterator, room))
-            if not chunk:
-                break
-            self._buf_tokens.extend(chunk)
-            self._buf_segments.append((doc_id, len(chunk)))
-            self._token_total += len(chunk)
-            if len(self._buf_tokens) >= _FLUSH_TOKENS:
-                self._flush()
+        while chunk := list(islice(iterator, _FLUSH_TOKENS)):
+            self._buffer(doc_id, chunk)
 
-    def _encode(self, tokens: list) -> np.ndarray:
-        # String tokens are keyed by a content digest rather than an
-        # interning order, so profilers fed disjoint document shards
-        # count the same n-grams under the same keys and can be merged.
+    def _buffer(self, doc_id: int, tokens) -> None:
         if isinstance(tokens[0], str):
-            vocab = self._vocab
-            return np.fromiter(
-                (
-                    vocab[t]
-                    if t in vocab
-                    else vocab.setdefault(
-                        t, int.from_bytes(blake2b(t.encode(), digest_size=8).digest(), "little")
-                    )
-                    for t in tokens
-                ),
-                dtype=np.uint64,
-                count=len(tokens),
-            )
-        return np.asarray(tokens, dtype=np.int64).astype(np.uint64)
+            # Keyed in one numpy pass per flush, not one per document.
+            self._buf_text.extend(tokens)
+        else:
+            self._key_text()
+            self._buf_keys.append(_id_keys(tokens))
+        size = len(tokens)
+        self._buf_segments.append((doc_id, size))
+        self._buf_len += size
+        self._token_total += size
+        if self._buf_len >= _FLUSH_TOKENS:
+            self._flush()
+
+    def _key_text(self) -> None:
+        if self._buf_text:
+            self._buf_keys.append(_string_keys(self._buf_text))
+            self._buf_text.clear()
 
     def _flush(self) -> None:
-        if not self._buf_tokens:
+        if not self._buf_len:
             return
-        mixed = _mix64(self._encode(self._buf_tokens))
+        self._key_text()
+        mixed = _mix64(np.concatenate(self._buf_keys))
         seg_docs = np.array([d for d, _ in self._buf_segments], dtype=np.int64)
         seg_lens = np.array([c for _, c in self._buf_segments], dtype=np.int64)
         docs = np.repeat(seg_docs, seg_lens)
-        self._buf_tokens.clear()
+        self._buf_keys.clear()
         self._buf_segments.clear()
+        self._buf_len = 0
 
         tail_len = len(self._tail_hashes)
         if tail_len:
@@ -305,22 +366,56 @@ def ngram_entropy(tokens: Iterable, n: int) -> float:
     return profile_corpus([tokens], n).stats(n).entropy_bits
 
 
-def read_text_token_documents(path) -> Iterator[list[str]]:
-    """Yield one whitespace-tokenized document per line of a UTF-8 file.
+def read_text_token_documents(path) -> Iterator[np.ndarray]:
+    """Yield the token keys of each line of a UTF-8 file, one ``uint64`` array per line.
 
-    Decoding errors report the absolute byte offset of the bad byte.
+    Lines end at ``\\n`` only and are split on the whitespace ``str.split()``
+    uses; a token's key is the one :class:`NgramProfiler` gives the same
+    string. Decoding errors report the absolute byte offset of the bad byte.
     """
     offset = 0
     with open(path, "rb") as handle:
-        for raw in handle:
+        while block := handle.read(_TEXT_BLOCK_BYTES):
+            if not block.endswith(b"\n"):
+                block += handle.readline()
             try:
-                line = raw.decode("utf-8")
+                block.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise ValueError(
                     f"invalid UTF-8 at byte offset {offset + exc.start} of {path}"
                 ) from exc
-            offset += len(raw)
-            yield line.split()
+            offset += len(block)
+            yield from _text_block_documents(np.frombuffer(block, dtype=np.uint8))
+
+
+def _text_block_documents(data: np.ndarray) -> list[np.ndarray]:
+    """Token keys of each line of valid UTF-8 ``data`` that ends at a line end."""
+    space = ((data - 9) < 5) | ((data - 28) < 5)
+    # A longer separator's lead byte is C2, E1, E2 or E3, and valid UTF-8
+    # keeps its continuation bytes inside the block.
+    lead = np.flatnonzero(data >= 0xC2)
+    lead2 = lead[data[lead] == 0xC2]
+    code2 = (data[lead2].astype(np.int32) << 8) | data[lead2 + 1]
+    at = lead2[np.isin(code2, _WHITESPACE_2)]
+    space[at] = space[at + 1] = True
+    lead3 = lead[(data[lead] >= 0xE1) & (data[lead] <= 0xE3)]
+    code3 = (
+        (data[lead3].astype(np.int32) << 16)
+        | (data[lead3 + 1].astype(np.int32) << 8)
+        | data[lead3 + 2]
+    )
+    at = lead3[np.isin(code3, _WHITESPACE_3)]
+    space[at] = space[at + 1] = space[at + 2] = True
+
+    # Tokens run from a space-to-text edge to the next text-to-space edge.
+    edges = np.flatnonzero(np.diff(space, prepend=True, append=True))
+    starts = edges[::2]
+    keys = _token_keys(data, starts, edges[1::2] - starts)
+    line_ends = np.flatnonzero(data == 0x0A)
+    if data[-1] != 0x0A:
+        line_ends = np.append(line_ends, len(data))
+    bounds = [0, *np.searchsorted(starts, line_ends).tolist()]
+    return [keys[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def read_binary_token_documents(path) -> Iterator[np.ndarray]:

@@ -117,10 +117,21 @@ def _get_str(obj: Mapping, key: str, where: str) -> str:
     return value
 
 
+def _beyond_float(key: str, where: str, value: int) -> ManifestError:
+    return ManifestError(
+        f"field {key!r} in {where} is beyond the float range,"
+        f" got an integer of {len(str(abs(value)))} digits"
+    )
+
+
 def _get_int(obj: Mapping, key: str, where: str) -> int:
     value = _get(obj, key, where)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ManifestError(f"field {key!r} in {where} must be an integer, got {value!r}")
+    try:
+        float(value)  # every integer field is priced or averaged in floating point
+    except OverflowError:
+        raise _beyond_float(key, where, value) from None
     return value
 
 
@@ -128,7 +139,10 @@ def _get_float(obj: Mapping, key: str, where: str) -> float:
     value = _get(obj, key, where)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ManifestError(f"field {key!r} in {where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise _beyond_float(key, where, value) from None
 
 
 def _parse_geometry(obj, where: str) -> AnnealingGeometry:

@@ -428,6 +428,32 @@ class TestDiversity:
         assert total_docs == 2
         assert total_stream == 3
 
+    def test_single_stream_crosses_reader_blocks(self, tmp_path, capsys, monkeypatch):
+        import numpy as np
+
+        from annealplan import diversity
+
+        monkeypatch.setattr(diversity, "_TEXT_BLOCK_BYTES", 16)
+        rng = np.random.default_rng(41)
+        docs = [
+            [f"w{t}" for t in rng.integers(0, 40, size=int(rng.integers(0, 30)))]
+            for _ in range(30)
+        ]
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("\n".join(" ".join(d) for d in docs) + "\n", encoding="utf-8")
+        keys = np.concatenate(list(diversity.read_text_token_documents(corpus)))
+        assert (keys >= np.uint64(1 << 63)).any()  # beyond int64, streamed as uint64
+        code, out, _ = run_cli(
+            capsys, "diversity", "--corpus", str(corpus), "--n-max", "3", "--single-stream"
+        )
+        assert code == 0
+        report = diversity.profile_corpus([[t for d in docs for t in d]], 3)
+        for row in parse_csv(out):
+            stats = report.stats(int(row["n"]))
+            assert int(row["distinct"]) == stats.distinct
+            assert int(row["total"]) == stats.total
+            assert float(row["entropy_bits"]) == stats.entropy_bits
+
 
 class TestSimulate:
     def test_deterministic_per_seed(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from annealplan import diversity
 from annealplan.diversity import (
     NgramProfiler,
     distinct_ngram_ratio,
@@ -198,19 +199,150 @@ class TestProfileCorpus:
         oracle = tuple_counts([tokens[:5000]], 2)
         assert small.stats(2).distinct == len(oracle)
 
+    @pytest.mark.parametrize("dtype", [np.uint64, np.int64])
+    def test_refilled_array_counts_each_document(self, dtype):
+        # Documents stay buffered until a flush, so the profiler must not
+        # keep a view of an array its caller refills for the next one.
+        rng = np.random.default_rng(17)
+        docs = [rng.integers(0, 50, size=8).astype(dtype) for _ in range(200)]
+        fresh = NgramProfiler(3)
+        refilled = NgramProfiler(3)
+        buffer = np.empty(8, dtype=dtype)
+        for doc in docs:
+            fresh.add_document(doc.copy())
+            buffer[:] = doc
+            refilled.add_document(buffer)
+        assert refilled.report() == fresh.report()
+        for n in range(1, 4):
+            assert refilled.counts(n).tolist() == fresh.counts(n).tolist()
+
+    def test_string_and_key_documents_interleave(self):
+        # String documents are keyed at flush time; documents fed as key
+        # arrays in between must keep their place in the stream.
+        rng = np.random.default_rng(29)
+        docs = [
+            [f"tok{t}" for t in rng.integers(0, 20, size=int(rng.integers(1, 30)))]
+            for _ in range(60)
+        ]
+        as_strings = NgramProfiler(3)
+        interleaved = NgramProfiler(3)
+        for i, doc in enumerate(docs):
+            as_strings.add_document(doc)
+            interleaved.add_document(text_keys(doc) if i % 3 == 1 else doc)
+        assert interleaved.report() == as_strings.report()
+        for n in range(1, 4):
+            assert interleaved.counts(n).tolist() == as_strings.counts(n).tolist()
+
+
+def text_keys(tokens):
+    """The keys a profiler gives a list of string tokens."""
+    return diversity._string_keys(list(tokens))
+
+
+def thue_morse(size):
+    return "".join("ab"[bin(i).count("1") % 2] for i in range(size))
+
+
+class TestTextKeys:
+    @pytest.mark.parametrize("size", [1 << 10, 1 << 11])
+    def test_thue_morse_pair_stays_apart(self, size):
+        # A polynomial hash mod 2**64 maps a Thue-Morse string and its
+        # complement to one key at these lengths.
+        word = thue_morse(size)
+        complement = word.translate(str.maketrans("ab", "ba"))
+        assert profile_corpus([[word, complement]], 1).stats(1).distinct == 2
+
+    def test_lengths_and_zero_bytes_stay_apart(self):
+        tokens = ["", "\0", "\0\0", "a", "a\0", "a" * 7, "a" * 8, "a" * 9, "a" * 16, "a" * 17]
+        assert len(set(text_keys(tokens).tolist())) == len(tokens)
+
+    def test_word_order_matters(self):
+        assert len(set(text_keys(["abcdefghijklmnop", "ijklmnopabcdefgh"]).tolist())) == 2
+
+    def test_multibyte_strings_match_reader(self, tmp_path):
+        # The reader measures tokens in bytes; string lists measure them
+        # from code points, and both must give each token the same key.
+        tokens = ["é", "a€b", "\U0001d11e", "x", "ÿ" * 9, "あ" * 5]
+        path = tmp_path / "corpus.txt"
+        path.write_text(" ".join(tokens), encoding="utf-8")
+        (doc,) = read_text_token_documents(path)
+        assert text_keys(tokens).tolist() == doc.tolist()
+        assert text_keys(["", *tokens, ""]).tolist()[1:-1] == doc.tolist()
+
 
 class TestReaders:
     def test_text_reader(self, tmp_path):
         path = tmp_path / "corpus.txt"
         path.write_text("a b c\n\nd e\n", encoding="utf-8")
         docs = list(read_text_token_documents(path))
-        assert docs == [["a", "b", "c"], [], ["d", "e"]]
+        assert [d.dtype for d in docs] == [np.uint64] * 3
+        assert [d.tolist() for d in docs] == [
+            text_keys(["a", "b", "c"]).tolist(), [], text_keys(["d", "e"]).tolist()
+        ]
+
+    @pytest.mark.parametrize(
+        "separator",
+        [chr(c) for c in range(0x110000) if chr(c).isspace()],
+        ids=lambda c: f"U+{ord(c):04X}",
+    )
+    def test_text_reader_splits_like_str_split(self, tmp_path, separator):
+        text = (
+            f"a{separator}b{separator}{separator}é€{separator}a\n"
+            f"{separator}b a{separator}\r\n\n{separator}\n"
+            f"x\u2027y\u200b\u00a1{separator}z"
+        )
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(text.encode())
+        with open(path, "rb") as handle:
+            lines = [line.decode().split() for line in handle]
+        assert len(lines) >= 5
+        got = profile_corpus(read_text_token_documents(path), 3)
+        assert got == profile_corpus(lines, 3)
+
+    def test_text_reader_crosses_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(diversity, "_TEXT_BLOCK_BYTES", 5)
+        lines = ["alpha beta", "", "gamma\u3000delta epsilon", "é", "zeta eta theta iota"]
+        path = tmp_path / "corpus.txt"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        docs = [d.tolist() for d in read_text_token_documents(path)]
+        assert docs == [text_keys(line.split()).tolist() for line in lines]
 
     def test_text_reader_bad_utf8(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"ok tokens\n\xff\xfe broken\n")
         with pytest.raises(ValueError, match="byte offset 10"):
             list(read_text_token_documents(path))
+
+    def test_text_reader_bad_utf8_in_later_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(diversity, "_TEXT_BLOCK_BYTES", 16)
+        good = "first line é\n" * 5
+        path = tmp_path / "bad.txt"
+        path.write_bytes(good.encode() + b"ok \xe2\x80 cut\n")
+        offset = len(good.encode()) + 3
+        with pytest.raises(ValueError, match=f"byte offset {offset} of"):
+            list(read_text_token_documents(path))
+
+    def test_reader_fed_shard_merges_with_list_fed_shard(self, tmp_path):
+        rng = np.random.default_rng(23)
+        docs = [
+            [f"tok{t}" for t in rng.integers(0, 30, size=int(rng.integers(0, 50)))]
+            for _ in range(40)
+        ]
+        path = tmp_path / "shard.txt"
+        path.write_text("\n".join(" ".join(d) for d in docs[:20]) + "\n", encoding="utf-8")
+        from_file = NgramProfiler(3)
+        for doc in read_text_token_documents(path):
+            from_file.add_document(doc)
+        from_lists = NgramProfiler(3)
+        for doc in docs[20:]:
+            from_lists.add_document(doc)
+        from_file.merge(from_lists)
+        whole = NgramProfiler(3)
+        for doc in docs:
+            whole.add_document(doc)
+        assert from_file.report() == whole.report()
+        for n in range(1, 4):
+            assert from_file.counts(n).tolist() == whole.counts(n).tolist()
 
     def test_binary_round_trip(self, tmp_path):
         path = tmp_path / "corpus.bin"

@@ -350,13 +350,13 @@ GOLDEN = {
     "diversity n0":
         "a8e852584f752a0939a6ed4ef03959bba32014beec62f7eefb8a9723f89e9fdd",
     "diversity text":
-        "5b5f34d8496e6327d2d632f9220bb05ef89ba92b2ae083e72bcdcb29bd27fc9b",
+        "d2e386d1c7082a52bc2427c31abb1f790d70d2b4660d76152bac8072b845d816",
     "diversity text n2":
-        "6268cada96479cc69bfe1a6e26421f04c4eb0bae462d6889f1a284895e27fd35",
+        "6b996dc44b2b1cc4a23cc02ea49af90765a9b051eabbcfd155580ff48af51db5",
     "diversity text n9":
-        "ec391ca1d8f1ebfe8c9b7e2139e95a63f06a434baf4afd688d129201c28179df",
+        "298689148ccfe9e781a4488a58e333bc5ca6e81019a34bf804ab65b9e0fc5dca",
     "diversity text single":
-        "99ad6e1f90d260f83c82122261dbb8aca16e3e499370f39068f054cb8b9d459d",
+        "292abb72763e20b4bc847f87a5cb42e620d4efe9a318151836809aa51f9a0a79",
     "fit empty tasks":
         "307965bac934c83d9d4931e1509879d91eb25c9f192db27b95c4085727f7dae4",
     "fit flip curation-only":

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from annealplan.cli import main
 from annealplan.costs import (
     AnnealingGeometry,
     CostBasis,
@@ -130,6 +131,32 @@ class TestLoadManifest:
         (data["geometry"] if field == "epochs" else source)[field] = value
         with pytest.raises(ManifestError, match=field):
             load_manifest(write_manifest(data))
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("geometry", "batch_size"),
+            ("training_model", "param_count"),
+            ("runs", 0, "scores", 1, "value"),
+        ],
+        ids=lambda path: ".".join(map(str, path)),
+    )
+    def test_integer_beyond_float_range_names_field(self, write_manifest, capsys, path, sign):
+        # A JSON integer literal of 401 digits: float() of it overflows.
+        data = manifest_dict()
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = sign * 10**400
+        manifest = write_manifest(data)
+        message = f"field {path[-1]!r} in .* is beyond the float range, got an integer of 401 digits"
+        with pytest.raises(ManifestError, match=message):
+            load_manifest(manifest)
+        assert main(["fit", "--manifest", str(manifest)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and path[-1] in err
 
 
 def make_run(source="s", seed=0, steps=1000, tasks=(("t1", 0.5), ("t2", 0.6))):

@@ -2,11 +2,12 @@
 
 Every example starts from one valid manifest and applies one mutation: a
 missing field, a value of the wrong JSON type, ``Infinity``/``NaN`` in a
-number, an out-of-range score, or a task suite that no longer matches the
-baseline's. The library must then raise ``ManifestError`` or return points
-whose compute and delta are all finite, and ``annealplan fit`` must exit 1
+number, an out-of-range score, a task suite that no longer matches the
+baseline's, or an integer literal beyond the float range in a number.
+The library must then raise ``ManifestError`` or return points whose
+compute and delta are all finite, and ``annealplan fit`` must exit 1
 with the library's message, or exit 0 printing only finite numbers. The
-last three kinds are never valid, so they must raise.
+last four kinds are never valid, so they must raise.
 """
 
 import contextlib
@@ -75,7 +76,7 @@ SCORE_PATHS = [
     path + (key,) for path, key in PATHS
     if len(path) == 3 and path[0] == "runs" and path[2] == "scores"
 ]
-ALWAYS_INVALID = ("non-finite", "score range", "suite")
+ALWAYS_INVALID = ("non-finite", "score range", "suite", "huge integer")
 WRONG_TYPES = [None, True, "1", [1], {"x": 1}, 0.5, 3]
 SCORE_OUT_OF_RANGE = st.one_of(
     st.floats(max_value=0.0, exclude_max=True, allow_infinity=False),
@@ -102,6 +103,9 @@ def mutated_manifests(draw) -> tuple[str, str]:
     elif kind == "score range":
         score = _resolve(data, draw(st.sampled_from(SCORE_PATHS)))
         score["value"] = draw(SCORE_OUT_OF_RANGE)
+    elif kind == "huge integer":
+        path, key = draw(st.sampled_from(NUMBER_PATHS))
+        _resolve(data, path)[key] = draw(st.sampled_from([10**400, -(10**400)]))
     else:
         path = draw(st.sampled_from(SCORE_PATHS))
         scores = _resolve(data, path[:-1])
