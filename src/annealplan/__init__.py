@@ -41,7 +41,6 @@ from .metrics import (
     UtilityDelta,
     aggregate_suite,
     brier_score,
-    exact_match,
     utility_delta,
 )
 from .scaling import (
@@ -65,8 +64,6 @@ _DIVERSITY_NAMES = (
     "DiversityReport",
     "NgramProfiler",
     "NgramStats",
-    "distinct_ngram_ratio",
-    "ngram_entropy",
     "profile_corpus",
 )
 

@@ -101,6 +101,10 @@ class AnnealingGeometry:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
         if self.sequence_length <= 0:
             raise ValueError(f"sequence_length must be positive, got {self.sequence_length}")
+        try:
+            float(self.batch_size * self.sequence_length)  # tokens per step, priced in floats
+        except OverflowError:
+            raise ValueError("batch_size * sequence_length is beyond the float range") from None
         if not 0.0 < self.upsample_ratio < 1.0:
             raise ValueError(
                 f"upsample_ratio must lie strictly between 0 and 1, got {self.upsample_ratio}"

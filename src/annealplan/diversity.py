@@ -32,8 +32,6 @@ __all__ = [
     "DiversityReport",
     "NgramProfiler",
     "NgramStats",
-    "distinct_ngram_ratio",
-    "ngram_entropy",
     "profile_corpus",
     "read_binary_token_documents",
     "read_text_token_documents",
@@ -350,20 +348,6 @@ def profile_corpus(documents: Iterable[Iterable], n_max: int) -> DiversityReport
     for document in documents:
         profiler.add_document(document)
     return profiler.report()
-
-
-def distinct_ngram_ratio(tokens: Iterable, n: int) -> float:
-    """Distinct n-grams over total n-gram occurrences for one token stream."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return profile_corpus([tokens], n).stats(n).ratio
-
-
-def ngram_entropy(tokens: Iterable, n: int) -> float:
-    """Shannon entropy (bits) of the n-gram distribution of one token stream."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return profile_corpus([tokens], n).stats(n).entropy_bits
 
 
 def read_text_token_documents(path) -> Iterator[np.ndarray]:

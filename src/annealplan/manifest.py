@@ -64,7 +64,6 @@ class RunRecord:
     source_id: str
     seed: int
     steps: int
-    geometry: AnnealingGeometry
     scores: tuple[TaskScore, ...]
     metadata: Mapping[str, str] = field(default_factory=dict)
 
@@ -149,13 +148,12 @@ def _parse_geometry(obj, where: str) -> AnnealingGeometry:
     if not isinstance(obj, Mapping):
         raise ManifestError(f"{where} must be an object")
     _reject_unknown(obj, ["batch_size", "sequence_length", "upsample_ratio", "epochs"], where)
+    batch_size = _get_int(obj, "batch_size", where)
+    sequence_length = _get_int(obj, "sequence_length", where)
+    upsample_ratio = _get_float(obj, "upsample_ratio", where)
+    epochs = _get_float(obj, "epochs", where)
     try:
-        return AnnealingGeometry(
-            batch_size=_get_int(obj, "batch_size", where),
-            sequence_length=_get_int(obj, "sequence_length", where),
-            upsample_ratio=_get_float(obj, "upsample_ratio", where),
-            epochs=_get_float(obj, "epochs", where),
-        )
+        return AnnealingGeometry(batch_size, sequence_length, upsample_ratio, epochs)
     except ValueError as exc:
         raise ManifestError(f"{where}: {exc}") from exc
 
@@ -184,7 +182,11 @@ def _parse_source(source_id: str, obj) -> SourceCostModel:
         raise ManifestError(f"{where}: unknown kind {kind_name!r}; expected one of {valid}") from None
     generator = None
     if "generator_params" in obj:
-        generator = ModelSpec(param_count=_get_int(obj, "generator_params", where))
+        param_count = _get_int(obj, "generator_params", where)
+        try:
+            generator = ModelSpec(param_count)
+        except ValueError as exc:
+            raise ManifestError(f"{where}.generator_params: {exc}") from exc
     kwargs = {}
     for json_key, attr in [
         ("expansion_factor", "expansion_factor"),
@@ -212,18 +214,16 @@ def _parse_score(obj, where: str) -> TaskScore:
         raise ManifestError(
             f"{where}: unknown metric {metric_name!r}; expected one of {valid}"
         ) from None
+    task_id = _get_str(obj, "task_id", where)
+    value = _get_float(obj, "value", where)
+    n_examples = _get_int(obj, "n_examples", where)
     try:
-        return TaskScore(
-            task_id=_get_str(obj, "task_id", where),
-            metric=metric,
-            value=_get_float(obj, "value", where),
-            n_examples=_get_int(obj, "n_examples", where),
-        )
+        return TaskScore(task_id, metric, value, n_examples)
     except ValueError as exc:
         raise ManifestError(f"{where}: {exc}") from exc
 
 
-def _parse_run(obj, index: int, geometry: AnnealingGeometry) -> RunRecord:
+def _parse_run(obj, index: int) -> RunRecord:
     where = f"runs[{index}]"
     if not isinstance(obj, Mapping):
         raise ManifestError(f"{where} must be an object")
@@ -234,6 +234,10 @@ def _parse_run(obj, index: int, geometry: AnnealingGeometry) -> RunRecord:
     scores = tuple(
         _parse_score(s, f"{where}.scores[{i}]") for i, s in enumerate(scores_obj)
     )
+    if len({s.task_id for s in scores}) != len(scores):
+        ids = [s.task_id for s in scores]
+        i = next(i for i, task_id in enumerate(ids) if task_id in ids[:i])
+        raise ManifestError(f"{where}.scores[{i}]: task id {ids[i]!r} appears twice in {where}")
     metadata: dict[str, str] = {}
     if "metadata" in obj:
         meta_obj = obj["metadata"]
@@ -243,15 +247,11 @@ def _parse_run(obj, index: int, geometry: AnnealingGeometry) -> RunRecord:
             if not isinstance(key, str) or not isinstance(value, str):
                 raise ManifestError(f"metadata in {where} must map strings to strings")
             metadata[key] = value
+    source_id = _get_str(obj, "source_id", where)
+    seed = _get_int(obj, "seed", where)
+    steps = _get_int(obj, "steps", where)
     try:
-        return RunRecord(
-            source_id=_get_str(obj, "source_id", where),
-            seed=_get_int(obj, "seed", where),
-            steps=_get_int(obj, "steps", where),
-            geometry=geometry,
-            scores=scores,
-            metadata=metadata,
-        )
+        return RunRecord(source_id, seed, steps, scores, metadata)
     except ManifestError as exc:
         raise ManifestError(f"{where}: {exc}") from exc
 
@@ -275,8 +275,9 @@ def loads_manifest(text: str) -> RunSet:
     if not isinstance(model_obj, Mapping):
         raise ManifestError("training_model must be an object")
     _reject_unknown(model_obj, ["param_count"], "training_model")
+    param_count = _get_int(model_obj, "param_count", "training_model")
     try:
-        training_model = ModelSpec(param_count=_get_int(model_obj, "param_count", "training_model"))
+        training_model = ModelSpec(param_count)
     except ValueError as exc:
         raise ManifestError(f"training_model: {exc}") from exc
 
@@ -290,7 +291,7 @@ def loads_manifest(text: str) -> RunSet:
     runs_obj = _get(data, "runs", "manifest")
     if not isinstance(runs_obj, list) or not runs_obj:
         raise ManifestError("runs must be a nonempty list")
-    runs = tuple(_parse_run(r, i, geometry) for i, r in enumerate(runs_obj))
+    runs = tuple(_parse_run(r, i) for i, r in enumerate(runs_obj))
 
     seen: set[tuple[str, int, int]] = set()
     for run in runs:
@@ -329,16 +330,18 @@ def load_manifest(path: str | Path) -> RunSet:
 def average_seeds(runs: Sequence[RunRecord]) -> RunRecord:
     """Average per-task scores across seeds of otherwise identical runs.
 
-    All runs must share source, step count, geometry, and task set; the
-    result carries seed ``AGGREGATE_SEED`` and records which seeds went
-    into it. A single run is returned unchanged.
+    All runs must share source, step count, task set, and each task's
+    metric; the result carries seed ``AGGREGATE_SEED`` and records which
+    seeds went into it. A single run is returned unchanged.
     """
     if not runs:
         raise ManifestError("cannot average an empty run list")
     if len(runs) == 1:
         return runs[0]
     first = runs[0]
-    for run in runs[1:]:
+    by_task = [{s.task_id: s for s in run.scores} for run in runs]
+    mine = by_task[0]
+    for run, theirs in zip(runs[1:], by_task[1:]):
         if run.source_id != first.source_id:
             raise ManifestError(
                 f"cannot average runs from different sources: {first.source_id!r} vs {run.source_id!r}"
@@ -347,15 +350,15 @@ def average_seeds(runs: Sequence[RunRecord]) -> RunRecord:
             raise ManifestError(
                 f"cannot average runs at different steps: {first.steps} vs {run.steps}"
             )
-        if run.geometry != first.geometry:
-            raise ManifestError("cannot average runs with different geometry")
-        mine = {s.task_id for s in first.scores}
-        theirs = {s.task_id for s in run.scores}
-        if mine != theirs:
-            diff = sorted(mine.symmetric_difference(theirs))
+        if mine.keys() != theirs.keys():
+            diff = sorted(mine.keys() ^ theirs.keys())
             raise ManifestError(f"runs have mismatched task sets; differing tasks: {diff}")
-
-    by_task = [{s.task_id: s for s in run.scores} for run in runs]
+        mixed = [t for t, score in mine.items() if score.metric is not theirs[t].metric]
+        if mixed:
+            raise ManifestError(
+                f"seeds {first.seed} and {run.seed} of ({first.source_id!r}, {first.steps})"
+                f" score tasks {sorted(mixed)} with different metrics"
+            )
     averaged = tuple(
         replace(score, value=anchored_mean([m[score.task_id].value for m in by_task]))
         for score in first.scores
@@ -365,7 +368,6 @@ def average_seeds(runs: Sequence[RunRecord]) -> RunRecord:
         source_id=first.source_id,
         seed=AGGREGATE_SEED,
         steps=first.steps,
-        geometry=first.geometry,
         scores=averaged,
         metadata={"averaged_seeds": seeds},
     )
@@ -402,7 +404,7 @@ def build_utility_points(
         else:
             treated_by_key.setdefault((run.source_id, run.steps), []).append(run)
 
-    baseline_agg: dict[int, tuple[set[str], TaskScore]] = {}
+    baseline_agg: dict[int, tuple[dict[str, MetricKind], TaskScore]] = {}
     for steps, runs in baseline_by_steps.items():
         merged = average_seeds(sorted(runs, key=lambda r: r.seed))
         scores = _filter_scores(merged, task_filter)
@@ -410,7 +412,16 @@ def build_utility_points(
             raise ManifestError(
                 f"task filter {list(task_filter or [])} matches no baseline tasks at steps={steps}"
             )
-        baseline_agg[steps] = ({s.task_id for s in scores}, aggregate_suite(scores))
+        metrics = {s.task_id: s.metric for s in scores}
+        odd = sorted(t for t, metric in metrics.items() if metric is not scores[0].metric)
+        if odd:
+            raise ManifestError(
+                f"baseline task suite at steps={steps} mixes metric kinds: tasks {odd}"
+                f" are not scored with {scores[0].metric.value} like {scores[0].task_id!r}"
+            )
+        # A treated suite must match these metrics task by task, so it
+        # cannot mix kinds either.
+        baseline_agg[steps] = (metrics, aggregate_suite(scores))
 
     total_per_step, upsampled_per_step = tokens_per_step(runset.geometry)
 
@@ -425,12 +436,23 @@ def build_utility_points(
             raise ManifestError(
                 f"task filter {list(task_filter or [])} matches no tasks for ({source_id!r}, {steps})"
             )
-        baseline_tasks, baseline_score = baseline_agg[steps]
-        differing = baseline_tasks.symmetric_difference(s.task_id for s in scores)
-        if differing:
+        baseline_metrics, baseline_score = baseline_agg[steps]
+        metrics = {s.task_id: s.metric for s in scores}
+        if metrics != baseline_metrics:
+            differing = baseline_metrics.keys() ^ metrics.keys()
+            if differing:
+                raise ManifestError(
+                    f"task suite of ({source_id!r}, {steps}) differs from the baseline's at the"
+                    f" same steps; differing tasks: {sorted(differing)}"
+                )
+            mixed = [
+                f"{t!r} is {metric.value}, baseline {baseline_metrics[t].value}"
+                for t, metric in sorted(metrics.items())
+                if metric is not baseline_metrics[t]
+            ]
             raise ManifestError(
-                f"task suite of ({source_id!r}, {steps}) differs from the baseline's at the"
-                f" same steps; differing tasks: {sorted(differing)}"
+                f"metrics of ({source_id!r}, {steps}) differ from the baseline's at the"
+                f" same steps: {'; '.join(mixed)}"
             )
         delta = utility_delta(baseline_score, aggregate_suite(scores), source_id=source_id)
         compute = total_cost(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 __all__ = [
@@ -26,9 +26,6 @@ __all__ = [
     "aggregate_suite",
     "anchored_mean",
     "brier_score",
-    "exact_match",
-    "normalize_identity",
-    "normalize_whitespace_lower",
     "utility_delta",
 ]
 
@@ -115,25 +112,6 @@ def brier_score(probabilities: Sequence[float], correct_index: int) -> float:
     return math.fsum(
         (p - 1.0) ** 2 if k == correct_index else p * p for k, p in enumerate(probs)
     )
-
-
-def normalize_whitespace_lower(text: str) -> str:
-    """Default exact-match normalizer: strip surrounding whitespace, lowercase."""
-    return text.strip().lower()
-
-
-def normalize_identity(text: str) -> str:
-    return text
-
-
-def exact_match(
-    prediction: str,
-    reference: str,
-    normalizer: Callable[[str], str] | None = None,
-) -> int:
-    """1 if prediction equals reference after normalization, else 0."""
-    norm = normalizer if normalizer is not None else normalize_whitespace_lower
-    return int(norm(prediction) == norm(reference))
 
 
 def anchored_mean(values: Sequence[float]) -> float:

@@ -28,7 +28,7 @@ from .costs import (
     tokens_per_step,
     total_cost,
 )
-from .metrics import MetricDirection, MetricKind
+from .metrics import MetricKind
 
 __all__ = [
     "DEFAULT_STEPS_GRID",
@@ -39,15 +39,20 @@ __all__ = [
     "true_crossover",
 ]
 
-# Step grid and batch geometry used throughout unless overridden: six
-# run lengths doubling-ish from 1k to 36k steps of 256 x 8192 batches
-# with 10% upsampling.
+# Step grid used unless a scenario overrides it: six run lengths
+# doubling-ish from 1k to 36k steps.
 DEFAULT_STEPS_GRID = (1000, 2000, 4000, 9000, 18000, 36000)
-DEFAULT_GEOMETRY = AnnealingGeometry(
+
+# Fixed for every scenario: 256 x 8192 batches with 10% upsampling into
+# a 7B model, priced on the total basis, and one Brier task scored
+# against the baseline source.
+_GEOMETRY = AnnealingGeometry(
     batch_size=256, sequence_length=8192, upsample_ratio=0.1, epochs=1.0
 )
-DEFAULT_TRAINING_MODEL = ModelSpec(param_count=7e9)
-
+_TRAINING_MODEL = ModelSpec(param_count=7e9)
+_GENERATION_BASIS = CostBasis.CURATION_PLUS_ANNEALING
+_BASELINE_ID = "full_replay"
+_METRIC = MetricKind.BRIER
 _SIM_TASK = "sim_task"
 _SIM_N_EXAMPLES = 1000
 
@@ -77,16 +82,9 @@ class Scenario:
 
     sources: tuple[GroundTruthSource, ...]
     steps_grid: tuple[int, ...] = DEFAULT_STEPS_GRID
-    geometry: AnnealingGeometry = DEFAULT_GEOMETRY
-    training_model: ModelSpec = DEFAULT_TRAINING_MODEL
     baseline_score: float = 0.5
-    metric: MetricKind = MetricKind.BRIER
     rng_seed: int = 0
     baseline_noise_sigma: float = 0.0
-    generation_basis: CostBasis = CostBasis.CURATION_PLUS_ANNEALING
-    # Optional per-point schedule shrinking noise as runs get longer.
-    scale_noise_by_steps: bool = False
-    baseline_id: str = "full_replay"
 
     def __post_init__(self) -> None:
         if not self.sources:
@@ -98,18 +96,14 @@ class Scenario:
         ids = [s.source_id for s in self.sources]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate source ids: {ids}")
-        if self.baseline_id in ids:
-            raise ValueError(f"baseline id {self.baseline_id!r} collides with a source")
+        if _BASELINE_ID in ids:
+            raise ValueError(f"baseline id {_BASELINE_ID!r} collides with a source")
 
     def source_compute(self, source: GroundTruthSource, steps: int) -> float:
-        """Cost of a run at ``steps`` under the scenario's generation basis."""
-        total_tokens = steps * tokens_per_step(self.geometry)[0]
+        """Cost of a run at ``steps``, curation plus annealing."""
+        total_tokens = steps * tokens_per_step(_GEOMETRY)[0]
         return total_cost(
-            source.cost_model,
-            self.geometry,
-            total_tokens,
-            self.training_model,
-            self.generation_basis,
+            source.cost_model, _GEOMETRY, total_tokens, _TRAINING_MODEL, _GENERATION_BASIS
         )
 
     def true_delta(self, source: GroundTruthSource, steps: int) -> float:
@@ -133,20 +127,12 @@ def _source_to_json(model: SourceCostModel) -> dict:
     return obj
 
 
-def _clamp_score(raw: float, metric: MetricKind) -> tuple[float, str | None]:
-    lo, hi = metric.value_range
+def _clamp_score(raw: float) -> tuple[float, str | None]:
+    lo, hi = _METRIC.value_range
     if raw < lo or raw > hi:
         clamped = min(max(raw, lo), hi)
         return clamped, f"score {raw!r} clamped to {clamped!r} ([{lo}, {hi}] range)"
     return raw, None
-
-
-def _encode_score(baseline: float, delta: float, metric: MetricKind) -> tuple[float, str | None]:
-    if metric.direction is MetricDirection.LOWER_IS_BETTER:
-        raw = baseline - delta
-    else:
-        raw = baseline + delta
-    return _clamp_score(raw, metric)
 
 
 def generate_manifest(scenario: Scenario) -> bytes:
@@ -161,19 +147,19 @@ def generate_manifest(scenario: Scenario) -> bytes:
     import numpy as np  # only the RNG needs it; loaded here, not at import
 
     rng = np.random.default_rng(scenario.rng_seed)
-    metric_name = scenario.metric.value
+    metric_name = _METRIC.value
     runs = []
 
     for steps in scenario.steps_grid:
         for seed in (0, 1):
             noise = float(rng.normal(0.0, scenario.baseline_noise_sigma))
-            value, clamp_note = _clamp_score(scenario.baseline_score + noise, scenario.metric)
+            value, clamp_note = _clamp_score(scenario.baseline_score + noise)
             metadata = {"start_lr": "1.515e-04"}
             if clamp_note:
                 metadata["clamp_warning"] = clamp_note
             runs.append(
                 {
-                    "source_id": scenario.baseline_id,
+                    "source_id": _BASELINE_ID,
                     "seed": seed,
                     "steps": steps,
                     "scores": [
@@ -190,15 +176,10 @@ def generate_manifest(scenario: Scenario) -> bytes:
 
     for source in scenario.sources:
         for steps in scenario.steps_grid:
-            sigma = source.noise_sigma
-            if scenario.scale_noise_by_steps:
-                sigma = sigma / math.sqrt(steps)
-            delta = scenario.true_delta(source, steps) + float(rng.normal(0.0, sigma))
-            value, clamp_note = _encode_score(scenario.baseline_score, delta, scenario.metric)
-            metadata = {
-                "start_lr": "1.515e-04",
-                "generation_basis": scenario.generation_basis.value,
-            }
+            delta = scenario.true_delta(source, steps) + float(rng.normal(0.0, source.noise_sigma))
+            # Brier is lower-is-better, so an improvement lowers the score.
+            value, clamp_note = _clamp_score(scenario.baseline_score - delta)
+            metadata = {"start_lr": "1.515e-04", "generation_basis": _GENERATION_BASIS.value}
             if clamp_note:
                 metadata["clamp_warning"] = clamp_note
             runs.append(
@@ -219,13 +200,13 @@ def generate_manifest(scenario: Scenario) -> bytes:
             )
 
     manifest = {
-        "baseline_id": scenario.baseline_id,
-        "training_model": {"param_count": int(scenario.training_model.param_count)},
+        "baseline_id": _BASELINE_ID,
+        "training_model": {"param_count": int(_TRAINING_MODEL.param_count)},
         "geometry": {
-            "batch_size": scenario.geometry.batch_size,
-            "sequence_length": scenario.geometry.sequence_length,
-            "upsample_ratio": scenario.geometry.upsample_ratio,
-            "epochs": scenario.geometry.epochs,
+            "batch_size": _GEOMETRY.batch_size,
+            "sequence_length": _GEOMETRY.sequence_length,
+            "upsample_ratio": _GEOMETRY.upsample_ratio,
+            "epochs": _GEOMETRY.epochs,
         },
         "sources": {s.source_id: _source_to_json(s.cost_model) for s in scenario.sources},
         "runs": runs,

@@ -37,6 +37,9 @@ def _fmt(value: float) -> str:
 
 def render_fit_svg(points: Sequence[UtilityPoint], fits: Sequence[ScalingFit]) -> str:
     """Render points and per-source fitted lines as an SVG document."""
+    # Imported here: saxutils pulls in urllib.request, which only --svg needs.
+    from xml.sax.saxutils import escape
+
     if not points:
         raise ValueError("nothing to plot: no utility points")
     xs = [math.log10(p.compute) for p in points]
@@ -130,7 +133,7 @@ def render_fit_svg(points: Sequence[UtilityPoint], fits: Sequence[ScalingFit]) -
         )
         parts.append(
             f'<text x="{_WIDTH - _MARGIN_RIGHT + 40}" y="{label_y}" font-size="11"'
-            f' font-family="sans-serif">{fit.source_id}</text>'
+            f' font-family="sans-serif">{escape(fit.source_id)}</text>'
         )
         for point in points:
             if point.source_id == fit.source_id:

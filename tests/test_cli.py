@@ -3,6 +3,7 @@ import io
 import json
 import math
 import struct
+from xml.etree import ElementTree
 
 import pytest
 
@@ -96,6 +97,24 @@ class TestFit:
         assert svg.count("<circle") == 12  # every CSV point is drawn
         assert "stroke-dasharray" in svg  # extrapolated segments are dotted
         assert svg.count("<polyline") >= 2
+
+    def test_svg_escapes_source_ids(self, write_manifest, tmp_path, capsys):
+        data = manifest_dict()
+        data["sources"] = {"a<b&c": data["sources"].pop("med_filter")}
+        data["runs"][2]["source_id"] = "a<b&c"
+        later = json.loads(json.dumps(data["runs"]))
+        for run in later:
+            run["steps"] = 2000
+            run["scores"][0]["value"] -= 0.02 if run["source_id"] == "a<b&c" else 0.01
+        data["runs"] += later
+        out_svg = tmp_path / "fits.svg"
+        code, _, err = run_cli(
+            capsys, "fit", "--manifest", str(write_manifest(data)), "--svg", str(out_svg)
+        )
+        assert code == 0, err
+        root = ElementTree.parse(out_svg).getroot()
+        labels = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "a<b&c" in labels
 
 
 class TestRank:

@@ -8,8 +8,6 @@ import pytest
 from annealplan import diversity
 from annealplan.diversity import (
     NgramProfiler,
-    distinct_ngram_ratio,
-    ngram_entropy,
     profile_corpus,
     read_binary_token_documents,
     read_text_token_documents,
@@ -26,37 +24,42 @@ def tuple_counts(documents, n):
     return counter
 
 
+def stream_stats(tokens, n):
+    """Order-n statistics of one token stream profiled on its own."""
+    return profile_corpus([tokens], n).stats(n)
+
+
 class TestDistinctNgramRatio:
     def test_degenerate_unigrams(self):
-        assert distinct_ngram_ratio(["a", "a", "a", "a"], 1) == 0.25
+        assert stream_stats(["a", "a", "a", "a"], 1).ratio == 0.25
 
     def test_alternating_bigrams(self):
-        assert distinct_ngram_ratio(["a", "b", "a", "b", "a"], 2) == 0.5
+        assert stream_stats(["a", "b", "a", "b", "a"], 2).ratio == 0.5
 
     def test_all_distinct_bigrams(self):
-        assert distinct_ngram_ratio(["a", "b", "c", "d"], 2) == 1.0
+        assert stream_stats(["a", "b", "c", "d"], 2).ratio == 1.0
 
     def test_n_zero_rejected(self):
         with pytest.raises(ValueError):
-            distinct_ngram_ratio(["a"], 0)
+            stream_stats(["a"], 0)
 
     def test_integer_tokens(self):
-        assert distinct_ngram_ratio([7, 7, 9, 9], 1) == 0.5
+        assert stream_stats([7, 7, 9, 9], 1).ratio == 0.5
 
 
 class TestNgramEntropy:
     def test_uniform_four_way(self):
-        assert ngram_entropy(["a", "b", "c", "d"], 1) == 2.0
+        assert stream_stats(["a", "b", "c", "d"], 1).entropy_bits == 2.0
 
     def test_degenerate(self):
-        assert ngram_entropy(["a", "a", "a", "a"], 1) == 0.0
+        assert stream_stats(["a", "a", "a", "a"], 1).entropy_bits == 0.0
 
     def test_uniform_two_way(self):
-        assert ngram_entropy(["a", "a", "b", "b"], 1) == 1.0
+        assert stream_stats(["a", "a", "b", "b"], 1).entropy_bits == 1.0
 
     def test_n_zero_rejected(self):
         with pytest.raises(ValueError):
-            ngram_entropy(["a"], 0)
+            stream_stats(["a"], 0)
 
 
 class TestProfileCorpus:
@@ -67,8 +70,8 @@ class TestProfileCorpus:
             report = profile_corpus([tokens], 4)
             for n in range(1, 5):
                 row = report.stats(n)
-                assert row.ratio == distinct_ngram_ratio(tokens, n)
-                assert row.entropy_bits == ngram_entropy(tokens, n)
+                assert row.ratio == stream_stats(tokens, n).ratio
+                assert row.entropy_bits == stream_stats(tokens, n).entropy_bits
 
     def test_empty_corpus(self):
         report = profile_corpus([], 3)
@@ -97,8 +100,8 @@ class TestProfileCorpus:
     def test_single_document_duplication_halves_unigram_ratio(self):
         rng = np.random.default_rng(12)
         tokens = rng.integers(0, 6, size=200).tolist()
-        once = distinct_ngram_ratio(tokens, 1)
-        doubled = distinct_ngram_ratio(tokens + tokens, 1)
+        once = stream_stats(tokens, 1).ratio
+        doubled = stream_stats(tokens + tokens, 1).ratio
         assert doubled == once / 2
 
     def test_boundaries_block_spanning_ngrams(self):

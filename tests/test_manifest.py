@@ -158,16 +158,83 @@ class TestLoadManifest:
         assert out == ""
         assert err.startswith("error: ") and path[-1] in err
 
+    @pytest.mark.parametrize(
+        "path, where",
+        [
+            (("geometry", "batch_size"), "geometry"),
+            (("training_model", "param_count"), "training_model"),
+            (("runs", 0, "seed"), "runs[0]"),
+            (("runs", 0, "scores", 1, "value"), "runs[0].scores[1]"),
+        ],
+        ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else v,
+    )
+    def test_missing_field_named_once(self, write_manifest, capsys, path, where):
+        data = manifest_dict()
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        manifest = write_manifest(data)
+        message = f"missing field {path[-1]!r} in {where}"
+        with pytest.raises(ManifestError) as info:
+            load_manifest(manifest)
+        assert str(info.value) == message
+        assert main(["fit", "--manifest", str(manifest)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
-def make_run(source="s", seed=0, steps=1000, tasks=(("t1", 0.5), ("t2", 0.6))):
+    def test_nonpositive_generator_params_names_source(self, write_manifest, capsys):
+        data = manifest_dict()
+        data["sources"]["med_filter"] = {"kind": "synthetic", "generator_params": 0}
+        manifest = write_manifest(data)
+        message = "sources['med_filter'].generator_params: param_count must be positive, got 0"
+        with pytest.raises(ManifestError) as info:
+            load_manifest(manifest)
+        assert str(info.value) == message
+        assert main(["fit", "--manifest", str(manifest)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_tokens_per_step_beyond_float_range(self, write_manifest, capsys):
+        # Each factor fits a float; their product does not.
+        data = manifest_dict()
+        data["geometry"]["batch_size"] = 10**300
+        data["geometry"]["sequence_length"] = 10**300
+        manifest = write_manifest(data)
+        message = "geometry: batch_size * sequence_length is beyond the float range"
+        with pytest.raises(ManifestError) as info:
+            load_manifest(manifest)
+        assert str(info.value) == message
+        assert main(["fit", "--manifest", str(manifest)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_duplicate_task_id_in_multi_seed_run(self, write_manifest):
+        data = manifest_dict()
+        data["runs"][0]["scores"][1]["task_id"] = "mmlu_anatomy"
+        with pytest.raises(ManifestError) as info:
+            load_manifest(write_manifest(data))
+        assert str(info.value) == "runs[0].scores[1]: task id 'mmlu_anatomy' appears twice in runs[0]"
+
+    def test_duplicate_task_id_in_single_seed_run(self, write_manifest):
+        # Counted twice, the task would give delta mean(0.5, 0.9) - mean(0.4, 0.9) = 0.05.
+        data = manifest_dict()
+        del data["runs"][1]
+        for run, value in zip(data["runs"], [0.5, 0.4]):
+            run["scores"] = [
+                {"task_id": "t", "metric": "brier", "value": v, "n_examples": 100}
+                for v in (value, 0.9)
+            ]
+        with pytest.raises(ManifestError, match=r"runs\[0\]\.scores\[1\]: task id 't'"):
+            load_manifest(write_manifest(data))
+
+
+def make_run(
+    source="s", seed=0, steps=1000, tasks=(("t1", 0.5), ("t2", 0.6)), metric=MetricKind.BRIER
+):
     return RunRecord(
         source_id=source,
         seed=seed,
         steps=steps,
-        geometry=GEOM,
         scores=tuple(
-            TaskScore(task_id=t, metric=MetricKind.BRIER, value=v, n_examples=100)
-            for t, v in tasks
+            TaskScore(task_id=t, metric=metric, value=v, n_examples=100) for t, v in tasks
         ),
     )
 
@@ -198,6 +265,11 @@ class TestAverageSeeds:
                     make_run(seed=1, tasks=(("t1", 0.5), ("t3", 0.6))),
                 ]
             )
+
+    def test_mismatched_metrics_rejected(self):
+        message = r"seeds 0 and 1 of \('s', 1000\) score tasks \['t1', 't2'\] with different metrics"
+        with pytest.raises(ManifestError, match=message):
+            average_seeds([make_run(seed=0), make_run(seed=1, metric=MetricKind.ACCURACY)])
 
 
 class TestBuildUtilityPoints:
@@ -262,6 +334,58 @@ class TestBuildUtilityPoints:
         assert "('med_filter', 1000)" in str(info.value)
         assert str(differing) in str(info.value)
         # Filtered down to the shared task, the suites match again.
+        (point,) = build_utility_points(runset, ["mmlu_anatomy"], CostBasis.CURATION_ONLY)
+        assert point.delta.value == pytest.approx(0.06, rel=1e-9)
+
+    def test_baseline_seeds_must_agree_on_metrics(self, write_manifest):
+        # Averaged regardless, these seeds would give delta 0.06, labelled brier.
+        data = manifest_dict()
+        for score in data["runs"][1]["scores"]:
+            score["metric"] = "accuracy"
+        runset = load_manifest(write_manifest(data))
+        with pytest.raises(ManifestError) as info:
+            build_utility_points(runset, None, CostBasis.CURATION_ONLY)
+        assert str(info.value) == (
+            "seeds 0 and 1 of ('full_replay', 1000) score tasks"
+            " ['mmlu_anatomy', 'mmlu_college_biology'] with different metrics"
+        )
+
+    @pytest.mark.parametrize(
+        "switched, detail",
+        [
+            ([0], "'mmlu_anatomy' is accuracy, baseline brier"),
+            (
+                [0, 1],
+                "'mmlu_anatomy' is accuracy, baseline brier;"
+                " 'mmlu_college_biology' is accuracy, baseline brier",
+            ),
+        ],
+        ids=["mixed-suite", "other-kind"],
+    )
+    def test_treated_metrics_must_match_baseline(self, write_manifest, capsys, switched, detail):
+        data = manifest_dict()
+        for i in switched:
+            data["runs"][-1]["scores"][i]["metric"] = "accuracy"
+        manifest = write_manifest(data)
+        message = f"metrics of ('med_filter', 1000) differ from the baseline's at the same steps: {detail}"
+        with pytest.raises(ManifestError) as info:
+            build_utility_points(load_manifest(manifest), None, CostBasis.CURATION_ONLY)
+        assert str(info.value) == message
+        assert main(["fit", "--manifest", str(manifest)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_baseline_suite_must_not_mix_metric_kinds(self, write_manifest):
+        data = manifest_dict()
+        for run in data["runs"]:
+            run["scores"][1]["metric"] = "accuracy"
+        runset = load_manifest(write_manifest(data))
+        with pytest.raises(ManifestError) as info:
+            build_utility_points(runset, None, CostBasis.CURATION_ONLY)
+        assert str(info.value) == (
+            "baseline task suite at steps=1000 mixes metric kinds: tasks"
+            " ['mmlu_college_biology'] are not scored with brier like 'mmlu_anatomy'"
+        )
+        # A filter down to one kind leaves a well-defined suite.
         (point,) = build_utility_points(runset, ["mmlu_anatomy"], CostBasis.CURATION_ONLY)
         assert point.delta.value == pytest.approx(0.06, rel=1e-9)
 

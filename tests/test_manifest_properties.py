@@ -3,11 +3,12 @@
 Every example starts from one valid manifest and applies one mutation: a
 missing field, a value of the wrong JSON type, ``Infinity``/``NaN`` in a
 number, an out-of-range score, a task suite that no longer matches the
-baseline's, or an integer literal beyond the float range in a number.
-The library must then raise ``ManifestError`` or return points whose
-compute and delta are all finite, and ``annealplan fit`` must exit 1
-with the library's message, or exit 0 printing only finite numbers. The
-last four kinds are never valid, so they must raise.
+baseline's, an integer literal beyond the float range in a number, one
+score switched to another metric kind, or a task id repeated within a
+run. The library must then raise ``ManifestError`` or return points
+whose compute and delta are all finite, and ``annealplan fit`` must exit
+1 with the library's message, or exit 0 printing only finite numbers.
+The last six kinds are never valid, so they must raise.
 """
 
 import contextlib
@@ -76,7 +77,8 @@ SCORE_PATHS = [
     path + (key,) for path, key in PATHS
     if len(path) == 3 and path[0] == "runs" and path[2] == "scores"
 ]
-ALWAYS_INVALID = ("non-finite", "score range", "suite", "huge integer")
+ALWAYS_INVALID = ("non-finite", "score range", "suite", "huge integer", "metric", "duplicate task")
+METRICS = ("accuracy", "brier", "exact_match")
 WRONG_TYPES = [None, True, "1", [1], {"x": 1}, 0.5, 3]
 SCORE_OUT_OF_RANGE = st.one_of(
     st.floats(max_value=0.0, exclude_max=True, allow_infinity=False),
@@ -106,6 +108,17 @@ def mutated_manifests(draw) -> tuple[str, str]:
     elif kind == "huge integer":
         path, key = draw(st.sampled_from(NUMBER_PATHS))
         _resolve(data, path)[key] = draw(st.sampled_from([10**400, -(10**400)]))
+    elif kind == "metric":
+        # Every score lies in [0, 1], so any kind accepts its value.
+        score = _resolve(data, draw(st.sampled_from(SCORE_PATHS)))
+        score["metric"] = draw(st.sampled_from([m for m in METRICS if m != score["metric"]]))
+    elif kind == "duplicate task":
+        path = draw(st.sampled_from(SCORE_PATHS))
+        scores = _resolve(data, path[:-1])
+        if draw(st.booleans()):
+            scores.append(copy.deepcopy(scores[path[-1]]))
+        else:  # every run scores two tasks; rename one to the other
+            scores[path[-1]]["task_id"] = scores[1 - path[-1]]["task_id"]
     else:
         path = draw(st.sampled_from(SCORE_PATHS))
         scores = _resolve(data, path[:-1])

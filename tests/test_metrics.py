@@ -7,8 +7,6 @@ from annealplan.metrics import (
     TaskScore,
     aggregate_suite,
     brier_score,
-    exact_match,
-    normalize_identity,
     utility_delta,
 )
 
@@ -85,21 +83,6 @@ class TestBrierScore:
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             brier_score([0.5, 0.5], 2)
-
-
-class TestExactMatch:
-    def test_equal(self):
-        assert exact_match("42", "42") == 1
-
-    def test_whitespace_and_case(self):
-        assert exact_match(" 42 ", "42") == 1
-        assert exact_match("Paris", "paris") == 1
-
-    def test_different(self):
-        assert exact_match("41", "42") == 0
-
-    def test_identity_normalizer(self):
-        assert exact_match(" 42 ", "42", normalizer=normalize_identity) == 0
 
 
 def score(task, value, n=100, metric=MetricKind.BRIER):

@@ -80,22 +80,6 @@ class TestGenerateManifest:
         treated = [r for r in runset.runs if r.source_id != "full_replay"]
         assert all(r.metadata["generation_basis"] == "total" for r in treated)
 
-    def test_noise_schedule_shrinks_with_steps(self):
-        base = Scenario(
-            sources=(GroundTruthSource("probe", 0.0, 0.0, ZERO, noise_sigma=0.3),),
-            baseline_score=1.0,
-            rng_seed=5,
-            scale_noise_by_steps=True,
-        )
-        runset = loads_manifest(generate_manifest(base).decode("utf-8"))
-        by_steps = {
-            r.steps: abs(r.scores[0].value - 1.0)
-            for r in runset.runs
-            if r.source_id == "probe"
-        }
-        # With sigma/sqrt(steps), late-grid draws are far smaller on average.
-        assert by_steps[36000] < 0.3
-
 
 class TestRecoveryProperties:
     def test_random_round_trips(self):
