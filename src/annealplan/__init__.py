@@ -13,7 +13,7 @@ from .costs import (
     ModelSpec,
     SourceCostModel,
     SourceKind,
-    cost_breakdown,
+    annealing_curation_cost,
     curation_cost,
     inference_flops_per_token,
     seed_token_unit_cost,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from pathlib import Path
 
@@ -23,9 +24,7 @@ from .costs import (
     ModelSpec,
     SourceCostModel,
     SourceKind,
-    cost_breakdown,
-    tinygsm_curation_cost,
-    tinygsm_mind_curation_cost,
+    annealing_curation_cost,
     tokens_per_step,
     training_flops,
 )
@@ -262,32 +261,21 @@ def _cmd_cost(args) -> int:
     geom = _geometry_from_args(args)
     if (args.steps is None) == (args.tokens is None):
         raise _UsageError("provide exactly one of --steps or --tokens")
+    flag, amount = ("--tokens", args.tokens) if args.steps is None else ("--steps", args.steps)
+    if not math.isfinite(amount):
+        raise ValueError(f"{flag} must be finite, got {amount}")
+    if amount < 0:
+        raise ValueError(f"{flag} must be >= 0, got {amount}")
 
-    total_per_step, _ = tokens_per_step(geom)
-
+    total_per_step, upsampled_per_step = tokens_per_step(geom)
     if args.preset is not None:
-        # Presets price curated tokens directly: --tokens counts curated
-        # (upsampled) tokens, --steps counts annealing steps.
-        if args.steps is not None:
-            curated_cost = (
-                tinygsm_curation_cost(args.steps, geom)
-                if args.preset == "tinygsm"
-                else tinygsm_mind_curation_cost(args.steps, geom)
-            )
-            total_tokens = args.steps * total_per_step
-            steps_out, tokens_out = args.steps, total_tokens
+        # Presets price curated tokens: --tokens counts curated (upsampled)
+        # tokens, --steps counts annealing steps.
+        if args.steps is None:
+            curated, total_tokens = args.tokens, args.tokens / geom.upsample_ratio
         else:
-            if args.tokens < 0:
-                raise ValueError(f"tokens must be >= 0, got {args.tokens}")
-            curated_cost = args.tokens * PRESET_FLOPS_PER_CURATED_TOKEN[args.preset]
-            total_tokens = args.tokens / geom.upsample_ratio
-            steps_out, tokens_out = "", args.tokens
-        training = 0.0
-        if basis is CostBasis.CURATION_PLUS_ANNEALING:
-            if args.training_params is None:
-                raise _UsageError("--basis total requires --training-params")
-            training = training_flops(total_tokens, ModelSpec(args.training_params))
-        curation = curated_cost
+            curated, total_tokens = args.steps * upsampled_per_step, args.steps * total_per_step
+        curation = curated * PRESET_FLOPS_PER_CURATED_TOKEN[args.preset]
     else:
         kind_name = "zero_cost" if args.zero_cost else args.kind
         if kind_name is None:
@@ -308,18 +296,26 @@ def _cmd_cost(args) -> int:
             annotator_training_flops=args.annotator_training_flops,
             mbf_recall=args.mbf_recall,
         )
-        total_tokens = args.tokens if args.tokens is not None else args.steps * total_per_step
-        steps_out = args.steps if args.steps is not None else ""
-        tokens_out = total_tokens
-        if basis is CostBasis.CURATION_PLUS_ANNEALING and args.training_params is None:
-            raise _UsageError("--basis total requires --training-params")
-        training_model = ModelSpec(1 if args.training_params is None else args.training_params)
-        curation, training_full = cost_breakdown(source, geom, total_tokens, training_model)
-        training = training_full if basis is CostBasis.CURATION_PLUS_ANNEALING else 0.0
+        total_tokens = args.tokens if args.steps is None else args.steps * total_per_step
+        curation = annealing_curation_cost(source, geom, total_tokens)
 
+    training_model = None if args.training_params is None else ModelSpec(args.training_params)
+    training = 0.0
+    if basis is CostBasis.CURATION_PLUS_ANNEALING:
+        if training_model is None:
+            raise _UsageError("--basis total requires --training-params")
+        training = training_flops(total_tokens, training_model)
+
+    # The tokens column repeats --tokens (curated tokens under --preset),
+    # or gives the annealing tokens of --steps.
+    steps_out, tokens_out = ("", args.tokens) if args.steps is None else (args.steps, total_tokens)
     header = ["basis", "steps", "tokens", "curation_flops", "training_flops", "total_flops"]
-    rows = [[basis.value, steps_out, tokens_out, curation, training, curation + training]]
-    _emit(_csv_text(header, rows), args.out)
+    row = [basis.value, steps_out, tokens_out, curation, training, curation + training]
+    overflowed = [f"{name} {value}" for name, value in zip(header[2:], row[2:])
+                  if not math.isfinite(value)]
+    if overflowed:
+        raise ValueError(f"{flag} {amount} prices beyond the float range: {', '.join(overflowed)}")
+    _emit(_csv_text(header, [row]), args.out)
     return 0
 
 

@@ -20,6 +20,7 @@ __all__ = [
     "ModelSpec",
     "SourceCostModel",
     "SourceKind",
+    "annealing_curation_cost",
     "curation_cost",
     "inference_flops_per_token",
     "seed_token_unit_cost",
@@ -43,8 +44,9 @@ TINYGSM_MIND_EXPANSION = 3.6
 # Price of one curated token of each preset corpus.
 PRESET_FLOPS_PER_CURATED_TOKEN = {
     "tinygsm": TINYGSM_GENERATION_FLOPS_PER_TOKEN,
-    "tinygsm-mind": TINYGSM_GENERATION_FLOPS_PER_TOKEN / TINYGSM_MIND_EXPANSION
-    + 2.0 / TINYGSM_MIND_EXPANSION * TINYGSM_MIND_GENERATION_FLOPS_PER_TOKEN,
+    "tinygsm-mind": (
+        TINYGSM_GENERATION_FLOPS_PER_TOKEN + 2.0 * TINYGSM_MIND_GENERATION_FLOPS_PER_TOKEN
+    ) / TINYGSM_MIND_EXPANSION,
 }
 
 
@@ -247,58 +249,38 @@ def total_cost(
     tokens implied by the geometry; the full basis adds 6 * |params| *
     total_tokens of training.
     """
-    curation, training = cost_breakdown(model, geom, total_tokens, training_model)
+    curation = annealing_curation_cost(model, geom, total_tokens)
     if basis is CostBasis.CURATION_ONLY:
         return curation
-    return curation + training
+    return curation + training_flops(total_tokens, training_model)
 
 
-def cost_breakdown(
-    model: SourceCostModel,
-    geom: AnnealingGeometry,
-    total_tokens: float,
-    training_model: ModelSpec,
-) -> tuple[float, float]:
-    """(curation FLOPs, training FLOPs) for an annealing run."""
+def annealing_curation_cost(
+    model: SourceCostModel, geom: AnnealingGeometry, total_tokens: float
+) -> float:
+    """Curation FLOPs of an annealing run over ``total_tokens``."""
     if total_tokens < 0:
         raise ValueError(f"total_tokens must be >= 0, got {total_tokens}")
-    training = training_flops(total_tokens, training_model)
     if model.kind is SourceKind.ZERO_COST:
-        return 0.0, training
+        return 0.0
     m = seed_tokens_required(geom, total_tokens, model.expansion_factor)
     unit_cost = seed_token_unit_cost(model, m) if m > 0 else 0.0
-    return curation_cost(model, m, unit_cost), training
+    return curation_cost(model, m, unit_cost)
+
+
+def _preset_curation_cost(preset: str, steps: float, geom: AnnealingGeometry) -> float:
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    return steps * tokens_per_step(geom)[1] * PRESET_FLOPS_PER_CURATED_TOKEN[preset]
 
 
 def tinygsm_curation_cost(steps: float, geom: AnnealingGeometry) -> float:
-    """Curation cost of running ``steps`` annealing steps on TinyGSM data.
-
-    Every upsampled token is charged at the large generator's rate; the
-    exact per-step upsampled token count of ``geom`` is used rather than
-    a rounded figure.
-    """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    _, upsampled = tokens_per_step(geom)
-    return steps * upsampled * TINYGSM_GENERATION_FLOPS_PER_TOKEN
+    """Curation cost of ``steps`` annealing steps on TinyGSM data, every
+    upsampled token of ``geom`` charged at the large generator's rate."""
+    return _preset_curation_cost("tinygsm", steps, geom)
 
 
 def tinygsm_mind_curation_cost(steps: float, geom: AnnealingGeometry) -> float:
-    """Curation cost of ``steps`` annealing steps on TinyGSM-MIND data.
-
-    1/3.6 of the upsampled tokens carry the original TinyGSM price and
-    2/3.6 the cheaper 7B rewriting price, so this is strictly below the
-    TinyGSM cost at every positive step count.
-    """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    _, upsampled = tokens_per_step(geom)
-    carried = tinygsm_curation_cost(steps, geom) / TINYGSM_MIND_EXPANSION
-    rewritten = (
-        2.0
-        / TINYGSM_MIND_EXPANSION
-        * steps
-        * upsampled
-        * TINYGSM_MIND_GENERATION_FLOPS_PER_TOKEN
-    )
-    return carried + rewritten
+    """Curation cost of ``steps`` annealing steps on TinyGSM-MIND data:
+    1/3.6 of its tokens at the TinyGSM rate, 2/3.6 at the 7B rewriting rate."""
+    return _preset_curation_cost("tinygsm-mind", steps, geom)

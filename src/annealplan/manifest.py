@@ -14,6 +14,8 @@ points in the same order.
 from __future__ import annotations
 
 import json
+import math
+import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from fnmatch import fnmatchcase
@@ -97,6 +99,20 @@ class UtilityPoint:
     basis: CostBasis
 
 
+# Characters a source id may not hold: C0 controls (XML 1.0 forbids most,
+# the rest break CSV rows), lone surrogates (UTF-8 cannot encode them) and
+# the noncharacters U+FFFE and U+FFFF (XML forbids them).
+_UNWRITABLE = re.compile("[\x00-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _check_writable(value: str, where: str) -> None:
+    bad = _UNWRITABLE.search(value)
+    if bad:
+        raise ManifestError(
+            f"{where} {value!r} contains U+{ord(bad.group()):04X}, which cannot be written out"
+        )
+
+
 def _reject_unknown(obj: Mapping, allowed: Sequence[str], where: str) -> None:
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
@@ -159,6 +175,7 @@ def _parse_geometry(obj, where: str) -> AnnealingGeometry:
 
 
 def _parse_source(source_id: str, obj) -> SourceCostModel:
+    _check_writable(source_id, "sources key")
     where = f"sources[{source_id!r}]"
     if not isinstance(obj, Mapping):
         raise ManifestError(f"{where} must be an object")
@@ -270,6 +287,7 @@ def loads_manifest(text: str) -> RunSet:
         data, ["baseline_id", "training_model", "geometry", "sources", "runs"], "manifest"
     )
     baseline_id = _get_str(data, "baseline_id", "manifest")
+    _check_writable(baseline_id, "baseline_id")
 
     model_obj = _get(data, "training_model", "manifest")
     if not isinstance(model_obj, Mapping):
@@ -462,6 +480,13 @@ def build_utility_points(
             runset.training_model,
             basis,
         )
+        if not math.isfinite(compute):
+            g = runset.geometry
+            raise ManifestError(
+                f"compute of ({source_id!r}, {steps}) under basis {basis.value!r} is {compute}:"
+                f" geometry batch_size {g.batch_size:.6g} x sequence_length"
+                f" {g.sequence_length:.6g} prices it beyond the float range"
+            )
         points.append(
             UtilityPoint(
                 source_id=source_id,

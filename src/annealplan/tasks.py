@@ -6,6 +6,14 @@ runs an evaluation.
 
 from __future__ import annotations
 
+__all__ = [
+    "MATH_MMLU_CF_TASKS",
+    "MATH_NON_MMLU_TASKS",
+    "MEDICAL_MC_EXTRA_TASKS",
+    "MEDICAL_MMLU_CF_TASKS",
+    "TASK_GROUPS",
+]
+
 MEDICAL_MMLU_CF_TASKS = (
     "mmlu_anatomy",
     "mmlu_clinical_knowledge",

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -6,8 +7,11 @@ import struct
 from xml.etree import ElementTree
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annealplan.cli import main
+from annealplan.costs import AnnealingGeometry, tokens_per_step
 
 from conftest import manifest_dict
 
@@ -115,6 +119,20 @@ class TestFit:
         root = ElementTree.parse(out_svg).getroot()
         labels = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
         assert "a<b&c" in labels
+
+    @pytest.mark.parametrize("source_id", ["a\ud800b", "a\x01b"])
+    def test_svg_unwritable_source_id_writes_nothing(self, write_manifest, tmp_path, capsys,
+                                                      source_id):
+        data = manifest_dict()
+        data["sources"] = {source_id: data["sources"].pop("med_filter")}
+        data["runs"][2]["source_id"] = source_id
+        out_svg = tmp_path / "fits.svg"
+        code, out, err = run_cli(
+            capsys, "fit", "--manifest", str(write_manifest(data)), "--svg", str(out_svg)
+        )
+        assert (code, out) == (1, "")
+        assert f"sources key {source_id!r}" in err
+        assert not out_svg.exists()
 
 
 class TestRank:
@@ -355,12 +373,52 @@ class TestCost:
         assert out == ""
         assert "param_count must be positive, got 0.0" in err
 
+    @pytest.mark.parametrize("source", [["--kind", "mbf"], ["--preset", "tinygsm"]])
+    def test_invalid_training_params_rejected_under_curation_only(self, capsys, source):
+        # A given --training-params is checked even where no training is priced.
+        code, out, err = run_cli(
+            capsys, "cost", *source, "--steps", "10", "--training-params", "-3"
+        )
+        assert (code, out) == (1, "")
+        assert "param_count must be positive, got -3.0" in err
+
     def test_steps_and_tokens_mutually_exclusive(self, capsys):
         code, _, err = run_cli(
             capsys, "cost", "--zero-cost", "--steps", "10", "--tokens", "100"
         )
         assert code == 1
         assert "--steps or --tokens" in err
+
+    def test_mind_preset_full_dataset_exact(self, capsys):
+        # 1.8B curated tokens at exactly 105 GFLOPs each, as 6.3e20 is
+        # exact for TinyGSM at 350.
+        code, out, _ = run_cli(capsys, "cost", "--preset", "tinygsm-mind", "--tokens", "1.8e9")
+        assert code == 0
+        assert out.splitlines()[1] == "curation-only,,1800000000.0,1.89e+20,0.0,1.89e+20"
+
+    @pytest.mark.parametrize("flag", ["--steps", "--tokens"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("source", [["--preset", "tinygsm"], ["--kind", "mbf"]])
+    def test_non_finite_amount_rejected(self, capsys, flag, value, source):
+        code, out, err = run_cli(capsys, "cost", *source, f"{flag}={value}")
+        assert (code, out) == (1, "")
+        assert err == f"error: {flag} must be finite, got {float(value)}\n"
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            ("--preset tinygsm --steps 1e300",
+             "--steps 1e+300 prices beyond the float range: curation_flops inf, total_flops inf"),
+            ("--preset tinygsm-mind --tokens 1e300",
+             "--tokens 1e+300 prices beyond the float range: curation_flops inf, total_flops inf"),
+            ("--kind mbf --steps 1e300 --basis total --training-params 7e9",
+             "--steps 1e+300 prices beyond the float range: training_flops inf, total_flops inf"),
+            ("--zero-cost --steps 1e303", "--steps 1e+303 prices beyond the float range: tokens inf"),
+        ],
+    )
+    def test_non_finite_price_rejected(self, capsys, argv, error):
+        code, out, err = run_cli(capsys, "cost", *argv.split())
+        assert (code, out, err) == (1, "", f"error: {error}\n")
 
     def test_mind_preset_cheaper(self, capsys):
         _, out_a, _ = run_cli(capsys, "cost", "--preset", "tinygsm", "--steps", "1000")
@@ -369,6 +427,32 @@ class TestCost:
         mind = float(parse_csv(out_b)[0]["total_flops"])
         assert mind < tiny
         assert mind / tiny == pytest.approx(1 / 3.6 + 2 / 3.6 * 14 / 350, rel=1e-12)
+
+
+def _cost_row(*argv) -> list[str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["cost", *argv]) == 0
+    return out.getvalue().splitlines()[1].split(",")
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    preset=st.sampled_from(["tinygsm", "tinygsm-mind"]),
+    steps=st.floats(min_value=0, max_value=1e7),
+    batch_size=st.integers(1, 4096),
+    sequence_length=st.integers(1, 32768),
+    upsample_ratio=st.floats(min_value=1e-3, max_value=0.999),
+)
+def test_preset_steps_and_tokens_price_alike(
+    preset, steps, batch_size, sequence_length, upsample_ratio
+):
+    geometry = ["--batch-size", str(batch_size), "--sequence-length", str(sequence_length),
+                "--upsample-ratio", repr(upsample_ratio)]
+    _, upsampled = tokens_per_step(AnnealingGeometry(batch_size, sequence_length, upsample_ratio))
+    by_steps = _cost_row("--preset", preset, "--steps", repr(steps), *geometry)
+    by_tokens = _cost_row("--preset", preset, "--tokens", repr(steps * upsampled), *geometry)
+    assert by_steps[3] == by_tokens[3]  # curation_flops
 
 
 class TestDiversity:

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from annealplan.costs import (
+    PRESET_FLOPS_PER_CURATED_TOKEN,
     AnnealingGeometry,
     CostBasis,
     ModelSpec,
     SourceCostModel,
     SourceKind,
-    cost_breakdown,
+    annealing_curation_cost,
     curation_cost,
     inference_flops_per_token,
     seed_token_unit_cost,
@@ -202,16 +203,31 @@ class TestTotalCost:
         model = SourceCostModel(
             kind=SourceKind.MBF, mbf_recall=22, annotator_per_token_flops=2e8
         )
-        curation, training = cost_breakdown(model, GEOM, 1e10, ModelSpec(7e9))
-        assert curation + training == total_cost(
+        curation = annealing_curation_cost(model, GEOM, 1e10)
+        assert curation == total_cost(model, GEOM, 1e10, ModelSpec(7e9), CostBasis.CURATION_ONLY)
+        assert curation + training_flops(1e10, ModelSpec(7e9)) == total_cost(
             model, GEOM, 1e10, ModelSpec(7e9), CostBasis.CURATION_PLUS_ANNEALING
         )
+
+    def test_curation_negative_tokens_rejected(self):
+        with pytest.raises(ValueError, match="total_tokens must be >= 0"):
+            annealing_curation_cost(self.ZERO, GEOM, -1.0)
 
 
 class TestTinygsmCosts:
     def test_full_dataset_cost(self):
         # 1.8B curated tokens at the assumed 350 GFLOPs per generated token.
         assert 1.8e9 * 350e9 == 6.3e20
+
+    def test_mind_price_exact(self):
+        # (350 + 2 * 14) / 3.6 = 105 GFLOPs per curated token, with no
+        # rounding left in the table.
+        assert PRESET_FLOPS_PER_CURATED_TOKEN["tinygsm-mind"] == 105e9
+
+    @pytest.mark.parametrize("preset", [tinygsm_curation_cost, tinygsm_mind_curation_cost])
+    def test_negative_steps_rejected(self, preset):
+        with pytest.raises(ValueError, match="steps must be >= 0"):
+            preset(-1, GEOM)
 
     def test_zero_steps(self):
         assert tinygsm_curation_cost(0, GEOM) == 0.0

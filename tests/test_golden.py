@@ -201,6 +201,9 @@ CASES.update(
         "cost synthetic without generator": "cost --kind synthetic --steps 1000",
         "cost expansion without generator": "cost --kind mbf --expansion-factor 1 --steps 10",
         "cost epochs below one": "cost --kind mbf --steps 10 --epochs 0.5",
+        "cost nan steps": "cost --preset tinygsm --steps nan",
+        "cost training overflow": f"cost {_GENERIC['mbf']} --steps 1e300 --basis total"
+        " --training-params 7e9",
     }
 )
 
@@ -267,6 +270,8 @@ GOLDEN = {
         "a4f1c02977da43318144f0a8098e20104db623ac812f68b6e6af0e583b4f8969",
     "cost mbf zero tokens":
         "3259aa479c207b51b7c6184a4ddd98c558a1f7ef314921d8d1607ce964ed0f1d",
+    "cost nan steps":
+        "93a8b026a8344ac3dd8df5387b625f409b426a8844bc17f22685126c045aad30",
     "cost no amount":
         "f610141db75bacacbf48e94032730d9af9edfd7d6c5be55e1bec62d0f65a5201",
     "cost no kind":
@@ -314,17 +319,19 @@ GOLDEN = {
     "cost tinygsm-mind --steps 1234.5 total":
         "d1ebe1a51d65fbcf5c88494cc41c1c57b54e41cb3ae8c660d8b882370112734f",
     "cost tinygsm-mind --tokens 1.8e9":
-        "dabb6ef8d127a81f6c94f87e249e3ac0e74ac0097b23dfaaf94fb357e244c9f6",
+        "66fe7e95907f633ecdbc13ad98984a7de048c35486cd3844c0e6ae9724fadba5",
     "cost tinygsm-mind --tokens 1.8e9 total":
-        "14175a5ecc9942738d6b2a9698279b84fef62dc64efbb78e8c353c755933a9bf",
+        "ac682e0c393b12b51d1c0ee54bc18955be38640ee9de854dcef58488bdc21db8",
     "cost tinygsm-mind --tokens 3":
-        "3b825da275b18238d69776c9e65195cc020ebbd9d530faacd1f46bbae551a918",
+        "66a68a83d91b7014766ea9c9d31c10be06515bea226b64bbd7d414fe9282674d",
     "cost tinygsm-mind --tokens 3 total":
-        "15bc5f36d6f379772426be5c7909c520860c3fb9a3f5b8ee94d975a839a94a4d",
+        "029550a5832a4dc66ff0473eff15056e29e099fdcd46ae33a54205b50a2dee08",
     "cost tinygsm-mind odd geometry":
         "50dd2cd4b1b0b3b964adaed379609d3e20e6e85d99d3ec0febf0888340a05fab",
     "cost total without params":
         "a4784c82546b01330177f9b5a5823796f3028a9052a8d5dfa0566995a04c026b",
+    "cost training overflow":
+        "563cf3a3dcf56a8ec2979bf9a7654ae8df69d0a9a31a17296c6381de2ec59edd",
     "cost zero-cost --steps 1000":
         "c684046724d86f64bfd5f97a35cbdd33e2b4c4f27cf8e8d0bbe6d17a3eef972c",
     "cost zero-cost --steps 1000 total":

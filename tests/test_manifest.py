@@ -225,6 +225,39 @@ class TestLoadManifest:
         with pytest.raises(ManifestError, match=r"runs\[0\]\.scores\[1\]: task id 't'"):
             load_manifest(write_manifest(data))
 
+    @pytest.mark.parametrize("char", ["\x00", "\x01", "\n", "\x1f", "\ud800", "\udfff",
+                                      "\ufffe", "\uffff"])
+    def test_unwritable_source_id(self, write_manifest, capsys, char):
+        data = manifest_dict()
+        source_id = f"a{char}b"
+        data["sources"] = {source_id: data["sources"].pop("med_filter")}
+        data["runs"][2]["source_id"] = source_id
+        manifest = write_manifest(data)
+        message = (
+            f"sources key {source_id!r} contains U+{ord(char):04X}, which cannot be written out"
+        )
+        with pytest.raises(ManifestError) as info:
+            load_manifest(manifest)
+        assert str(info.value) == message
+        assert main(["fit", "--manifest", str(manifest)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_unwritable_baseline_id(self, write_manifest):
+        data = manifest_dict()
+        data["baseline_id"] = "replay\ud83d"
+        for run in data["runs"][:2]:
+            run["source_id"] = "replay\ud83d"
+        with pytest.raises(ManifestError) as info:
+            load_manifest(write_manifest(data))
+        assert str(info.value) == (
+            "baseline_id 'replay\\ud83d' contains U+D83D, which cannot be written out"
+        )
+
+    def test_non_ascii_source_id_accepted(self, write_manifest):
+        data = manifest_dict()
+        data["sources"] = {"m\u00e9d \U0001f50d": data["sources"].pop("med_filter")}
+        data["runs"][2]["source_id"] = "m\u00e9d \U0001f50d"
+        assert "m\u00e9d \U0001f50d" in load_manifest(write_manifest(data)).sources
 
 def make_run(
     source="s", seed=0, steps=1000, tasks=(("t1", 0.5), ("t2", 0.6)), metric=MetricKind.BRIER
@@ -462,6 +495,35 @@ class TestBuildUtilityPoints:
         shadow = [p for p in points if p.source_id == "shadow"][0]
         assert shadow.delta.value == 0.0
         assert shadow.compute == 0.0
+
+    @pytest.mark.parametrize("basis", list(CostBasis))
+    def test_non_finite_compute_names_group(self, write_manifest, capsys, basis):
+        # 1e300 tokens per step is a float; 1000 steps priced at 4.4e9
+        # FLOPs per token are not.
+        data = manifest_dict()
+        data["geometry"]["batch_size"] = 10**300
+        data["geometry"]["sequence_length"] = 1
+        manifest = write_manifest(data)
+        message = (
+            f"compute of ('med_filter', 1000) under basis {basis.value!r} is inf: geometry"
+            " batch_size 1e+300 x sequence_length 1 prices it beyond the float range"
+        )
+        with pytest.raises(ManifestError) as info:
+            build_utility_points(load_manifest(manifest), None, basis)
+        assert str(info.value) == message
+        assert main(["fit", "--manifest", str(manifest), "--basis", basis.value]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_nan_compute_rejected(self, write_manifest):
+        # No annotator FLOPs times infinitely many seed tokens is 0 * inf.
+        data = manifest_dict()
+        data["sources"]["med_filter"] = {"kind": "mbf", "mbf_recall": 22.0}
+        data["geometry"]["batch_size"] = 10**307
+        data["geometry"]["sequence_length"] = 1
+        runset = load_manifest(write_manifest(data))
+        for basis in CostBasis:
+            with pytest.raises(ManifestError, match=r"\('med_filter', 1000\) under .* is nan"):
+                build_utility_points(runset, None, basis)
 
     def test_grid_top_matches_upsampled_budget(self):
         # 36k steps of the reference geometry consume ~7.55e9 upsampled

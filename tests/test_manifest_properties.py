@@ -4,11 +4,12 @@ Every example starts from one valid manifest and applies one mutation: a
 missing field, a value of the wrong JSON type, ``Infinity``/``NaN`` in a
 number, an out-of-range score, a task suite that no longer matches the
 baseline's, an integer literal beyond the float range in a number, one
-score switched to another metric kind, or a task id repeated within a
-run. The library must then raise ``ManifestError`` or return points
-whose compute and delta are all finite, and ``annealplan fit`` must exit
-1 with the library's message, or exit 0 printing only finite numbers.
-The last six kinds are never valid, so they must raise.
+score switched to another metric kind, a task id repeated within a run,
+or a geometry whose tokens per step fit a float but whose runs price
+beyond it. The library must then raise ``ManifestError`` or return
+points whose compute and delta are all finite, and ``annealplan fit``
+must exit 1 with the library's message, or exit 0 printing only finite
+numbers. The last seven kinds are never valid, so they must raise.
 """
 
 import contextlib
@@ -77,7 +78,10 @@ SCORE_PATHS = [
     path + (key,) for path, key in PATHS
     if len(path) == 3 and path[0] == "runs" and path[2] == "scores"
 ]
-ALWAYS_INVALID = ("non-finite", "score range", "suite", "huge integer", "metric", "duplicate task")
+ALWAYS_INVALID = (
+    "non-finite", "score range", "suite", "huge integer", "metric", "duplicate task",
+    "huge geometry",
+)
 METRICS = ("accuracy", "brier", "exact_match")
 WRONG_TYPES = [None, True, "1", [1], {"x": 1}, 0.5, 3]
 SCORE_OUT_OF_RANGE = st.one_of(
@@ -119,6 +123,11 @@ def mutated_manifests(draw) -> tuple[str, str]:
             scores.append(copy.deepcopy(scores[path[-1]]))
         else:  # every run scores two tasks; rename one to the other
             scores[path[-1]]["task_id"] = scores[1 - path[-1]]["task_id"]
+    elif kind == "huge geometry":
+        # 1e300 tokens per step is a float, but 1000 steps of it priced
+        # at any positive rate are not.
+        data["geometry"]["batch_size"] = 10 ** draw(st.integers(300, 307))
+        data["geometry"]["sequence_length"] = 1
     else:
         path = draw(st.sampled_from(SCORE_PATHS))
         scores = _resolve(data, path[:-1])
