@@ -256,6 +256,25 @@ def _geometry_from_args(args) -> AnnealingGeometry:
     )
 
 
+# Flags that describe a generic source, so a --preset leaves them no meaning.
+_SOURCE_FLAGS = (
+    "--kind",
+    "--zero-cost",
+    "--expansion-factor",
+    "--generator-params",
+    "--annotator-per-token-flops",
+    "--annotator-training-flops",
+    "--mbf-recall",
+)
+
+
+def _model_from_flag(flag: str, param_count: float) -> ModelSpec:
+    try:
+        return ModelSpec(param_count)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from exc
+
+
 def _cmd_cost(args) -> int:
     basis = CostBasis(args.basis)
     geom = _geometry_from_args(args)
@@ -269,6 +288,9 @@ def _cmd_cost(args) -> int:
 
     total_per_step, upsampled_per_step = tokens_per_step(geom)
     if args.preset is not None:
+        given = [f for f in _SOURCE_FLAGS if getattr(args, f[2:].replace("-", "_")) is not None]
+        if given:
+            raise _UsageError(f"--preset cannot be combined with {given[0]}")
         # Presets price curated tokens: --tokens counts curated (upsampled)
         # tokens, --steps counts annealing steps.
         if args.steps is None:
@@ -283,23 +305,27 @@ def _cmd_cost(args) -> int:
         kind = SourceKind(kind_name)
         generator = None
         if args.generator_params is not None:
-            generator = ModelSpec(param_count=args.generator_params)
+            generator = _model_from_flag("--generator-params", args.generator_params)
         if kind in (SourceKind.SYNTHETIC, SourceKind.REPHRASE) and generator is None:
             raise _UsageError(f"--kind {kind.value} requires --generator-params")
-        if args.expansion_factor > 0 and generator is None:
+        # Flags left out take SourceCostModel's defaults.
+        fields = {
+            name: value
+            for name in [
+                "expansion_factor", "annotator_per_token_flops", "annotator_training_flops",
+                "mbf_recall",
+            ]
+            if (value := getattr(args, name)) is not None
+        }
+        if fields.get("expansion_factor", 0.0) > 0 and generator is None:
             raise _UsageError("--expansion-factor > 0 requires --generator-params")
-        source = SourceCostModel(
-            kind=kind,
-            expansion_factor=args.expansion_factor,
-            generator=generator,
-            annotator_per_token_flops=args.annotator_per_token_flops,
-            annotator_training_flops=args.annotator_training_flops,
-            mbf_recall=args.mbf_recall,
-        )
+        source = SourceCostModel(kind=kind, generator=generator, **fields)
         total_tokens = args.tokens if args.steps is None else args.steps * total_per_step
         curation = annealing_curation_cost(source, geom, total_tokens)
 
-    training_model = None if args.training_params is None else ModelSpec(args.training_params)
+    training_model = None
+    if args.training_params is not None:
+        training_model = _model_from_flag("--training-params", args.training_params)
     training = 0.0
     if basis is CostBasis.CURATION_PLUS_ANNEALING:
         if training_model is None:
@@ -411,12 +437,14 @@ def _build_parser() -> _Parser:
     p_cost = subparsers.add_parser("cost", help="price a data source in FLOPs")
     p_cost.add_argument("--preset", choices=list(PRESET_FLOPS_PER_CURATED_TOKEN), default=None)
     p_cost.add_argument("--kind", choices=[k.value for k in SourceKind], default=None)
-    p_cost.add_argument("--zero-cost", action="store_true", help="shorthand for --kind zero_cost")
-    p_cost.add_argument("--expansion-factor", type=float, default=0.0)
+    # None marks a source flag as not given (see _SOURCE_FLAGS).
+    p_cost.add_argument("--zero-cost", action="store_true", default=None,
+                        help="shorthand for --kind zero_cost")
+    p_cost.add_argument("--expansion-factor", type=float, default=None)
     p_cost.add_argument("--generator-params", type=float, default=None)
-    p_cost.add_argument("--annotator-per-token-flops", type=float, default=0.0)
-    p_cost.add_argument("--annotator-training-flops", type=float, default=0.0)
-    p_cost.add_argument("--mbf-recall", type=float, default=1.0)
+    p_cost.add_argument("--annotator-per-token-flops", type=float, default=None)
+    p_cost.add_argument("--annotator-training-flops", type=float, default=None)
+    p_cost.add_argument("--mbf-recall", type=float, default=None)
     p_cost.add_argument(
         "--steps", type=float, default=None, help="annealing steps to price"
     )

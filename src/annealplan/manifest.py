@@ -6,9 +6,11 @@ source, and the per-run task scores. Treated runs are paired with the
 seed-averaged baseline run at the same step count to produce
 (compute, delta) utility points under a chosen cost basis.
 
-Validation is strict: unknown fields are rejected, every error names
-the offending field, and loading the same bytes always yields the same
-points in the same order.
+Validation is strict: unknown fields and repeated JSON keys are
+rejected, every error names the offending field, and loading the same
+bytes always yields the same points in the same order. A run's scores
+are checked in one pass; only when that pass finds a fault are they
+checked again field by field, to build the error message.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from collections.abc import Collection, Mapping, Sequence
+from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from pathlib import Path
 
@@ -113,7 +115,7 @@ def _check_writable(value: str, where: str) -> None:
         )
 
 
-def _reject_unknown(obj: Mapping, allowed: Sequence[str], where: str) -> None:
+def _reject_unknown(obj: Mapping, allowed: Collection[str], where: str) -> None:
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
         raise ManifestError(f"unknown field(s) {unknown} in {where}")
@@ -219,6 +221,11 @@ def _parse_source(source_id: str, obj) -> SourceCostModel:
         raise ManifestError(f"{where}: {exc}") from exc
 
 
+_SCORE_KEYS = frozenset({"task_id", "metric", "value", "n_examples"})
+_RUN_KEYS = frozenset({"source_id", "seed", "steps", "scores", "metadata"})
+_METRICS = {m.value: m for m in MetricKind}
+
+
 def _parse_score(obj, where: str) -> TaskScore:
     if not isinstance(obj, Mapping):
         raise ManifestError(f"{where} must be an object")
@@ -240,17 +247,48 @@ def _parse_score(obj, where: str) -> TaskScore:
         raise ManifestError(f"{where}: {exc}") from exc
 
 
+def _scores_in_one_pass(scores_obj: list) -> tuple[TaskScore, ...] | None:
+    """The scores, if every one passes ``_parse_score``; None at the first that might not.
+
+    Accepts only JSON's own types, so it never accepts what
+    ``_parse_score`` rejects; it may decline what ``_parse_score`` accepts.
+    """
+    scores = []
+    try:
+        for obj in scores_obj:
+            if type(obj) is not dict or obj.keys() != _SCORE_KEYS:
+                return None
+            task_id, metric, value, n_examples = (
+                obj["task_id"], obj["metric"], obj["value"], obj["n_examples"]
+            )
+            if (
+                type(task_id) is not str
+                or type(metric) is not str
+                or type(n_examples) is not int
+                or (type(value) is not float and type(value) is not int)
+            ):
+                return None
+            float(n_examples)
+            scores.append(TaskScore(task_id, _METRICS[metric], float(value), n_examples))
+    except (KeyError, ValueError, OverflowError):
+        return None
+    return tuple(scores)
+
+
 def _parse_run(obj, index: int) -> RunRecord:
     where = f"runs[{index}]"
     if not isinstance(obj, Mapping):
         raise ManifestError(f"{where} must be an object")
-    _reject_unknown(obj, ["source_id", "seed", "steps", "scores", "metadata"], where)
+    if not obj.keys() <= _RUN_KEYS:
+        _reject_unknown(obj, _RUN_KEYS, where)
     scores_obj = _get(obj, "scores", where)
     if not isinstance(scores_obj, list):
         raise ManifestError(f"field 'scores' in {where} must be a list")
-    scores = tuple(
-        _parse_score(s, f"{where}.scores[{i}]") for i, s in enumerate(scores_obj)
-    )
+    scores = _scores_in_one_pass(scores_obj)
+    if scores is None:
+        scores = tuple(
+            _parse_score(s, f"{where}.scores[{i}]") for i, s in enumerate(scores_obj)
+        )
     if len({s.task_id for s in scores}) != len(scores):
         ids = [s.task_id for s in scores]
         i = next(i for i, task_id in enumerate(ids) if task_id in ids[:i])
@@ -273,10 +311,21 @@ def _parse_run(obj, index: int) -> RunRecord:
         raise ManifestError(f"{where}: {exc}") from exc
 
 
+def _object_without_repeats(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ManifestError(f"manifest repeats the key {key!r} within one JSON object")
+            seen.add(key)
+    return obj
+
+
 def loads_manifest(text: str) -> RunSet:
     """Parse and fully validate manifest JSON from a string."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_object_without_repeats)
     except json.JSONDecodeError as exc:
         raise ManifestError(
             f"manifest is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
@@ -378,8 +427,10 @@ def average_seeds(runs: Sequence[RunRecord]) -> RunRecord:
                 f" score tasks {sorted(mixed)} with different metrics"
             )
     averaged = tuple(
-        replace(score, value=anchored_mean([m[score.task_id].value for m in by_task]))
-        for score in first.scores
+        TaskScore(
+            s.task_id, s.metric, anchored_mean([m[s.task_id].value for m in by_task]), s.n_examples
+        )
+        for s in first.scores
     )
     seeds = ",".join(str(run.seed) for run in runs)
     return RunRecord(
@@ -391,12 +442,16 @@ def average_seeds(runs: Sequence[RunRecord]) -> RunRecord:
     )
 
 
-def _filter_scores(run: RunRecord, task_filter: Sequence[str] | None) -> list[TaskScore]:
+def _filter_scores(
+    run: RunRecord, task_filter: Sequence[str] | None, matched: dict[str, bool]
+) -> list[TaskScore]:
+    """The run's scores whose task id matches a pattern; ``matched`` memoizes task ids."""
     if task_filter is None:
         return list(run.scores)
-    return [
-        s for s in run.scores if any(fnmatchcase(s.task_id, pattern) for pattern in task_filter)
-    ]
+    for s in run.scores:
+        if s.task_id not in matched:
+            matched[s.task_id] = any(fnmatchcase(s.task_id, pattern) for pattern in task_filter)
+    return [s for s in run.scores if matched[s.task_id]]
 
 
 def build_utility_points(
@@ -422,10 +477,11 @@ def build_utility_points(
         else:
             treated_by_key.setdefault((run.source_id, run.steps), []).append(run)
 
+    matched: dict[str, bool] = {}
     baseline_agg: dict[int, tuple[dict[str, MetricKind], TaskScore]] = {}
     for steps, runs in baseline_by_steps.items():
         merged = average_seeds(sorted(runs, key=lambda r: r.seed))
-        scores = _filter_scores(merged, task_filter)
+        scores = _filter_scores(merged, task_filter, matched)
         if not scores:
             raise ManifestError(
                 f"task filter {list(task_filter or [])} matches no baseline tasks at steps={steps}"
@@ -449,7 +505,7 @@ def build_utility_points(
         if steps not in baseline_agg:
             raise ManifestError(f"no baseline run at steps={steps} to pair with ({source_id!r}, {steps})")
         merged = average_seeds(sorted(runs, key=lambda r: r.seed))
-        scores = _filter_scores(merged, task_filter)
+        scores = _filter_scores(merged, task_filter, matched)
         if not scores:
             raise ManifestError(
                 f"task filter {list(task_filter or [])} matches no tasks for ({source_id!r}, {steps})"

@@ -48,9 +48,15 @@ class MetricKind(enum.Enum):
 
     @property
     def value_range(self) -> tuple[float, float]:
-        if self is MetricKind.BRIER:
-            return 0.0, 2.0
-        return 0.0, 1.0
+        return _VALUE_RANGES[self]
+
+
+# Inclusive (low, high) bounds of each metric's values.
+_VALUE_RANGES = {
+    MetricKind.BRIER: (0.0, 2.0),
+    MetricKind.ACCURACY: (0.0, 1.0),
+    MetricKind.EXACT_MATCH: (0.0, 1.0),
+}
 
 
 @dataclass(frozen=True)
@@ -63,7 +69,7 @@ class TaskScore:
     n_examples: int
 
     def __post_init__(self) -> None:
-        lo, hi = self.metric.value_range
+        lo, hi = _VALUE_RANGES[self.metric]
         if not (lo <= self.value <= hi):
             raise ValueError(
                 f"{self.metric.value} value {self.value} outside valid range [{lo}, {hi}]"

@@ -382,6 +382,37 @@ class TestCost:
         assert (code, out) == (1, "")
         assert "param_count must be positive, got -3.0" in err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            ("--kind mbf --basis total --training-params 0", "--training-params"),
+            ("--kind synthetic --generator-params 0", "--generator-params"),
+        ],
+    )
+    def test_invalid_param_count_names_flag(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, "cost", *argv.split(), "--steps", "10")
+        assert (code, out) == (1, "")
+        assert err == f"error: {flag}: param_count must be positive, got 0.0\n"
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            ("--kind synthetic --mbf-recall 50", "--kind"),
+            ("--zero-cost", "--zero-cost"),
+            ("--expansion-factor 0", "--expansion-factor"),
+            ("--mbf-recall 1 --generator-params 3e9", "--generator-params"),
+            ("--annotator-per-token-flops 2e8", "--annotator-per-token-flops"),
+            ("--annotator-training-flops 0", "--annotator-training-flops"),
+            ("--mbf-recall 1", "--mbf-recall"),
+        ],
+    )
+    def test_preset_rejects_source_flags(self, capsys, flags, named):
+        # A given flag is rejected even at its generic default value.
+        code, out, err = run_cli(capsys, "cost", "--preset", "tinygsm", *flags.split(),
+                                 "--steps", "10")
+        assert (code, out) == (1, "")
+        assert err == f"usage error: --preset cannot be combined with {named}\n"
+
     def test_steps_and_tokens_mutually_exclusive(self, capsys):
         code, _, err = run_cli(
             capsys, "cost", "--zero-cost", "--steps", "10", "--tokens", "100"

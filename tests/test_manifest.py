@@ -95,6 +95,30 @@ class TestLoadManifest:
         with pytest.raises(ManifestError, match=r"line 1 column"):
             loads_manifest("{not json}")
 
+    @pytest.mark.parametrize(
+        "first, repeated, key",
+        [
+            ('"value": 0.45', '"value": 0.45, "value": 0.95', "value"),
+            ('"med_filter": {',
+             '"med_filter": {"kind": "zero_cost"}, "med_filter": {',
+             "med_filter"),
+        ],
+        ids=["score value", "source"],
+    )
+    def test_repeated_json_key_rejected(self, write_manifest, capsys, first, repeated, key):
+        # json.loads alone keeps the last of two equal keys, so the first
+        # value would be dropped without a word.
+        manifest = write_manifest(manifest_dict())
+        text = manifest.read_text(encoding="utf-8")
+        assert text.count(first) == 1
+        manifest.write_text(text.replace(first, repeated), encoding="utf-8")
+        message = f"manifest repeats the key {key!r} within one JSON object"
+        with pytest.raises(ManifestError) as info:
+            load_manifest(manifest)
+        assert str(info.value) == message
+        assert main(["fit", "--manifest", str(manifest)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_bool_not_accepted_as_int(self, write_manifest):
         data = manifest_dict()
         data["runs"][0]["steps"] = True

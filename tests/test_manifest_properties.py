@@ -1,15 +1,23 @@
-"""Property test: a mutated manifest gives finite utility points or fails cleanly.
+"""Property tests of manifest validation.
 
-Every example starts from one valid manifest and applies one mutation: a
+A mutated manifest gives finite utility points or fails cleanly. Every
+example starts from one valid manifest and applies one mutation: a
 missing field, a value of the wrong JSON type, ``Infinity``/``NaN`` in a
 number, an out-of-range score, a task suite that no longer matches the
 baseline's, an integer literal beyond the float range in a number, one
 score switched to another metric kind, a task id repeated within a run,
-or a geometry whose tokens per step fit a float but whose runs price
-beyond it. The library must then raise ``ManifestError`` or return
-points whose compute and delta are all finite, and ``annealplan fit``
-must exit 1 with the library's message, or exit 0 printing only finite
-numbers. The last seven kinds are never valid, so they must raise.
+a geometry whose tokens per step fit a float but whose runs price
+beyond it, or a JSON object that repeats one of its keys. The library
+must then raise ``ManifestError`` or return points whose compute and
+delta are all finite, and ``annealplan fit`` must exit 1 with the
+library's message, or exit 0 printing only finite numbers. The last
+eight kinds are never valid, so they must raise.
+
+A run's scores are checked in one pass, with the per-field checks of
+``_parse_score`` kept to build error messages. On score lists mixing
+valid and faulty entries, the run parser must return what the per-field
+checks build, or raise their first error, and take the one pass exactly
+when every entry is valid.
 """
 
 import contextlib
@@ -25,7 +33,15 @@ from hypothesis import strategies as st
 
 from annealplan.cli import main
 from annealplan.costs import CostBasis
-from annealplan.manifest import ManifestError, build_utility_points, loads_manifest
+from annealplan.manifest import (
+    ManifestError,
+    RunRecord,
+    _parse_run,
+    _parse_score,
+    _scores_in_one_pass,
+    build_utility_points,
+    loads_manifest,
+)
 
 from conftest import manifest_dict
 
@@ -74,15 +90,17 @@ NUMBER_PATHS = [
     (path, key) for path, key in PATHS
     if type(_resolve(BASE, path)[key]) in (int, float)
 ]
+OBJECT_PATHS = [(path, key) for path, key in PATHS if isinstance(_resolve(BASE, path), dict)]
 SCORE_PATHS = [
     path + (key,) for path, key in PATHS
     if len(path) == 3 and path[0] == "runs" and path[2] == "scores"
 ]
 ALWAYS_INVALID = (
     "non-finite", "score range", "suite", "huge integer", "metric", "duplicate task",
-    "huge geometry",
+    "huge geometry", "duplicate key",
 )
 METRICS = ("accuracy", "brier", "exact_match")
+REPEAT = "\x00repeat"  # no manifest key holds a control character
 WRONG_TYPES = [None, True, "1", [1], {"x": 1}, 0.5, 3]
 SCORE_OUT_OF_RANGE = st.one_of(
     st.floats(max_value=0.0, exclude_max=True, allow_infinity=False),
@@ -128,6 +146,13 @@ def mutated_manifests(draw) -> tuple[str, str]:
         # at any positive rate are not.
         data["geometry"]["batch_size"] = 10 ** draw(st.integers(300, 307))
         data["geometry"]["sequence_length"] = 1
+    elif kind == "duplicate key":
+        # A dict cannot hold a key twice: write a copy of the entry under
+        # a placeholder key and rename it in the text.
+        path, key = draw(st.sampled_from(OBJECT_PATHS))
+        parent = _resolve(data, path)
+        parent[REPEAT] = copy.deepcopy(parent[key])
+        return kind, json.dumps(data).replace(json.dumps(REPEAT), json.dumps(key))
     else:
         path = draw(st.sampled_from(SCORE_PATHS))
         scores = _resolve(data, path[:-1])
@@ -201,3 +226,63 @@ def test_mutation_fails_cleanly_or_gives_finite_points(manifest_path, mutation, 
         # only with exit 1, and a success prints finite numbers only.
         assert code in (0, 1), err
         assert code == 1 or _csv_numbers_finite(out)
+
+
+# Replacements for one field of a valid score entry that fail, or pass
+# only as edge cases (an int value, n_examples of True).
+FIELD_FAULTS = [
+    ("value", st.booleans()),
+    ("value", st.integers(-2, 3)),
+    ("value", st.sampled_from([10**400, -(10**400), "0.5", math.nan, math.inf, -math.inf])),
+    ("value", SCORE_OUT_OF_RANGE),
+    ("metric", st.sampled_from(["vibes", None, 1])),
+    ("task_id", st.sampled_from([None, 7])),
+    ("n_examples", st.sampled_from([0, -3, True, 2.0, 10**400])),
+]
+
+
+@st.composite
+def score_lists(draw) -> list:
+    """One to five score entries, about a third of them faulty."""
+    scores = []
+    for i in range(draw(st.integers(1, 5))):
+        score = {
+            "task_id": f"t{i}",
+            "metric": draw(st.sampled_from(METRICS)),
+            "value": draw(st.floats(0.0, 1.0)),
+            "n_examples": draw(st.integers(1, 10**6)),
+        }
+        fault = None
+        if draw(st.integers(0, 2)) == 0:
+            fault = draw(st.sampled_from(["missing key", "extra key", "non-object", *FIELD_FAULTS]))
+        if fault == "missing key":
+            del score[draw(st.sampled_from(sorted(score)))]
+        elif fault == "extra key":
+            score["stderr"] = 0.01
+        elif fault == "non-object":
+            score = draw(st.sampled_from([None, "score", 0.5, [], [["value", 0.5]]]))
+        elif fault is not None:
+            key, values = fault
+            score[key] = draw(values)
+        scores.append(score)
+    return scores
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(scores=score_lists())
+def test_one_pass_score_check_agrees_with_per_field_checks(scores):
+    try:
+        parsed = tuple(_parse_score(s, f"runs[3].scores[{i}]") for i, s in enumerate(scores))
+    except ManifestError as exc:
+        expected = str(exc)
+    else:
+        expected = RunRecord("s", 0, 10, parsed)
+    assert (_scores_in_one_pass(scores) is None) == isinstance(expected, str)
+    run = {"source_id": "s", "seed": 0, "steps": 10, "scores": scores}
+    try:
+        got = _parse_run(run, 3)
+    except ManifestError as exc:
+        got = str(exc)
+    assert got == expected
+    if isinstance(got, RunRecord):
+        assert all(type(s.value) is float for s in got.scores)
