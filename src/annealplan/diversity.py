@@ -1,18 +1,19 @@
 """Streaming corpus diversity: distinct n-gram ratios and n-gram entropy.
 
 N-grams are keyed by a deterministic 64-bit hash so counting a large
-corpus needs memory proportional to the number of distinct n-grams, not
-to vocabulary-sized tuples. Counts themselves are exact; hash collisions
-(expected well under one per billions of distinct n-grams) would merge
-two n-grams' counts and are accepted. Tokens are whatever the caller
-supplies: integers, or strings. A string is keyed by a 64-bit hash of
-its UTF-8 bytes, computed in numpy for a whole batch at once, so
-profilers fed disjoint shards share keys and merge exactly. The text
-reader splits lines on Python's whitespace (``str.split()``, Unicode
-separators included) and yields those keys, one ``uint64`` array per
-line, without building a ``str`` per token. N-grams never span document
-boundaries; feed a whole corpus as one document to get a single
-unbounded stream.
+corpus needs memory for its distinct n-grams plus, per order, the
+pending 8-byte window hashes, which are counted once they outnumber
+max(4 Mi, distinct); not vocabulary-sized tuples. Counts themselves are
+exact; hash collisions (expected well under one per billions of
+distinct n-grams) would merge two n-grams' counts and are accepted.
+Tokens are whatever the caller supplies: integers, or strings. A string
+is keyed by a 64-bit hash of its UTF-8 bytes, computed in numpy for a
+whole batch at once, so profilers fed disjoint shards share keys and
+merge exactly. The text reader splits lines on Python's whitespace
+(``str.split()``, Unicode separators included) and yields those keys,
+one ``uint64`` array per line, without building a ``str`` per token.
+N-grams never span document boundaries; feed a whole corpus as one
+document to get a single unbounded stream.
 
 Shannon entropy is computed in bits from the exact count table. The
 reported value is clamped to its mathematical bound log2(distinct) so
@@ -21,6 +22,7 @@ the uniform-distribution equality survives floating-point rounding.
 
 from __future__ import annotations
 
+import operator
 import struct
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -44,6 +46,7 @@ _MIX_2 = np.uint64(0x94D049BB133111EB)
 _MIX_OFFSET = np.uint64(0x9E3779B97F4A7C15)
 _WINDOW_MULTIPLIER = np.uint64(0xD6E8FEB86659FD93)
 _WORD_STEP = np.uint64(0xC2B2AE3D27D4EB4F)
+_KEY_MASK = (1 << 64) - 1
 # _TAIL_MASK[r] keeps the low r bytes of a word.
 _TAIL_MASK = np.array([(1 << (8 * r)) - 1 for r in range(9)], dtype=np.uint64)
 
@@ -61,9 +64,10 @@ _WHITESPACE_3 = [int.from_bytes(c.encode(), "big") for c in _WHITESPACE if len(c
 _FLUSH_TOKENS = 1 << 20
 # The text reader reads this many bytes, then the rest of the line.
 _TEXT_BLOCK_BYTES = 4 << 20
-# Pending per-n chunk results are merged once they outgrow both this
-# floor and the already-consolidated table, so total merge work stays
-# O(N log N) while memory stays near the distinct-n-gram count.
+# Pending raw window hashes of one order (not distinct keys) are sorted
+# and counted into the table once they outgrow both this floor and the
+# table's distinct keys, so total merge work stays O(N log N) while
+# pending memory stays within the table's size or the floor.
 _CONSOLIDATE_FLOOR = 4 << 20
 
 
@@ -102,6 +106,14 @@ def _token_keys(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np
     return _mix64((sums[word_end] - sums[first_word]) ^ lengths.astype(np.uint64))
 
 
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Indices at which sorted ``keys`` start a run of equal values."""
+    change = np.empty(len(keys), dtype=bool)
+    change[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=change[1:])
+    return np.flatnonzero(change)
+
+
 def _string_keys(tokens: list[str]) -> np.ndarray:
     """Keys of string tokens: the :func:`_token_keys` of their UTF-8 bytes.
 
@@ -123,11 +135,23 @@ def _string_keys(tokens: list[str]) -> np.ndarray:
 def _id_keys(tokens) -> np.ndarray:
     """Keys of integer tokens, in a new array the caller cannot refill.
 
-    ``uint64`` ids are keys already (the text reader's, or ids that need
-    no widening); other integers are widened through ``int64``.
+    An id's key is its value modulo 2**64, so ids must lie in
+    [-2**63, 2**64). ``uint64`` ids are keys already (the text reader's,
+    or ids that need no widening); other integer arrays are widened
+    through ``int64``. Tokens numpy puts in no integer dtype (ids past
+    ``int64`` beside negative or small ones, or non-integers) are checked
+    and keyed one at a time.
     """
     ids = np.array(tokens)
-    return ids if ids.dtype == np.uint64 else ids.astype(np.int64).astype(np.uint64)
+    if ids.dtype.kind in "iu":
+        return ids if ids.dtype == np.uint64 else ids.astype(np.int64).astype(np.uint64)
+    try:
+        values = [operator.index(t) for t in tokens]
+    except TypeError:
+        values = None
+    if values is None or not -(1 << 63) <= min(values) <= max(values) < 1 << 64:
+        raise ValueError("token ids must be integers in [-2**63, 2**64)")
+    return np.array([v & _KEY_MASK for v in values], dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -174,11 +198,11 @@ class NgramProfiler:
         self.n_max = n_max
         self._token_total = 0
         self._totals = [0] * (n_max + 1)
-        self._parts: list[list[tuple[np.ndarray, np.ndarray]]] = [
-            [] for _ in range(n_max + 1)
-        ]
-        self._pending_keys = [0] * (n_max + 1)
-        self._consolidated_keys = [0] * (n_max + 1)
+        # Per order: raw window hashes not yet counted, their total
+        # length, and the sorted (keys, counts) table of those counted.
+        self._parts: list[list[np.ndarray]] = [[] for _ in range(n_max + 1)]
+        self._pending = [0] * (n_max + 1)
+        self._tables: list[tuple[np.ndarray, np.ndarray] | None] = [None] * (n_max + 1)
         self._doc_counter = 0
         self._buf_keys: list[np.ndarray] = []
         self._buf_text: list[str] = []  # string tokens not yet keyed, after _buf_keys
@@ -257,29 +281,45 @@ class NgramProfiler:
                 if not len(hashes):
                     continue
             self._totals[n] += len(hashes)
-            uniq, counts = np.unique(hashes, return_counts=True)
-            self._parts[n].append((uniq, counts))
-            self._pending_keys[n] += len(uniq)
-            if self._pending_keys[n] > max(_CONSOLIDATE_FLOOR, self._consolidated_keys[n]):
-                self._consolidate(n)
+            self._parts[n].append(hashes)
+            self._pending[n] += len(hashes)
+            self._consolidate_if_due(n)
 
         if self.n_max > 1:
             keep = min(self.n_max - 1, length)
             self._tail_hashes = mixed[length - keep :].copy()
             self._tail_docs = docs[length - keep :].copy()
 
+    def _consolidate_if_due(self, n: int) -> None:
+        table = self._tables[n]
+        if self._pending[n] > max(_CONSOLIDATE_FLOOR, 0 if table is None else len(table[0])):
+            self._consolidate(n)
+
     def _consolidate(self, n: int) -> None:
         parts = self._parts[n]
-        if len(parts) <= 1:
+        if not parts:
             return
-        hashes = np.concatenate([p[0] for p in parts])
-        counts = np.concatenate([p[1] for p in parts])
-        uniq, inverse = np.unique(hashes, return_inverse=True)
-        # Counts fit in float64 exactly (far below 2**53).
-        merged = np.bincount(inverse, weights=counts.astype(np.float64)).astype(np.int64)
-        self._parts[n] = [(uniq, merged)]
-        self._pending_keys[n] = 0
-        self._consolidated_keys[n] = len(uniq)
+        # No caller holds a part and its order does not matter, so a lone
+        # part is sorted in place.
+        keys = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        parts.clear()
+        self._pending[n] = 0
+        keys.sort()
+        starts = _run_starts(keys)
+        self._fold(n, keys[starts], np.diff(starts, append=len(keys)))
+
+    def _fold(self, n: int, keys: np.ndarray, counts: np.ndarray) -> None:
+        """Add a key-sorted table of distinct keys to order ``n``'s table."""
+        table = self._tables[n]
+        if table is not None:
+            keys = np.concatenate([table[0], keys])
+            # Two sorted runs: the stable sort only merges them.
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            starts = _run_starts(keys)
+            counts = np.add.reduceat(np.concatenate([table[1], counts])[order], starts)
+            keys = keys[starts]
+        self._tables[n] = (keys, counts)
 
     def merge(self, other: NgramProfiler) -> None:
         """Fold another profiler's counts into this one.
@@ -300,8 +340,10 @@ class NgramProfiler:
         for n in range(1, self.n_max + 1):
             self._totals[n] += other._totals[n]
             self._parts[n].extend(other._parts[n])
-            self._pending_keys[n] += other._pending_keys[n] + other._consolidated_keys[n]
-            self._consolidate(n)
+            self._pending[n] += other._pending[n]
+            if other._tables[n] is not None:
+                self._fold(n, *other._tables[n])
+            self._consolidate_if_due(n)
 
     def counts(self, n: int) -> np.ndarray:
         """Per-key occurrence counts for order ``n``, sorted (diagnostic)."""
@@ -309,9 +351,8 @@ class NgramProfiler:
             raise ValueError(f"n must be in [1, {self.n_max}], got {n}")
         self._flush()
         self._consolidate(n)
-        if not self._parts[n]:
-            return np.empty(0, dtype=np.int64)
-        return np.sort(self._parts[n][0][1])
+        table = self._tables[n]
+        return np.empty(0, dtype=np.int64) if table is None else np.sort(table[1])
 
     def report(self) -> DiversityReport:
         self._flush()
@@ -319,8 +360,9 @@ class NgramProfiler:
         for n in range(1, self.n_max + 1):
             self._consolidate(n)
             total = self._totals[n]
-            if self._parts[n]:
-                counts = self._parts[n][0][1]
+            table = self._tables[n]
+            if table is not None:
+                counts = table[1]
                 distinct = len(counts)
                 probabilities = counts / total
                 entropy = float(-(probabilities * np.log2(probabilities)).sum())

@@ -322,6 +322,49 @@ def _object_without_repeats(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
+# The characters that move a JSON scan between states; numbers and
+# literals hold none of them.
+_JSON_STRUCTURE = re.compile(r'[{}\[\],"]')
+
+
+def _repeated_key_offset(text: str) -> int:
+    """Offset of the repeated key :func:`_object_without_repeats` rejects first.
+
+    The hook sees an object when it closes, and names the first key in
+    it that repeats an earlier one, so this scan does the same. It runs
+    on the error path only, over text that is valid JSON up to there.
+    """
+    # Per open container: an array's None, or an object's keys and the
+    # offset of its first repeated key.
+    open_containers: list[tuple[set[str], list[int]] | None] = []
+    expect_key = False
+    pos = 0
+    while match := _JSON_STRUCTURE.search(text, pos):
+        char, pos = match.group(), match.end()
+        if char == '"':
+            key, end = json.decoder.scanstring(text, pos)
+            if expect_key:
+                keys, repeats = open_containers[-1]
+                if key in keys:
+                    repeats.append(pos - 1)
+                keys.add(key)
+            expect_key = False
+            pos = end
+        elif char == "{":
+            open_containers.append((set(), []))
+            expect_key = True
+        elif char == "[":
+            open_containers.append(None)
+        elif char == ",":
+            expect_key = open_containers[-1] is not None
+        else:
+            closed = open_containers.pop()
+            if closed is not None and closed[1]:
+                return closed[1][0]
+            expect_key = False
+    raise AssertionError("no JSON object repeats a key")
+
+
 def loads_manifest(text: str) -> RunSet:
     """Parse and fully validate manifest JSON from a string."""
     try:
@@ -330,6 +373,11 @@ def loads_manifest(text: str) -> RunSet:
         raise ManifestError(
             f"manifest is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from exc
+    except ManifestError as exc:
+        # Only the repeated-key hook raises this inside json.loads.
+        at = _repeated_key_offset(text)
+        line, column = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+        raise ManifestError(f"{exc} at line {line} column {column}") from None
     if not isinstance(data, Mapping):
         raise ManifestError("manifest root must be a JSON object")
     _reject_unknown(

@@ -138,9 +138,9 @@ def aggregate_suite(scores: Sequence[TaskScore]) -> TaskScore:
     """
     if not scores:
         raise ValueError("cannot aggregate an empty score list")
-    kinds = {s.metric for s in scores}
-    if len(kinds) > 1:
-        names = sorted(k.value for k in kinds)
+    first = scores[0].metric
+    if any(s.metric is not first for s in scores):
+        names = sorted({s.metric.value for s in scores})
         raise ValueError(f"cannot aggregate mixed metric kinds: {names}")
     if len(scores) == 1:
         return scores[0]

@@ -236,6 +236,80 @@ class TestProfileCorpus:
         for n in range(1, 4):
             assert interleaved.counts(n).tolist() == as_strings.counts(n).tolist()
 
+    @pytest.mark.filterwarnings("error")
+    def test_ids_past_int64_stay_apart(self):
+        # numpy reads this list as float64, which merged the two big ids.
+        ids = [2**63 + 1, 2**63 + 3, 1]
+        report = profile_corpus([ids], 2)
+        assert report.stats(1).distinct == 3
+        assert report == profile_corpus([np.array(ids, dtype=np.uint64)], 2)
+
+    @pytest.mark.parametrize("tokens", [[2**64, 1], [-(2**63) - 1, 1], [1.5, 2], [2, 1.0]])
+    def test_ids_outside_the_key_range_rejected(self, tokens):
+        with pytest.raises(ValueError, match=r"integers in \[-2\*\*63, 2\*\*64\)"):
+            profile_corpus([tokens], 1)
+
+
+def mixed_corpus(seed):
+    """Integer-list, string-list and id-array documents, a few of them empty."""
+    rng = np.random.default_rng(seed)
+    docs = []
+    for i in range(150):
+        ids = rng.integers(0, 12, size=int(rng.integers(0, 200)))
+        docs.append([ids.tolist(), [f"t{t}" for t in ids], ids][i % 3])
+    return docs
+
+
+def profiled(docs, n_max):
+    profiler = NgramProfiler(n_max)
+    for doc in docs:
+        profiler.add_document(doc)
+    return profiler
+
+
+def results(profiler):
+    counts = [profiler.counts(n).tolist() for n in range(1, profiler.n_max + 1)]
+    return profiler.report(), counts
+
+
+class TestConsolidation:
+    # (flush tokens, consolidation floor) pairs small enough that every
+    # order consolidates while documents are still being added.
+    SMALL_CONSTANTS = [(997, 1000), (64, 50), (5, 3)]
+
+    @pytest.mark.parametrize("flush, floor", SMALL_CONSTANTS)
+    def test_mid_stream_consolidation_matches_one_table(self, monkeypatch, flush, floor):
+        docs = mixed_corpus(61)
+        expected = results(profiled(docs, 4))
+        monkeypatch.setattr(diversity, "_FLUSH_TOKENS", flush)
+        monkeypatch.setattr(diversity, "_CONSOLIDATE_FLOOR", floor)
+        profiler = profiled(docs, 4)
+        assert all(profiler._tables[n] is not None for n in range(1, 5))
+        report, counts = results(profiler)
+        assert (report, counts) == expected  # bit-identical, entropy included
+        for n in range(1, 5):
+            oracle = tuple_counts(docs, n)
+            assert report.stats(n).total == sum(oracle.values())
+            assert counts[n - 1] == sorted(oracle.values())
+
+    @pytest.mark.parametrize("flush, floor", SMALL_CONSTANTS)
+    def test_sharded_merge_with_pending_parts(self, monkeypatch, flush, floor):
+        docs = mixed_corpus(63)
+        expected = results(profiled(docs, 4))
+        monkeypatch.setattr(diversity, "_FLUSH_TOKENS", flush)
+        monkeypatch.setattr(diversity, "_CONSOLIDATE_FLOOR", floor)
+        merged, *others = [profiled(docs[50 * i : 50 * (i + 1)], 4) for i in range(3)]
+        for other in others:
+            merged._flush()
+            other._flush()
+            # Some order has raw hashes and a counted table on both sides.
+            assert any(
+                merged._parts[n] and other._parts[n] and merged._tables[n] and other._tables[n]
+                for n in range(1, 5)
+            )
+            merged.merge(other)
+        assert results(merged) == expected
+
 
 def text_keys(tokens):
     """The keys a profiler gives a list of string tokens."""

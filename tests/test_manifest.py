@@ -111,13 +111,29 @@ class TestLoadManifest:
         manifest = write_manifest(manifest_dict())
         text = manifest.read_text(encoding="utf-8")
         assert text.count(first) == 1
-        manifest.write_text(text.replace(first, repeated), encoding="utf-8")
-        message = f"manifest repeats the key {key!r} within one JSON object"
+        text = text.replace(first, repeated)
+        manifest.write_text(text, encoding="utf-8")
+        at = text.index(repeated) + repeated.rindex(f'"{key}"')
+        line, column = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+        message = (
+            f"manifest repeats the key {key!r} within one JSON object"
+            f" at line {line} column {column}"
+        )
         with pytest.raises(ManifestError) as info:
             load_manifest(manifest)
         assert str(info.value) == message
         assert main(["fit", "--manifest", str(manifest)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_repeated_key_position_follows_the_parser(self):
+        # The parser rejects the inner object first, as it closes first;
+        # the quoted comma and brace must not derail the position scan.
+        text = '{"a": [{"s": "x,{"}, {"b": 1,\n "c": {}, "b": 2}], "a": 3}'
+        with pytest.raises(ManifestError) as info:
+            loads_manifest(text)
+        assert str(info.value) == (
+            "manifest repeats the key 'b' within one JSON object at line 2 column 11"
+        )
 
     def test_bool_not_accepted_as_int(self, write_manifest):
         data = manifest_dict()
