@@ -14,10 +14,7 @@ from .costs import (
     SourceCostModel,
     SourceKind,
     annealing_curation_cost,
-    curation_cost,
     inference_flops_per_token,
-    seed_token_unit_cost,
-    seed_tokens_required,
     tinygsm_curation_cost,
     tinygsm_mind_curation_cost,
     tokens_per_step,

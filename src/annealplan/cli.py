@@ -357,11 +357,14 @@ def _cmd_diversity(args) -> int:
         documents = cli.read_binary_token_documents(args.corpus)
     profiler = cli.NgramProfiler(args.n_max)
     if args.single_stream:
-        # One unbounded stream: n-grams may span input documents.
-        profiler.add_document(token for document in documents for token in document)
-    else:
-        for document in documents:
-            profiler.add_document(document)
+        # One unbounded stream: n-grams may span input documents. Rebinding
+        # frees the per-document arrays before any are counted.
+        import numpy as np
+
+        documents = list(documents)
+        documents = [np.concatenate(documents) if documents else []]
+    for document in documents:
+        profiler.add_document(document)
     report = profiler.report()
     warnings = [
         f"no n-grams of order {row.n}; ratio 1.0 is a convention for an empty set"

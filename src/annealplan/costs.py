@@ -21,10 +21,7 @@ __all__ = [
     "SourceCostModel",
     "SourceKind",
     "annealing_curation_cost",
-    "curation_cost",
     "inference_flops_per_token",
-    "seed_token_unit_cost",
-    "seed_tokens_required",
     "tinygsm_curation_cost",
     "tinygsm_mind_curation_cost",
     "tokens_per_step",
@@ -164,7 +161,7 @@ class SourceCostModel:
 
 def training_flops(tokens: float, model: ModelSpec) -> float:
     """Training cost in FLOPs: 6 FLOPs per parameter per token."""
-    if tokens < 0:
+    if not tokens >= 0:
         raise ValueError(f"tokens must be >= 0, got {tokens}")
     return 6.0 * model.param_count * tokens
 
@@ -182,58 +179,6 @@ def tokens_per_step(geom: AnnealingGeometry) -> tuple[float, float]:
     """
     total = float(geom.batch_size * geom.sequence_length)
     return total, geom.upsample_ratio * total
-
-
-def seed_tokens_required(geom: AnnealingGeometry, total_tokens: float, expansion: float) -> float:
-    """Seed tokens needed to fill the upsampled share of a training run.
-
-    The upsampled share of ``total_tokens`` is covered by ``epochs``
-    passes over the seed tokens plus whatever was generated from them,
-    so the requirement is upsample_ratio * total / (epochs * (1 + expansion)).
-    """
-    if total_tokens < 0:
-        raise ValueError(f"total_tokens must be >= 0, got {total_tokens}")
-    if expansion < 0:
-        raise ValueError(f"expansion must be >= 0, got {expansion}")
-    return geom.upsample_ratio * total_tokens / (geom.epochs * (1.0 + expansion))
-
-
-def seed_token_unit_cost(model: SourceCostModel, seed_tokens: float) -> float:
-    """Per-token cost of obtaining seed tokens through annotation filtering.
-
-    recall * per-token annotation cost, plus the annotator's one-time
-    training cost amortized over the requested seed tokens. Synthetic and
-    rephrase sources may pay it too, for annotated seed selection; a
-    zero-cost source has no seed cost to price.
-    """
-    if model.kind is SourceKind.ZERO_COST:
-        raise ValueError("seed token cost is not defined for zero_cost sources")
-    if seed_tokens <= 0:
-        raise ValueError("no seed tokens requested")
-    return (
-        model.mbf_recall * model.annotator_per_token_flops
-        + model.annotator_training_flops / seed_tokens
-    )
-
-
-def curation_cost(model: SourceCostModel, seed_tokens: float, seed_unit_cost: float) -> float:
-    """Curation FLOPs: seed acquisition plus synthetic generation.
-
-    seed_unit_cost * m + (2 * generator params) * expansion * m, with m
-    the seed token count. Zero-cost sources cost nothing by definition.
-    """
-    if seed_tokens < 0:
-        raise ValueError(f"seed_tokens must be >= 0, got {seed_tokens}")
-    if model.kind is SourceKind.ZERO_COST:
-        return 0.0
-    generation = 0.0
-    if model.expansion_factor > 0:
-        if model.generator is None:
-            raise ValueError("source generates synthetic tokens but has no generator model")
-        generation = (
-            inference_flops_per_token(model.generator) * model.expansion_factor * seed_tokens
-        )
-    return seed_unit_cost * seed_tokens + generation
 
 
 def total_cost(
@@ -258,18 +203,33 @@ def total_cost(
 def annealing_curation_cost(
     model: SourceCostModel, geom: AnnealingGeometry, total_tokens: float
 ) -> float:
-    """Curation FLOPs of an annealing run over ``total_tokens``."""
-    if total_tokens < 0:
+    """Curation FLOPs of an annealing run over ``total_tokens``.
+
+    ``epochs`` passes over m seed tokens and the ``expansion_factor``
+    tokens generated from each fill the run's upsampled share, so
+
+        m = upsample_ratio * total_tokens / (epochs * (1 + expansion_factor))
+        unit_cost = mbf_recall * annotator_per_token_flops + annotator_training_flops / m
+        cost = unit_cost * m + inference_flops_per_token(generator) * expansion_factor * m
+
+    unit_cost, which synthetic and rephrase sources pay too for annotated
+    seed selection, is 0 when m is. Zero-cost sources cost nothing.
+    """
+    if not total_tokens >= 0:
         raise ValueError(f"total_tokens must be >= 0, got {total_tokens}")
     if model.kind is SourceKind.ZERO_COST:
         return 0.0
-    m = seed_tokens_required(geom, total_tokens, model.expansion_factor)
-    unit_cost = seed_token_unit_cost(model, m) if m > 0 else 0.0
-    return curation_cost(model, m, unit_cost)
+    m = geom.upsample_ratio * total_tokens / (geom.epochs * (1.0 + model.expansion_factor))
+    annotation = model.mbf_recall * model.annotator_per_token_flops
+    unit_cost = annotation + model.annotator_training_flops / m if m > 0 else 0.0
+    generation = 0.0
+    if model.expansion_factor > 0:
+        generation = inference_flops_per_token(model.generator) * model.expansion_factor * m
+    return unit_cost * m + generation
 
 
 def _preset_curation_cost(preset: str, steps: float, geom: AnnealingGeometry) -> float:
-    if steps < 0:
+    if not steps >= 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     return steps * tokens_per_step(geom)[1] * PRESET_FLOPS_PER_CURATED_TOKEN[preset]
 

@@ -64,6 +64,8 @@ _WHITESPACE_3 = [int.from_bytes(c.encode(), "big") for c in _WHITESPACE if len(c
 _FLUSH_TOKENS = 1 << 20
 # The text reader reads this many bytes, then the rest of the line.
 _TEXT_BLOCK_BYTES = 4 << 20
+# The binary reader reads a document in pieces of at most this many bytes.
+_BINARY_PIECE_BYTES = 16 << 20
 # Pending raw window hashes of one order (not distinct keys) are sorted
 # and counted into the table once they outgrow both this floor and the
 # table's distinct keys, so total merge work stays O(N log N) while
@@ -463,8 +465,14 @@ def read_binary_token_documents(path) -> Iterator[np.ndarray]:
                 )
             (length,) = struct.unpack("<I", header)
             offset += 4
-            payload = handle.read(4 * length)
-            if len(payload) < 4 * length:
+            # Read in bounded pieces, so a corrupt length cannot allocate
+            # more than the stream holds.
+            pieces, missing = [], 4 * length
+            while missing and (piece := handle.read(min(missing, _BINARY_PIECE_BYTES))):
+                pieces.append(piece)
+                missing -= len(piece)
+            payload = b"".join(pieces)
+            if missing:
                 raise ValueError(
                     f"document at byte offset {offset - 4} of {path} declares"
                     f" {length} tokens but the stream ends at byte {offset + len(payload)}"

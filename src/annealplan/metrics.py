@@ -106,10 +106,10 @@ def brier_score(probabilities: Sequence[float], correct_index: int) -> float:
     probs = list(probabilities)
     if not probs:
         raise ValueError("probabilities must be nonempty")
-    if any(p < 0 for p in probs):
+    if not all(p >= 0 for p in probs):
         raise ValueError(f"probabilities must be nonnegative, got {probs}")
     total = math.fsum(probs)
-    if abs(total - 1.0) > 1e-6:
+    if not abs(total - 1.0) <= 1e-6:
         raise ValueError(f"probabilities must sum to 1 within 1e-6, got {total!r}")
     if not 0 <= correct_index < len(probs):
         raise IndexError(

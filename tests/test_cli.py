@@ -3,17 +3,24 @@ import csv
 import io
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import annealplan
 from annealplan.cli import main
 from annealplan.costs import AnnealingGeometry, tokens_per_step
 
 from conftest import manifest_dict
+
+SRC = Path(annealplan.__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -26,6 +33,15 @@ def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     header, body = rows[0], rows[1:]
     return [dict(zip(header, row)) for row in body]
+
+
+def assert_matches_report(out, report):
+    for row in parse_csv(out):
+        stats = report.stats(int(row["n"]))
+        assert int(row["distinct"]) == stats.distinct
+        assert int(row["total"]) == stats.total
+        assert float(row["ratio"]) == stats.ratio
+        assert float(row["entropy_bits"]) == stats.entropy_bits
 
 
 @pytest.fixture
@@ -525,11 +541,7 @@ class TestDiversity:
         code, out, _ = run_cli(capsys, "diversity", "--corpus", str(corpus), "--n-max", "3")
         assert code == 0
         report = profile_corpus(docs, 3)
-        for row in parse_csv(out):
-            stats = report.stats(int(row["n"]))
-            assert int(row["distinct"]) == stats.distinct
-            assert int(row["total"]) == stats.total
-            assert float(row["entropy_bits"]) == stats.entropy_bits
+        assert_matches_report(out, report)
 
     def test_binary_format(self, tmp_path, capsys):
         corpus = tmp_path / "c.bin"
@@ -582,11 +594,62 @@ class TestDiversity:
         )
         assert code == 0
         report = diversity.profile_corpus([[t for d in docs for t in d]], 3)
-        for row in parse_csv(out):
-            stats = report.stats(int(row["n"]))
-            assert int(row["distinct"]) == stats.distinct
-            assert int(row["total"]) == stats.total
-            assert float(row["entropy_bits"]) == stats.entropy_bits
+        assert_matches_report(out, report)
+
+    def test_single_stream_binary_matches_library(self, tmp_path, capsys):
+        import numpy as np
+
+        from annealplan.diversity import profile_corpus
+
+        rng = np.random.default_rng(43)
+        docs = [
+            rng.integers(0, 40, size=int(rng.integers(0, 30))).tolist() for _ in range(30)
+        ]
+        corpus = tmp_path / "c.bin"
+        corpus.write_bytes(b"".join(struct.pack(f"<I{len(d)}I", len(d), *d) for d in docs))
+        code, out, _ = run_cli(
+            capsys, "diversity", "--corpus", str(corpus), "--format", "binary",
+            "--n-max", "3", "--single-stream",
+        )
+        assert code == 0
+        assert_matches_report(out, profile_corpus([[t for d in docs for t in d]], 3))
+
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    def test_single_stream_empty_corpus(self, tmp_path, capsys, fmt):
+        from annealplan.diversity import profile_corpus
+
+        corpus = tmp_path / "empty"
+        corpus.write_bytes(b"")
+        code, out, err = run_cli(
+            capsys, "diversity", "--corpus", str(corpus), "--format", fmt,
+            "--n-max", "2", "--single-stream",
+        )
+        assert code == 0
+        assert_matches_report(out, profile_corpus([[]], 2))
+        assert "convention" in err
+
+    def test_huge_length_header_fails_within_memory(self, tmp_path):
+        # A header declaring 2**32 - 1 tokens in an 8-byte file must fail
+        # on the missing bytes, not on a 16 GiB read: under a 2 GiB
+        # address-space cap the latter is an internal error (exit 2).
+        import resource
+
+        corpus = tmp_path / "c.bin"
+        corpus.write_bytes(struct.pack("<II", 0xFFFFFFFF, 0))
+        cap = 2 << 30
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "annealplan", "diversity", "--corpus", str(corpus),
+             "--format", "binary"],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert (
+            f"document at byte offset 0 of {corpus} declares 4294967295 tokens"
+            " but the stream ends at byte 8"
+        ) in proc.stderr
 
 
 class TestSimulate:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,7 @@ from annealplan.costs import (
     SourceCostModel,
     SourceKind,
     annealing_curation_cost,
-    curation_cost,
     inference_flops_per_token,
-    seed_token_unit_cost,
-    seed_tokens_required,
     tinygsm_curation_cost,
     tinygsm_mind_curation_cost,
     tokens_per_step,
@@ -37,6 +36,10 @@ class TestTrainingFlops:
     def test_negative_tokens_rejected(self):
         with pytest.raises(ValueError):
             training_flops(-1, ModelSpec(7e9))
+
+    def test_nan_tokens_rejected(self):
+        with pytest.raises(ValueError, match="tokens must be >= 0, got nan"):
+            training_flops(math.nan, ModelSpec(7e9))
 
 
 class TestInferenceFlops:
@@ -72,92 +75,117 @@ class TestTokensPerStep:
             AnnealingGeometry(256, 8192, ratio)
 
 
-class TestSeedTokensRequired:
-    def test_with_expansion(self):
-        assert seed_tokens_required(GEOM, 1e9, 3) == pytest.approx(2.5e7, rel=1e-12)
+# Half of every batch is upsampled, so the seed count m is exact.
+HALF = AnnealingGeometry(batch_size=1, sequence_length=1, upsample_ratio=0.5)
+# A recall-1, 1-FLOP annotator prices each seed token at exactly 1.
+UNIT_ANNOTATOR = {"annotator_per_token_flops": 1.0}
 
-    def test_without_expansion(self):
-        assert seed_tokens_required(GEOM, 1e9, 0) == pytest.approx(1e8, rel=1e-12)
+
+class TestAnnealingCurationCost:
+    @pytest.mark.parametrize(
+        "model,geom,total_tokens,expected",
+        [
+            pytest.param(
+                SourceCostModel(kind=SourceKind.MBF, **UNIT_ANNOTATOR), HALF, 2e9, 1e9,
+                id="seed-count-without-expansion",
+            ),
+            # m = 0.5 * 8e9 / (1 + 3) = 1e9 seed tokens, each with 3
+            # generated tokens at 1 FLOP: 1e9 + 3e9.
+            pytest.param(
+                SourceCostModel(
+                    kind=SourceKind.SYNTHETIC, expansion_factor=3, generator=ModelSpec(0.5),
+                    **UNIT_ANNOTATOR,
+                ),
+                HALF, 8e9, 4e9,
+                id="seed-count-with-expansion",
+            ),
+            # Four epochs over m = 0.5 * 8e9 / (4 * 2) seed tokens and their
+            # copies: m * (1 + 1) = 1e9, an eighth of the tokens.
+            pytest.param(
+                SourceCostModel(
+                    kind=SourceKind.REPHRASE, expansion_factor=1, generator=ModelSpec(0.5),
+                    **UNIT_ANNOTATOR,
+                ),
+                AnnealingGeometry(1, 1, 0.5, epochs=4.0), 8e9, 1e9,
+                id="epochs-divide-seed-count",
+            ),
+            pytest.param(
+                SourceCostModel(kind=SourceKind.MBF, mbf_recall=22, annotator_per_token_flops=2e8),
+                HALF, 2e9, 4.4e18,
+                id="recall-times-annotator",
+            ),
+            pytest.param(
+                SourceCostModel(kind=SourceKind.MBF, annotator_training_flops=1e12),
+                HALF, 2e6, 1e12,
+                id="amortized-training",
+            ),
+            # 2**20 training FLOPs over m = 2**60 seed tokens add 2**-40 per
+            # token, below half an ulp of 4.4e9.
+            pytest.param(
+                SourceCostModel(
+                    kind=SourceKind.MBF, mbf_recall=22, annotator_per_token_flops=2e8,
+                    annotator_training_flops=2.0**20,
+                ),
+                HALF, 2.0**61, 4.4e9 * 2.0**60,
+                id="amortization-vanishes-at-scale",
+            ),
+            # No expansion: the generator only marks the source a rephrase;
+            # m = 1e6 seed tokens at 4 * 1e8 + 1e12 / 1e6 FLOPs each.
+            pytest.param(
+                SourceCostModel(
+                    kind=SourceKind.REPHRASE, generator=ModelSpec(3e9), mbf_recall=4,
+                    annotator_per_token_flops=1e8, annotator_training_flops=1e12,
+                ),
+                HALF, 2e6, (4e8 + 1e6) * 1e6,
+                id="rephrase-seed-selection",
+            ),
+            pytest.param(
+                SourceCostModel(
+                    kind=SourceKind.SYNTHETIC, expansion_factor=1, generator=ModelSpec(7e9)
+                ),
+                HALF, 4e9, 1.4e19,
+                id="pure-generation",
+            ),
+            pytest.param(
+                SourceCostModel(kind=SourceKind.ZERO_COST), HALF, 2e9, 0.0, id="zero-cost-source",
+            ),
+            pytest.param(
+                SourceCostModel(
+                    kind=SourceKind.SYNTHETIC, expansion_factor=2, generator=ModelSpec(7e9),
+                    annotator_training_flops=1e12,
+                ),
+                HALF, 0.0, 0.0,
+                id="zero-tokens",
+            ),
+        ],
+    )
+    def test_exact_price(self, model, geom, total_tokens, expected):
+        assert annealing_curation_cost(model, geom, total_tokens) == expected
 
     def test_round_trip_identity(self):
+        # With a recall-1, 1-FLOP annotator and a generator at 1 FLOP per
+        # token, a run costs one FLOP per seed or generated token, and
+        # epochs passes over them fill the upsampled share.
         rng = np.random.default_rng(11)
         for _ in range(50):
             total = float(rng.uniform(1e6, 1e12))
-            k = float(rng.uniform(0, 10))
+            model = SourceCostModel(
+                kind=SourceKind.SYNTHETIC, expansion_factor=float(rng.uniform(0, 10)),
+                generator=ModelSpec(0.5), **UNIT_ANNOTATOR,
+            )
             e = float(rng.uniform(1, 4))
             geom = AnnealingGeometry(256, 8192, float(rng.uniform(0.01, 0.5)), epochs=e)
-            m = seed_tokens_required(geom, total, k)
-            assert e * m * (1 + k) == pytest.approx(geom.upsample_ratio * total, rel=1e-12)
+            cost = annealing_curation_cost(model, geom, total)
+            assert e * cost == pytest.approx(geom.upsample_ratio * total, rel=1e-12)
 
-
-class TestSeedTokenUnitCost:
-    def test_recall_times_annotator(self):
+    def test_power_of_two_linearity(self):
         model = SourceCostModel(
-            kind=SourceKind.MBF, mbf_recall=22, annotator_per_token_flops=2e8
+            kind=SourceKind.REPHRASE, expansion_factor=2, generator=ModelSpec(3e9),
+            mbf_recall=22, annotator_per_token_flops=2e8,
         )
-        assert seed_token_unit_cost(model, 12345.0) == 4.4e9
-
-    def test_amortized_training_only(self):
-        model = SourceCostModel(
-            kind=SourceKind.MBF, mbf_recall=1, annotator_training_flops=1e12
-        )
-        assert seed_token_unit_cost(model, 1e6) == 1e6
-
-    def test_amortization_vanishes_at_scale(self):
-        model = SourceCostModel(
-            kind=SourceKind.MBF,
-            mbf_recall=22,
-            annotator_per_token_flops=2e8,
-            annotator_training_flops=1e15,
-        )
-        assert seed_token_unit_cost(model, 1e18) == pytest.approx(4.4e9, rel=1e-6)
-
-    def test_zero_seed_tokens(self):
-        model = SourceCostModel(kind=SourceKind.MBF, mbf_recall=22)
-        with pytest.raises(ValueError, match="no seed tokens"):
-            seed_token_unit_cost(model, 0)
-
-    def test_rephrase_pays_for_seed_selection(self):
-        model = SourceCostModel(
-            kind=SourceKind.REPHRASE,
-            generator=ModelSpec(3e9),
-            mbf_recall=4,
-            annotator_per_token_flops=1e8,
-            annotator_training_flops=1e12,
-        )
-        assert seed_token_unit_cost(model, 1e6) == 4e8 + 1e6
-
-    def test_wrong_kind(self):
-        model = SourceCostModel(kind=SourceKind.ZERO_COST)
-        with pytest.raises(ValueError):
-            seed_token_unit_cost(model, 1e6)
-
-
-class TestCurationCost:
-    def test_pure_generation(self):
-        model = SourceCostModel(
-            kind=SourceKind.SYNTHETIC, expansion_factor=1, generator=ModelSpec(7e9)
-        )
-        assert curation_cost(model, 1e9, 0.0) == 1.4e19
-
-    def test_zero_cost_source(self):
-        assert curation_cost(SourceCostModel(kind=SourceKind.ZERO_COST), 1e9, 0.0) == 0.0
-
-    def test_pure_filtering(self):
-        model = SourceCostModel(kind=SourceKind.MBF, mbf_recall=22)
-        assert curation_cost(model, 1e9, 4.4e9) == 4.4e18
-
-    def test_generator_required_at_construction(self):
-        with pytest.raises(ValueError, match="generator"):
-            SourceCostModel(kind=SourceKind.SYNTHETIC, expansion_factor=1)
-
-    def test_scale_linearity(self):
-        model = SourceCostModel(
-            kind=SourceKind.REPHRASE, expansion_factor=2, generator=ModelSpec(3e9)
-        )
-        base = curation_cost(model, 1e8, 4.4e9)
+        base = annealing_curation_cost(model, GEOM, 3e9)
         for lam in (0.5, 2.0, 8.0):  # powers of two scale exactly
-            assert curation_cost(model, lam * 1e8, 4.4e9) == lam * base
+            assert annealing_curation_cost(model, GEOM, lam * 3e9) == lam * base
 
 
 class TestTotalCost:
@@ -213,6 +241,14 @@ class TestTotalCost:
         with pytest.raises(ValueError, match="total_tokens must be >= 0"):
             annealing_curation_cost(self.ZERO, GEOM, -1.0)
 
+    @pytest.mark.parametrize("basis", list(CostBasis))
+    def test_nan_tokens_rejected(self, basis):
+        model = SourceCostModel(kind=SourceKind.MBF, mbf_recall=22, annotator_per_token_flops=2e8)
+        with pytest.raises(ValueError, match="total_tokens must be >= 0, got nan"):
+            annealing_curation_cost(model, GEOM, math.nan)
+        with pytest.raises(ValueError, match="total_tokens must be >= 0, got nan"):
+            total_cost(model, GEOM, math.nan, ModelSpec(7e9), basis)
+
 
 class TestTinygsmCosts:
     def test_full_dataset_cost(self):
@@ -228,6 +264,11 @@ class TestTinygsmCosts:
     def test_negative_steps_rejected(self, preset):
         with pytest.raises(ValueError, match="steps must be >= 0"):
             preset(-1, GEOM)
+
+    @pytest.mark.parametrize("preset", [tinygsm_curation_cost, tinygsm_mind_curation_cost])
+    def test_nan_steps_rejected(self, preset):
+        with pytest.raises(ValueError, match="steps must be >= 0, got nan"):
+            preset(math.nan, GEOM)
 
     def test_zero_steps(self):
         assert tinygsm_curation_cost(0, GEOM) == 0.0
@@ -261,6 +302,14 @@ class TestSourceCostModelValidation:
     def test_mbf_recall_bound(self):
         with pytest.raises(ValueError, match="mbf_recall"):
             SourceCostModel(kind=SourceKind.MBF, mbf_recall=0.5)
+
+    def test_synthetic_needs_generator(self):
+        with pytest.raises(ValueError, match="generator"):
+            SourceCostModel(kind=SourceKind.SYNTHETIC, expansion_factor=1)
+
+    def test_expansion_needs_generator(self):
+        with pytest.raises(ValueError, match="expansion_factor > 0 requires a generator"):
+            SourceCostModel(kind=SourceKind.MBF, expansion_factor=1)
 
     def test_rephrase_needs_generator(self):
         with pytest.raises(ValueError, match="generator"):

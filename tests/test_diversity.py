@@ -437,6 +437,21 @@ class TestReaders:
         with pytest.raises(ValueError, match="byte offset 0"):
             list(read_binary_token_documents(path))
 
+    def test_binary_reads_documents_in_pieces(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(diversity, "_BINARY_PIECE_BYTES", 12)
+        path = tmp_path / "corpus.bin"
+        docs = [list(range(10)), [], [7], list(range(100, 110))]
+        path.write_bytes(
+            b"".join(struct.pack(f"<I{len(d)}I", len(d), *d) for d in docs)
+        )
+        assert [d.tolist() for d in read_binary_token_documents(path)] == docs
+        # Cut two tokens off the last document, whose 32 remaining bytes
+        # take three pieces: the error names the byte where the stream ends.
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="byte offset 56 .* declares 10 tokens but the"
+                           " stream ends at byte 92"):
+            list(read_binary_token_documents(path))
+
     def test_binary_truncated_header(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(struct.pack("<I", 1) + struct.pack("<I", 5) + b"\x01\x02")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,11 @@ class TestBrierScore:
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             brier_score([1.1, -0.1], 0)
+
+    @pytest.mark.parametrize("probs", [[math.nan], [math.nan, 0.5]])
+    def test_nan_rejected(self, probs):
+        with pytest.raises(ValueError, match="nonnegative"):
+            brier_score(probs, 0)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
