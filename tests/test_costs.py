@@ -110,11 +110,6 @@ class TestAnnealingCurationCost:
                 id="epochs-divide-seed-count",
             ),
             pytest.param(
-                SourceCostModel(kind=SourceKind.MBF, mbf_recall=22, annotator_per_token_flops=2e8),
-                HALF, 2e9, 4.4e18,
-                id="recall-times-annotator",
-            ),
-            pytest.param(
                 SourceCostModel(kind=SourceKind.MBF, annotator_training_flops=1e12),
                 HALF, 2e6, 1e12,
                 id="amortized-training",
@@ -145,9 +140,6 @@ class TestAnnealingCurationCost:
                 ),
                 HALF, 4e9, 1.4e19,
                 id="pure-generation",
-            ),
-            pytest.param(
-                SourceCostModel(kind=SourceKind.ZERO_COST), HALF, 2e9, 0.0, id="zero-cost-source",
             ),
             pytest.param(
                 SourceCostModel(
@@ -186,6 +178,30 @@ class TestAnnealingCurationCost:
         base = annealing_curation_cost(model, GEOM, 3e9)
         for lam in (0.5, 2.0, 8.0):  # powers of two scale exactly
             assert annealing_curation_cost(model, GEOM, lam * 3e9) == lam * base
+
+
+# The per-seed-token price and the whole-run price of a filtering source,
+# both read off annealing_curation_cost.
+FILTER = SourceCostModel(kind=SourceKind.MBF, mbf_recall=22, annotator_per_token_flops=2e8)
+
+
+class TestSeedTokenUnitCost:
+    def test_recall_times_annotator(self):
+        # Two tokens half upsampled hold one seed token: the run costs its unit price.
+        assert annealing_curation_cost(FILTER, HALF, 2.0) == 4.4e9
+
+    def test_wrong_kind(self):
+        # A zero-cost source cannot carry a seed-token price.
+        with pytest.raises(ValueError, match="zero_cost"):
+            SourceCostModel(kind=SourceKind.ZERO_COST, annotator_training_flops=1e12)
+
+
+class TestCurationCost:
+    def test_zero_cost_source(self):
+        assert annealing_curation_cost(SourceCostModel(kind=SourceKind.ZERO_COST), HALF, 2e9) == 0.0
+
+    def test_pure_filtering(self):
+        assert annealing_curation_cost(FILTER, HALF, 2e9) == 4.4e18
 
 
 class TestTotalCost:
