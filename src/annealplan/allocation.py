@@ -34,6 +34,10 @@ EXCLUDED_NON_POSITIVE_SLOPE = "non-positive slope"
 # The oracle enumerates every composition of the budget grid; beyond a
 # handful of sources that blows up combinatorially.
 MAX_ORACLE_SOURCES = 4
+# _compositions builds a dense grid of (resolution - k + 1) ** (k - 1)
+# cells for k included sources. At this cap an oracle call peaks near
+# 1 GB, so larger grids are refused before any of it is allocated.
+MAX_ORACLE_GRID_CELLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -210,6 +214,12 @@ def allocate_grid_oracle(
         raise ValueError(
             f"resolution {resolution} cannot give {len(included)} sources"
             " a positive assignment each"
+        )
+    cells = (resolution - len(included) + 1) ** (len(included) - 1)
+    if cells > MAX_ORACLE_GRID_CELLS:
+        raise ValueError(
+            f"oracle resolution {resolution} over {len(included)} positive-slope sources"
+            f" needs a grid of {cells} cells; at most {MAX_ORACLE_GRID_CELLS} are allowed"
         )
     import numpy as np  # the oracle is numpy's only user here, so load it on first call
 

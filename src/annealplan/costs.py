@@ -145,8 +145,8 @@ class SourceCostModel:
             raise ValueError(f"{self.kind.value} source requires a generator model")
         if self.expansion_factor > 0 and self.generator is None:
             raise ValueError("expansion_factor > 0 requires a generator model")
-        if self.kind is SourceKind.MBF and not self.mbf_recall >= 1.0:
-            raise ValueError(f"mbf source requires mbf_recall >= 1, got {self.mbf_recall}")
+        if not self.mbf_recall >= 1.0:
+            raise ValueError(f"mbf_recall must be >= 1, got {self.mbf_recall}")
         if self.kind is SourceKind.ZERO_COST:
             if (
                 self.expansion_factor != 0.0

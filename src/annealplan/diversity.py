@@ -8,12 +8,12 @@ exact; hash collisions (expected well under one per billions of
 distinct n-grams) would merge two n-grams' counts and are accepted.
 Tokens are whatever the caller supplies: integers, or strings. A string
 is keyed by a 64-bit hash of its UTF-8 bytes, computed in numpy for a
-whole batch at once, so profilers fed disjoint shards share keys and
-merge exactly. The text reader splits lines on Python's whitespace
-(``str.split()``, Unicode separators included) and yields those keys,
-one ``uint64`` array per line, without building a ``str`` per token.
-N-grams never span document boundaries; feed a whole corpus as one
-document to get a single unbounded stream.
+whole batch at once, so a ``str`` token and the text reader's key for
+the same bytes count as one token. The text reader splits lines on
+Python's whitespace (``str.split()``, Unicode separators included) and
+yields those keys, one ``uint64`` array per line, without building a
+``str`` per token. N-grams never span document boundaries; feed a whole
+corpus as one document to get a single unbounded stream.
 
 Shannon entropy is computed in bits from the exact count table. The
 reported value is clamped to its mathematical bound log2(distinct) so
@@ -119,9 +119,9 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
 def _string_keys(tokens: list[str]) -> np.ndarray:
     """Keys of string tokens: the :func:`_token_keys` of their UTF-8 bytes.
 
-    Strings are keyed by their bytes, not by an interning order, so
-    profilers fed disjoint document shards count the same n-grams under
-    the same keys and can be merged.
+    Strings are keyed by their bytes, not by an interning order, so a
+    string and the key :func:`read_text_token_documents` yields for the
+    same bytes are one token, whichever way a document is fed.
     """
     joined = "".join(tokens)
     data = np.frombuffer(joined.encode(), dtype=np.uint8)
@@ -198,12 +198,9 @@ class NgramProfiler:
         if n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {n_max}")
         self.n_max = n_max
-        self._token_total = 0
-        self._totals = [0] * (n_max + 1)
-        # Per order: raw window hashes not yet counted, their total
-        # length, and the sorted (keys, counts) table of those counted.
+        # Per order: raw window hashes not yet counted, and the sorted
+        # (keys, counts) table of those counted.
         self._parts: list[list[np.ndarray]] = [[] for _ in range(n_max + 1)]
-        self._pending = [0] * (n_max + 1)
         self._tables: list[tuple[np.ndarray, np.ndarray] | None] = [None] * (n_max + 1)
         self._doc_counter = 0
         self._buf_keys: list[np.ndarray] = []
@@ -238,7 +235,6 @@ class NgramProfiler:
         size = len(tokens)
         self._buf_segments.append((doc_id, size))
         self._buf_len += size
-        self._token_total += size
         if self._buf_len >= _FLUSH_TOKENS:
             self._flush()
 
@@ -282,9 +278,7 @@ class NgramProfiler:
                 hashes = hashes[valid]
                 if not len(hashes):
                     continue
-            self._totals[n] += len(hashes)
             self._parts[n].append(hashes)
-            self._pending[n] += len(hashes)
             self._consolidate_if_due(n)
 
         if self.n_max > 1:
@@ -294,10 +288,12 @@ class NgramProfiler:
 
     def _consolidate_if_due(self, n: int) -> None:
         table = self._tables[n]
-        if self._pending[n] > max(_CONSOLIDATE_FLOOR, 0 if table is None else len(table[0])):
+        pending = sum(map(len, self._parts[n]))
+        if pending > max(_CONSOLIDATE_FLOOR, 0 if table is None else len(table[0])):
             self._consolidate(n)
 
     def _consolidate(self, n: int) -> None:
+        """Sort and count order ``n``'s pending hashes into its table."""
         parts = self._parts[n]
         if not parts:
             return
@@ -305,13 +301,9 @@ class NgramProfiler:
         # part is sorted in place.
         keys = parts[0] if len(parts) == 1 else np.concatenate(parts)
         parts.clear()
-        self._pending[n] = 0
         keys.sort()
         starts = _run_starts(keys)
-        self._fold(n, keys[starts], np.diff(starts, append=len(keys)))
-
-    def _fold(self, n: int, keys: np.ndarray, counts: np.ndarray) -> None:
-        """Add a key-sorted table of distinct keys to order ``n``'s table."""
+        keys, counts = keys[starts], np.diff(starts, append=len(keys))
         table = self._tables[n]
         if table is not None:
             keys = np.concatenate([table[0], keys])
@@ -322,30 +314,6 @@ class NgramProfiler:
             counts = np.add.reduceat(np.concatenate([table[1], counts])[order], starts)
             keys = keys[starts]
         self._tables[n] = (keys, counts)
-
-    def merge(self, other: NgramProfiler) -> None:
-        """Fold another profiler's counts into this one.
-
-        Supports sharding a corpus by document across workers: each
-        worker profiles its share, and the merged result is identical
-        to profiling everything in one instance. Both profilers must
-        have flushed complete documents only (which :meth:`add_document`
-        guarantees) and share ``n_max``.
-        """
-        if other.n_max != self.n_max:
-            raise ValueError(
-                f"cannot merge profilers with n_max {other.n_max} into {self.n_max}"
-            )
-        self._flush()
-        other._flush()
-        self._token_total += other._token_total
-        for n in range(1, self.n_max + 1):
-            self._totals[n] += other._totals[n]
-            self._parts[n].extend(other._parts[n])
-            self._pending[n] += other._pending[n]
-            if other._tables[n] is not None:
-                self._fold(n, *other._tables[n])
-            self._consolidate_if_due(n)
 
     def counts(self, n: int) -> np.ndarray:
         """Per-key occurrence counts for order ``n``, sorted (diagnostic)."""
@@ -361,10 +329,10 @@ class NgramProfiler:
         rows = []
         for n in range(1, self.n_max + 1):
             self._consolidate(n)
-            total = self._totals[n]
             table = self._tables[n]
             if table is not None:
                 counts = table[1]
+                total = int(counts.sum())
                 distinct = len(counts)
                 probabilities = counts / total
                 entropy = float(-(probabilities * np.log2(probabilities)).sum())
@@ -372,7 +340,7 @@ class NgramProfiler:
                 ratio = distinct / total
                 empty = False
             else:
-                distinct, entropy, ratio, empty = 0, 0.0, 1.0, True
+                total, distinct, entropy, ratio, empty = 0, 0, 0.0, 1.0, True
             rows.append(
                 NgramStats(
                     n=n,
@@ -383,7 +351,8 @@ class NgramProfiler:
                     empty=empty,
                 )
             )
-        return DiversityReport(token_total=self._token_total, per_n=tuple(rows))
+        # Every token is exactly one unigram.
+        return DiversityReport(token_total=rows[0].total, per_n=tuple(rows))
 
 
 def profile_corpus(documents: Iterable[Iterable], n_max: int) -> DiversityReport:

@@ -176,23 +176,21 @@ def _parse_geometry(obj, where: str) -> AnnealingGeometry:
         raise ManifestError(f"{where}: {exc}") from exc
 
 
+# A source's float fields, each passed to SourceCostModel under its own name.
+_SOURCE_NUMBERS = (
+    "expansion_factor",
+    "annotator_per_token_flops",
+    "annotator_training_flops",
+    "mbf_recall",
+)
+
+
 def _parse_source(source_id: str, obj) -> SourceCostModel:
     _check_writable(source_id, "sources key")
     where = f"sources[{source_id!r}]"
     if not isinstance(obj, Mapping):
         raise ManifestError(f"{where} must be an object")
-    _reject_unknown(
-        obj,
-        [
-            "kind",
-            "expansion_factor",
-            "generator_params",
-            "annotator_per_token_flops",
-            "annotator_training_flops",
-            "mbf_recall",
-        ],
-        where,
-    )
+    _reject_unknown(obj, ["kind", "generator_params", *_SOURCE_NUMBERS], where)
     kind_name = _get_str(obj, "kind", where)
     try:
         kind = SourceKind(kind_name)
@@ -206,15 +204,7 @@ def _parse_source(source_id: str, obj) -> SourceCostModel:
             generator = ModelSpec(param_count)
         except ValueError as exc:
             raise ManifestError(f"{where}.generator_params: {exc}") from exc
-    kwargs = {}
-    for json_key, attr in [
-        ("expansion_factor", "expansion_factor"),
-        ("annotator_per_token_flops", "annotator_per_token_flops"),
-        ("annotator_training_flops", "annotator_training_flops"),
-        ("mbf_recall", "mbf_recall"),
-    ]:
-        if json_key in obj:
-            kwargs[attr] = _get_float(obj, json_key, where)
+    kwargs = {key: _get_float(obj, key, where) for key in _SOURCE_NUMBERS if key in obj}
     try:
         return SourceCostModel(kind=kind, generator=generator, **kwargs)
     except ValueError as exc:

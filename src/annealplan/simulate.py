@@ -147,57 +147,35 @@ def generate_manifest(scenario: Scenario) -> bytes:
     import numpy as np  # only the RNG needs it; loaded here, not at import
 
     rng = np.random.default_rng(scenario.rng_seed)
-    metric_name = _METRIC.value
     runs = []
+
+    def add_run(source_id: str, seed: int, steps: int, raw: float, metadata: dict) -> None:
+        value, clamp_note = _clamp_score(raw)
+        if clamp_note:
+            metadata["clamp_warning"] = clamp_note
+        score = {
+            "task_id": _SIM_TASK,
+            "metric": _METRIC.value,
+            "value": value,
+            "n_examples": _SIM_N_EXAMPLES,
+        }
+        runs.append(
+            {"source_id": source_id, "seed": seed, "steps": steps, "scores": [score],
+             "metadata": metadata}
+        )
 
     for steps in scenario.steps_grid:
         for seed in (0, 1):
             noise = float(rng.normal(0.0, scenario.baseline_noise_sigma))
-            value, clamp_note = _clamp_score(scenario.baseline_score + noise)
-            metadata = {"start_lr": "1.515e-04"}
-            if clamp_note:
-                metadata["clamp_warning"] = clamp_note
-            runs.append(
-                {
-                    "source_id": _BASELINE_ID,
-                    "seed": seed,
-                    "steps": steps,
-                    "scores": [
-                        {
-                            "task_id": _SIM_TASK,
-                            "metric": metric_name,
-                            "value": value,
-                            "n_examples": _SIM_N_EXAMPLES,
-                        }
-                    ],
-                    "metadata": metadata,
-                }
-            )
+            add_run(_BASELINE_ID, seed, steps, scenario.baseline_score + noise,
+                    {"start_lr": "1.515e-04"})
 
     for source in scenario.sources:
         for steps in scenario.steps_grid:
             delta = scenario.true_delta(source, steps) + float(rng.normal(0.0, source.noise_sigma))
             # Brier is lower-is-better, so an improvement lowers the score.
-            value, clamp_note = _clamp_score(scenario.baseline_score - delta)
-            metadata = {"start_lr": "1.515e-04", "generation_basis": _GENERATION_BASIS.value}
-            if clamp_note:
-                metadata["clamp_warning"] = clamp_note
-            runs.append(
-                {
-                    "source_id": source.source_id,
-                    "seed": 0,
-                    "steps": steps,
-                    "scores": [
-                        {
-                            "task_id": _SIM_TASK,
-                            "metric": metric_name,
-                            "value": value,
-                            "n_examples": _SIM_N_EXAMPLES,
-                        }
-                    ],
-                    "metadata": metadata,
-                }
-            )
+            add_run(source.source_id, 0, steps, scenario.baseline_score - delta,
+                    {"start_lr": "1.515e-04", "generation_basis": _GENERATION_BASIS.value})
 
     manifest = {
         "baseline_id": _BASELINE_ID,

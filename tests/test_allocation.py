@@ -183,6 +183,15 @@ class TestGridOracle:
         with pytest.raises(ValueError, match="at most"):
             allocate_grid_oracle(fits, 1.0, resolution=10)
 
+    @pytest.mark.parametrize("resolution", [260, 10**6])
+    def test_grid_cell_cap(self, resolution):
+        # 197**3 cells at the CLI's default resolution of 200 pass; 257**3 do not.
+        fits = [make_fit(0.0, 1.0, f"s{i}") for i in range(4)]
+        cells = (resolution - 3) ** 3
+        message = f"^oracle resolution {resolution} over 4 positive-slope sources needs a grid of"
+        with pytest.raises(ValueError, match=f"{message} {cells} cells;"):
+            allocate_grid_oracle(fits, 1.0, resolution=resolution)
+
     def test_resolution_floor(self):
         with pytest.raises(ValueError, match="resolution"):
             allocate_grid_oracle([make_fit(0.0, 1.0, "a")], 1.0, resolution=1)

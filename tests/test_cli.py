@@ -29,6 +29,20 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_within_2_gib(*argv):
+    """Run the CLI in a subprocess whose address space is capped at 2 GiB."""
+    import resource
+
+    cap = 2 << 30
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "annealplan", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+
+
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     header, body = rows[0], rows[1:]
@@ -283,6 +297,28 @@ class TestAllocate:
         summary = [r for r in rows if r["record"] == "summary"][0]
         assert float(summary["oracle_gap"]) <= 0.0
 
+    @pytest.mark.parametrize("resolution", [1000, 10**6])
+    def test_oversized_oracle_grid_fails_within_memory(self, tmp_path, resolution):
+        # Four improving sources at resolution 1000 need a dense grid of
+        # 11 GiB; it must be refused before numpy allocates any of it.
+        from annealplan.costs import SourceCostModel, SourceKind
+        from annealplan.simulate import GroundTruthSource, Scenario, generate_manifest
+
+        zero = SourceCostModel(kind=SourceKind.ZERO_COST)
+        scenario = Scenario(
+            sources=tuple(GroundTruthSource(f"s{i}", 0.0, 0.001 * (i + 1), zero) for i in range(4))
+        )
+        manifest = tmp_path / "four.json"
+        manifest.write_bytes(generate_manifest(scenario))
+        proc = run_within_2_gib(
+            "allocate", "--manifest", str(manifest), "--basis", "total", "--c-max", "1e21",
+            "--with-oracle", "--oracle-resolution", str(resolution),
+        )
+        assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+        assert proc.stderr.startswith(
+            f"error: oracle resolution {resolution} over 4 positive-slope sources needs a grid of"
+        )
+
 
 class TestAllocateFallback:
     def test_all_negative_slopes_warn_and_concentrate(self, tmp_path, capsys):
@@ -370,6 +406,15 @@ class TestCost:
         assert code == 1
         assert out == ""
         assert f"{field} must be finite" in err
+
+    def test_rephrase_mbf_recall_below_one_rejected(self, capsys):
+        # A recall below 1 would price curation below zero.
+        code, out, err = run_cli(
+            capsys, "cost", "--kind", "rephrase", "--mbf-recall", "-5",
+            "--annotator-per-token-flops", "1e8", "--generator-params", "1e9", "--tokens", "1e9",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: mbf_recall must be >= 1, got -5.0\n"
 
     @pytest.mark.parametrize("basis", [[], ["--basis", "total", "--training-params", "7e9"]])
     def test_negative_preset_tokens_rejected(self, capsys, basis):
@@ -632,19 +677,9 @@ class TestDiversity:
         # A header declaring 2**32 - 1 tokens in an 8-byte file must fail
         # on the missing bytes, not on a 16 GiB read: under a 2 GiB
         # address-space cap the latter is an internal error (exit 2).
-        import resource
-
         corpus = tmp_path / "c.bin"
         corpus.write_bytes(struct.pack("<II", 0xFFFFFFFF, 0))
-        cap = 2 << 30
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "annealplan", "diversity", "--corpus", str(corpus),
-             "--format", "binary"],
-            env=env, capture_output=True, text=True, timeout=120,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
-        )
+        proc = run_within_2_gib("diversity", "--corpus", str(corpus), "--format", "binary")
         assert proc.returncode == 1, proc.stderr
         assert (
             f"document at byte offset 0 of {corpus} declares 4294967295 tokens"

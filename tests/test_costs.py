@@ -319,6 +319,14 @@ class TestSourceCostModelValidation:
         with pytest.raises(ValueError, match="mbf_recall"):
             SourceCostModel(kind=SourceKind.MBF, mbf_recall=0.5)
 
+    @pytest.mark.parametrize("kind", list(SourceKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("recall", [0.5, -5.0, math.nan])
+    def test_mbf_recall_bound_for_every_kind(self, kind, recall):
+        # A recall below 1 would price a non-mbf source's curation lower.
+        generator = None if kind in (SourceKind.MBF, SourceKind.ZERO_COST) else ModelSpec(1e9)
+        with pytest.raises(ValueError, match=r"^mbf_recall must be >= 1, got "):
+            SourceCostModel(kind=kind, generator=generator, mbf_recall=recall)
+
     def test_synthetic_needs_generator(self):
         with pytest.raises(ValueError, match="generator"):
             SourceCostModel(kind=SourceKind.SYNTHETIC, expansion_factor=1)

@@ -165,31 +165,6 @@ class TestProfileCorpus:
         skewed = profile_corpus([["a", "a", "a", "b", "c"]], 1).stats(1)
         assert skewed.entropy_bits < math.log2(3) - 1e-3
 
-    def test_sharded_merge_matches_single_pass(self):
-        rng = np.random.default_rng(55)
-        docs = [
-            [f"tok{t}" for t in rng.integers(0, 40, size=int(rng.integers(10, 400)))]
-            for _ in range(30)
-        ]
-        whole = NgramProfiler(3)
-        for doc in docs:
-            whole.add_document(doc)
-        shards = [NgramProfiler(3) for _ in range(3)]
-        for i, doc in enumerate(docs):
-            shards[i % 3].add_document(doc)
-        merged = shards[0]
-        merged.merge(shards[1])
-        merged.merge(shards[2])
-        expected = whole.report()
-        got = merged.report()
-        assert got == expected  # bit-identical, entropy included
-        for n in range(1, 4):
-            assert merged.counts(n).tolist() == whole.counts(n).tolist()
-
-    def test_merge_rejects_mismatched_orders(self):
-        with pytest.raises(ValueError, match="n_max"):
-            NgramProfiler(2).merge(NgramProfiler(3))
-
     def test_chunk_boundary_continuity(self):
         # One document big enough to span several internal flushes must
         # count windows crossing flush boundaries exactly once.
@@ -287,28 +262,11 @@ class TestConsolidation:
         assert all(profiler._tables[n] is not None for n in range(1, 5))
         report, counts = results(profiler)
         assert (report, counts) == expected  # bit-identical, entropy included
+        assert report.token_total == sum(map(len, docs))
         for n in range(1, 5):
             oracle = tuple_counts(docs, n)
             assert report.stats(n).total == sum(oracle.values())
             assert counts[n - 1] == sorted(oracle.values())
-
-    @pytest.mark.parametrize("flush, floor", SMALL_CONSTANTS)
-    def test_sharded_merge_with_pending_parts(self, monkeypatch, flush, floor):
-        docs = mixed_corpus(63)
-        expected = results(profiled(docs, 4))
-        monkeypatch.setattr(diversity, "_FLUSH_TOKENS", flush)
-        monkeypatch.setattr(diversity, "_CONSOLIDATE_FLOOR", floor)
-        merged, *others = [profiled(docs[50 * i : 50 * (i + 1)], 4) for i in range(3)]
-        for other in others:
-            merged._flush()
-            other._flush()
-            # Some order has raw hashes and a counted table on both sides.
-            assert any(
-                merged._parts[n] and other._parts[n] and merged._tables[n] and other._tables[n]
-                for n in range(1, 5)
-            )
-            merged.merge(other)
-        assert results(merged) == expected
 
 
 def text_keys(tokens):
@@ -399,27 +357,25 @@ class TestReaders:
         with pytest.raises(ValueError, match=f"byte offset {offset} of"):
             list(read_text_token_documents(path))
 
-    def test_reader_fed_shard_merges_with_list_fed_shard(self, tmp_path):
+    def test_reader_documents_and_string_documents_share_keys(self, tmp_path):
         rng = np.random.default_rng(23)
         docs = [
             [f"tok{t}" for t in rng.integers(0, 30, size=int(rng.integers(0, 50)))]
             for _ in range(40)
         ]
-        path = tmp_path / "shard.txt"
+        path = tmp_path / "half.txt"
         path.write_text("\n".join(" ".join(d) for d in docs[:20]) + "\n", encoding="utf-8")
-        from_file = NgramProfiler(3)
+        mixed = NgramProfiler(3)
         for doc in read_text_token_documents(path):
-            from_file.add_document(doc)
-        from_lists = NgramProfiler(3)
+            mixed.add_document(doc)
         for doc in docs[20:]:
-            from_lists.add_document(doc)
-        from_file.merge(from_lists)
+            mixed.add_document(doc)
         whole = NgramProfiler(3)
         for doc in docs:
             whole.add_document(doc)
-        assert from_file.report() == whole.report()
+        assert mixed.report() == whole.report()
         for n in range(1, 4):
-            assert from_file.counts(n).tolist() == whole.counts(n).tolist()
+            assert mixed.counts(n).tolist() == whole.counts(n).tolist()
 
     def test_binary_round_trip(self, tmp_path):
         path = tmp_path / "corpus.bin"

@@ -233,6 +233,23 @@ class TestLoadManifest:
         assert main(["fit", "--manifest", str(manifest)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_mbf_recall_below_one_names_source(self, write_manifest, capsys):
+        # A negative recall would lower the price of every point of a rephrase source.
+        data = manifest_dict()
+        data["sources"]["med_filter"] = {
+            "kind": "rephrase",
+            "generator_params": 3_000_000_000,
+            "mbf_recall": -1.0,
+            "annotator_per_token_flops": 2e8,
+        }
+        manifest = write_manifest(data)
+        message = "sources['med_filter']: mbf_recall must be >= 1, got -1.0"
+        with pytest.raises(ManifestError) as info:
+            load_manifest(manifest)
+        assert str(info.value) == message
+        assert main(["fit", "--manifest", str(manifest)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_tokens_per_step_beyond_float_range(self, write_manifest, capsys):
         # Each factor fits a float; their product does not.
         data = manifest_dict()
