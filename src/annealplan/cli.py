@@ -19,6 +19,7 @@ from pathlib import Path
 from .allocation import allocate_grid_oracle, allocate_proportional
 from .costs import (
     PRESET_FLOPS_PER_CURATED_TOKEN,
+    SOURCE_FLOAT_FIELDS,
     AnnealingGeometry,
     CostBasis,
     ModelSpec,
@@ -256,16 +257,11 @@ def _geometry_from_args(args) -> AnnealingGeometry:
     )
 
 
-# Flags that describe a generic source, so a --preset leaves them no meaning.
-_SOURCE_FLAGS = (
-    "--kind",
-    "--zero-cost",
-    "--expansion-factor",
-    "--generator-params",
-    "--annotator-per-token-flops",
-    "--annotator-training-flops",
-    "--mbf-recall",
-)
+# Flags that describe a generic source, so a --preset leaves them no meaning;
+# after --kind and --zero-cost, SourceCostModel's other fields in field order.
+_SOURCE_FLAGS = tuple("--" + name.replace("_", "-") for name in (
+    "kind", "zero_cost", SOURCE_FLOAT_FIELDS[0], "generator_params", *SOURCE_FLOAT_FIELDS[1:]
+))
 
 
 def _model_from_flag(flag: str, param_count: float) -> ModelSpec:
@@ -309,17 +305,12 @@ def _cmd_cost(args) -> int:
         if kind in (SourceKind.SYNTHETIC, SourceKind.REPHRASE) and generator is None:
             raise _UsageError(f"--kind {kind.value} requires --generator-params")
         # Flags left out take SourceCostModel's defaults.
-        fields = {
-            name: value
-            for name in [
-                "expansion_factor", "annotator_per_token_flops", "annotator_training_flops",
-                "mbf_recall",
-            ]
-            if (value := getattr(args, name)) is not None
+        floats = {
+            name: value for name in SOURCE_FLOAT_FIELDS if (value := getattr(args, name)) is not None
         }
-        if fields.get("expansion_factor", 0.0) > 0 and generator is None:
+        if floats.get("expansion_factor", 0.0) > 0 and generator is None:
             raise _UsageError("--expansion-factor > 0 requires --generator-params")
-        source = SourceCostModel(kind=kind, generator=generator, **fields)
+        source = SourceCostModel(kind=kind, generator=generator, **floats)
         total_tokens = args.tokens if args.steps is None else args.steps * total_per_step
         curation = annealing_curation_cost(source, geom, total_tokens)
 
@@ -443,11 +434,8 @@ def _build_parser() -> _Parser:
     # None marks a source flag as not given (see _SOURCE_FLAGS).
     p_cost.add_argument("--zero-cost", action="store_true", default=None,
                         help="shorthand for --kind zero_cost")
-    p_cost.add_argument("--expansion-factor", type=float, default=None)
-    p_cost.add_argument("--generator-params", type=float, default=None)
-    p_cost.add_argument("--annotator-per-token-flops", type=float, default=None)
-    p_cost.add_argument("--annotator-training-flops", type=float, default=None)
-    p_cost.add_argument("--mbf-recall", type=float, default=None)
+    for flag in _SOURCE_FLAGS[2:]:
+        p_cost.add_argument(flag, type=float, default=None)
     p_cost.add_argument(
         "--steps", type=float, default=None, help="annealing steps to price"
     )

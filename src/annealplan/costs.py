@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 __all__ = [
     "PRESET_FLOPS_PER_CURATED_TOKEN",
+    "SOURCE_FLOAT_FIELDS",
     "AnnealingGeometry",
     "CostBasis",
     "ModelSpec",
@@ -113,6 +114,13 @@ class AnnealingGeometry:
         _require_finite(self, "epochs")
 
 
+# SourceCostModel's float fields, in field order: the names a manifest
+# source and the ``cost`` command's flags give them.
+SOURCE_FLOAT_FIELDS = (
+    "expansion_factor", "annotator_per_token_flops", "annotator_training_flops", "mbf_recall",
+)
+
+
 @dataclass(frozen=True)
 class SourceCostModel:
     """Curation cost parameters of one data source.
@@ -155,8 +163,7 @@ class SourceCostModel:
                 or self.annotator_training_flops != 0.0
             ):
                 raise ValueError("zero_cost source must have all cost fields zero")
-        _require_finite(self, "expansion_factor", "annotator_per_token_flops",
-                        "annotator_training_flops", "mbf_recall")
+        _require_finite(self, *SOURCE_FLOAT_FIELDS)
 
 
 def training_flops(tokens: float, model: ModelSpec) -> float:

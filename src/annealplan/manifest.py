@@ -24,6 +24,7 @@ from fnmatch import fnmatchcase
 from pathlib import Path
 
 from .costs import (
+    SOURCE_FLOAT_FIELDS,
     AnnealingGeometry,
     CostBasis,
     ModelSpec,
@@ -176,21 +177,12 @@ def _parse_geometry(obj, where: str) -> AnnealingGeometry:
         raise ManifestError(f"{where}: {exc}") from exc
 
 
-# A source's float fields, each passed to SourceCostModel under its own name.
-_SOURCE_NUMBERS = (
-    "expansion_factor",
-    "annotator_per_token_flops",
-    "annotator_training_flops",
-    "mbf_recall",
-)
-
-
 def _parse_source(source_id: str, obj) -> SourceCostModel:
     _check_writable(source_id, "sources key")
     where = f"sources[{source_id!r}]"
     if not isinstance(obj, Mapping):
         raise ManifestError(f"{where} must be an object")
-    _reject_unknown(obj, ["kind", "generator_params", *_SOURCE_NUMBERS], where)
+    _reject_unknown(obj, ["kind", "generator_params", *SOURCE_FLOAT_FIELDS], where)
     kind_name = _get_str(obj, "kind", where)
     try:
         kind = SourceKind(kind_name)
@@ -204,7 +196,7 @@ def _parse_source(source_id: str, obj) -> SourceCostModel:
             generator = ModelSpec(param_count)
         except ValueError as exc:
             raise ManifestError(f"{where}.generator_params: {exc}") from exc
-    kwargs = {key: _get_float(obj, key, where) for key in _SOURCE_NUMBERS if key in obj}
+    kwargs = {key: _get_float(obj, key, where) for key in SOURCE_FLOAT_FIELDS if key in obj}
     try:
         return SourceCostModel(kind=kind, generator=generator, **kwargs)
     except ValueError as exc:

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .costs import (
+    SOURCE_FLOAT_FIELDS,
     AnnealingGeometry,
     CostBasis,
     ModelSpec,
@@ -114,16 +115,11 @@ class Scenario:
 
 def _source_to_json(model: SourceCostModel) -> dict:
     obj: dict = {"kind": model.kind.value}
-    if model.expansion_factor:
-        obj["expansion_factor"] = model.expansion_factor
     if model.generator is not None:
         obj["generator_params"] = int(model.generator.param_count)
-    if model.annotator_per_token_flops:
-        obj["annotator_per_token_flops"] = model.annotator_per_token_flops
-    if model.annotator_training_flops:
-        obj["annotator_training_flops"] = model.annotator_training_flops
-    if model.mbf_recall != 1.0:
-        obj["mbf_recall"] = model.mbf_recall
+    for name in SOURCE_FLOAT_FIELDS:  # written where they differ from the class defaults
+        if (value := getattr(model, name)) != getattr(SourceCostModel, name):
+            obj[name] = value
     return obj
 
 
