@@ -152,7 +152,12 @@ def _cmd_fit(args) -> int:
     # partial output, and the CSV stays the source of truth either way.
     if args.svg:
         Path(args.svg).write_text(render_fit_svg(points, fits), encoding="utf-8", newline="")
-    _emit(text, args.out)
+    try:
+        _emit(text, args.out)
+    except BaseException:
+        if args.svg:  # an SVG without its CSV would be partial output
+            Path(args.svg).unlink(missing_ok=True)
+        raise
     _warn(warnings)
     return 0
 
@@ -305,9 +310,7 @@ def _cmd_cost(args) -> int:
         if kind in (SourceKind.SYNTHETIC, SourceKind.REPHRASE) and generator is None:
             raise _UsageError(f"--kind {kind.value} requires --generator-params")
         # Flags left out take SourceCostModel's defaults.
-        floats = {
-            name: value for name in SOURCE_FLOAT_FIELDS if (value := getattr(args, name)) is not None
-        }
+        floats = {n: v for n in SOURCE_FLOAT_FIELDS if (v := getattr(args, n)) is not None}
         if floats.get("expansion_factor", 0.0) > 0 and generator is None:
             raise _UsageError("--expansion-factor > 0 requires --generator-params")
         source = SourceCostModel(kind=kind, generator=generator, **floats)

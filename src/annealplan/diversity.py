@@ -227,6 +227,8 @@ class NgramProfiler:
 
     def _buffer(self, doc_id: int, tokens) -> None:
         if isinstance(tokens[0], str):
+            if not all(isinstance(token, str) for token in tokens):
+                raise ValueError("a document that starts with a str token must hold only str")
             # Keyed in one numpy pass per flush, not one per document.
             self._buf_text.extend(tokens)
         else:

@@ -87,11 +87,12 @@ class RankedSource:
 
 
 def _check_points(points: Sequence[UtilityPoint], drop_smallest: int) -> list[UtilityPoint]:
-    if len(points) < 2:
-        raise ValueError(f"need at least 2 points to fit, got {len(points)}")
     source_ids = {p.source_id for p in points}
     if len(source_ids) > 1:
         raise ValueError(f"points mix sources: {sorted(source_ids)}")
+    where = f"source {points[0].source_id!r}: " if points else ""
+    if len(points) < 2:
+        raise ValueError(f"{where}need at least 2 points to fit, got {len(points)}")
     bases = {p.basis for p in points}
     if len(bases) > 1:
         raise ValueError("points mix cost bases")
@@ -106,10 +107,11 @@ def _check_points(points: Sequence[UtilityPoint], drop_smallest: int) -> list[Ut
         points = sorted(points, key=lambda p: p.compute)[drop_smallest:]
         if len(points) < 2:
             raise ValueError(
-                f"dropping {drop_smallest} smallest-compute points leaves fewer than 2"
+                f"{where}dropping {drop_smallest} smallest-compute points leaves fewer than 2"
             )
-    if len({p.compute for p in points}) < 2:
-        raise ValueError("degenerate design: all points share one compute value")
+    # Distinct computes can share one ln, the fit's x, and leave it no spread.
+    if len({math.log(p.compute) for p in points}) < 2:
+        raise ValueError(f"{where}degenerate design: all points share one ln(compute)")
     return list(points)
 
 

@@ -15,8 +15,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import annealplan
+from annealplan import cli
 from annealplan.cli import main
-from annealplan.costs import AnnealingGeometry, tokens_per_step
+from annealplan.costs import (
+    SOURCE_FLOAT_FIELDS,
+    AnnealingGeometry,
+    ModelSpec,
+    SourceCostModel,
+    SourceKind,
+    tokens_per_step,
+)
+from annealplan.manifest import loads_manifest
+from annealplan.simulate import _source_to_json, generate_manifest, scenario_rank_flip
 
 from conftest import manifest_dict
 
@@ -164,6 +174,16 @@ class TestFit:
         assert f"sources key {source_id!r}" in err
         assert not out_svg.exists()
 
+    def test_unwritable_out_removes_svg(self, sim_manifest, tmp_path, capsys):
+        out_svg = tmp_path / "fits.svg"
+        code, out, err = run_cli(
+            capsys, "fit", "--manifest", str(sim_manifest), "--svg", str(out_svg),
+            "--out", str(tmp_path / "missing" / "fits.csv"),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        assert not out_svg.exists()
+
 
 class TestRank:
     def test_flip_across_budgets(self, sim_manifest, capsys):
@@ -301,8 +321,7 @@ class TestAllocate:
     def test_oversized_oracle_grid_fails_within_memory(self, tmp_path, resolution):
         # Four improving sources at resolution 1000 need a dense grid of
         # 11 GiB; it must be refused before numpy allocates any of it.
-        from annealplan.costs import SourceCostModel, SourceKind
-        from annealplan.simulate import GroundTruthSource, Scenario, generate_manifest
+        from annealplan.simulate import GroundTruthSource, Scenario
 
         zero = SourceCostModel(kind=SourceKind.ZERO_COST)
         scenario = Scenario(
@@ -322,8 +341,7 @@ class TestAllocate:
 
 class TestAllocateFallback:
     def test_all_negative_slopes_warn_and_concentrate(self, tmp_path, capsys):
-        from annealplan.costs import SourceCostModel, SourceKind
-        from annealplan.simulate import GroundTruthSource, Scenario, generate_manifest
+        from annealplan.simulate import GroundTruthSource, Scenario
 
         zero = SourceCostModel(kind=SourceKind.ZERO_COST)
         scenario = Scenario(
@@ -462,6 +480,7 @@ class TestCost:
             ("--zero-cost", "--zero-cost"),
             ("--expansion-factor 0", "--expansion-factor"),
             ("--mbf-recall 1 --generator-params 3e9", "--generator-params"),
+            ("--generator-params 3e9 --expansion-factor 2", "--expansion-factor"),
             ("--annotator-per-token-flops 2e8", "--annotator-per-token-flops"),
             ("--annotator-training-flops 0", "--annotator-training-flops"),
             ("--mbf-recall 1", "--mbf-recall"),
@@ -545,6 +564,28 @@ def test_preset_steps_and_tokens_price_alike(
     by_steps = _cost_row("--preset", preset, "--steps", repr(steps), *geometry)
     by_tokens = _cost_row("--preset", preset, "--tokens", repr(steps * upsampled), *geometry)
     assert by_steps[3] == by_tokens[3]  # curation_flops
+
+
+def test_source_fields_reach_manifest_and_cost_flags_alike(monkeypatch, capsys):
+    # Every float field off its default, so none can be dropped unseen.
+    source = SourceCostModel(
+        kind=SourceKind.REPHRASE, expansion_factor=1.5, generator=ModelSpec(3e9),
+        annotator_per_token_flops=2e8, annotator_training_flops=1e18, mbf_recall=4.0,
+    )
+    assert all(getattr(source, n) != getattr(SourceCostModel, n) for n in SOURCE_FLOAT_FIELDS)
+
+    data = manifest_dict()
+    data["sources"]["med_filter"] = _source_to_json(source)
+    assert set(data["sources"]["med_filter"]) == {"kind", "generator_params", *SOURCE_FLOAT_FIELDS}
+    assert loads_manifest(json.dumps(data)).sources["med_filter"] == source
+
+    priced = []  # the sources the cost command prices
+    monkeypatch.setattr(cli, "annealing_curation_cost", lambda model, *_: priced.append(model) or 0)
+    flags = [f"--{n.replace('_', '-')}={getattr(source, n)!r}" for n in SOURCE_FLOAT_FIELDS]
+    code, _, err = run_cli(capsys, "cost", "--kind", "rephrase", "--generator-params", "3e9",
+                           *flags, "--steps", "10")
+    assert code == 0, err
+    assert priced == [source]
 
 
 class TestDiversity:
@@ -768,7 +809,17 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "fit", "--manifest", str(path))
         assert code == 1
         assert out == ""
-        assert "at least 2" in err and err.count("\n") == 1
+        assert err == "error: source 'med_filter': need at least 2 points to fit, got 1\n"
+
+    def test_distinct_computes_sharing_one_ln_fail_cleanly(self, write_manifest, capsys):
+        # 10**16 and 10**16 + 2 steps price to distinct computes with one ln.
+        data = json.loads(generate_manifest(scenario_rank_flip(0)))
+        steps = {1000: 10**16, 2000: 10**16 + 2}
+        data["runs"] = [dict(r, steps=steps[r["steps"]]) for r in data["runs"]
+                        if r["steps"] in steps]
+        code, out, err = run_cli(capsys, "fit", "--manifest", str(write_manifest(data)))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: source '") and "degenerate design" in err
 
     def test_unknown_command(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")

@@ -224,6 +224,15 @@ class TestProfileCorpus:
         with pytest.raises(ValueError, match=r"integers in \[-2\*\*63, 2\*\*64\)"):
             profile_corpus([tokens], 1)
 
+    @pytest.mark.parametrize("bad", [["a", 1], ("a", b"b"), iter(["a", None])])
+    def test_str_document_with_other_token_rejected_cleanly(self, bad):
+        profiler = NgramProfiler(2)
+        profiler.add_document(["x", "y"])
+        with pytest.raises(ValueError, match="only str"):
+            profiler.add_document(bad)
+        profiler.add_document([3, 4])
+        assert profiler.report() == profile_corpus([["x", "y"], [3, 4]], 2)
+
 
 def mixed_corpus(seed):
     """Integer-list, string-list and id-array documents, a few of them empty."""

@@ -393,7 +393,7 @@ GOLDEN = {
     "fit seeds curation-only metric-sign":
         "2136e6eb41ec1e8aaa45cefe24529c5452fc1c47d4f42ce9e95d78bcd7b0021b",
     "fit seeds drop3":
-        "937ae488e522dc95e22f5d275414ac83f0f365d2df810a8f65a6052b6c8d9a03",
+        "e64e1a58d1817c5910787df03064a9dd9293944d5db85c4d4308b33007bf72fe",
     "fit seeds one task":
         "4ecff8329aebda9087bdf8d5277bf229d0dbc3e5cfb7bb3c7eadc3756e234929",
     "fit seeds total":

@@ -7,11 +7,14 @@ number, an out-of-range score, a task suite that no longer matches the
 baseline's, an integer literal beyond the float range in a number, one
 score switched to another metric kind, a task id repeated within a run,
 a geometry whose tokens per step fit a float but whose runs price
-beyond it, or a JSON object that repeats one of its keys. The library
-must then raise ``ManifestError`` or return points whose compute and
-delta are all finite, and ``annealplan fit`` must exit 1 with the
-library's message, or exit 0 printing only finite numbers. The last
-eight kinds are never valid, so they must raise.
+beyond it, a JSON object that repeats one of its keys, or one source's
+step counts moved to two adjacent huge integers (distinct computes that
+may share one ln). The library must then raise ``ManifestError`` or
+return points whose compute and delta are all finite; fitting those
+points must raise ``ValueError`` or give finite fits. ``annealplan fit``
+must exit 1 with the library's message, or exit 0 printing only finite
+numbers. The eight kinds in ``ALWAYS_INVALID`` are never valid, so they
+must raise.
 
 A run's scores are checked in one pass, with the per-field checks of
 ``_parse_score`` kept to build error messages. On score lists mixing
@@ -42,6 +45,7 @@ from annealplan.manifest import (
     build_utility_points,
     loads_manifest,
 )
+from annealplan.scaling import fit_by_source
 
 from conftest import manifest_dict
 
@@ -112,7 +116,7 @@ SCORE_OUT_OF_RANGE = st.one_of(
 def mutated_manifests(draw) -> tuple[str, str]:
     """(mutation kind, manifest JSON text)."""
     data = copy.deepcopy(BASE)
-    kind = draw(st.sampled_from(["missing", "wrong type", *ALWAYS_INVALID]))
+    kind = draw(st.sampled_from(["missing", "wrong type", "huge steps", *ALWAYS_INVALID]))
     if kind == "missing":
         path, key = draw(st.sampled_from(PATHS))
         del _resolve(data, path)[key]
@@ -146,6 +150,17 @@ def mutated_manifests(draw) -> tuple[str, str]:
         # at any positive rate are not.
         data["geometry"]["batch_size"] = 10 ** draw(st.integers(300, 307))
         data["geometry"]["sequence_length"] = 1
+    elif kind == "huge steps":
+        # Baseline runs are copied to the new step counts, so only the
+        # moved source can fail to fit.
+        source = draw(st.sampled_from(sorted(s for s in data["sources"] if s != "full_replay")))
+        low = draw(st.integers(2**53, 2**62))
+        steps = {1000: low, 2000: low + draw(st.integers(1, 8))}
+        for run in list(data["runs"]):
+            if run["source_id"] == "full_replay":
+                data["runs"].append(dict(copy.deepcopy(run), steps=steps[run["steps"]]))
+            elif run["source_id"] == source:
+                run["steps"] = steps[run["steps"]]
     elif kind == "duplicate key":
         # A dict cannot hold a key twice: write a copy of the entry under
         # a placeholder key and rename it in the text.
@@ -211,21 +226,28 @@ def test_mutation_fails_cleanly_or_gives_finite_points(manifest_path, mutation, 
     except ManifestError as exc:
         error = exc
     else:
-        error = None
         assert kind not in ALWAYS_INVALID
         for point in points:
             assert math.isfinite(point.compute), point
             assert math.isfinite(point.delta.value), point
+        # Valid points may still fail to fit (one point per source, one ln
+        # of compute), but only with ValueError.
+        try:
+            fits = fit_by_source(points)
+        except ValueError as exc:
+            error = exc
+        else:
+            error = None
+            for fit in fits:
+                assert all(map(math.isfinite, (fit.intercept, fit.slope, fit.rmse))), fit
 
     manifest_path.write_text(text, encoding="utf-8")
     code, out, err = _run_fit(manifest_path, basis)
     if error is not None:
         assert (code, out, err) == (1, "", f"error: {error}\n")
     else:
-        # Valid points may still fail to fit (one point per source), but
-        # only with exit 1, and a success prints finite numbers only.
-        assert code in (0, 1), err
-        assert code == 1 or _csv_numbers_finite(out)
+        assert code == 0, err
+        assert _csv_numbers_finite(out)
 
 
 # Replacements for one field of a valid score entry that fail, or pass

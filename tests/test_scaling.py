@@ -58,6 +58,28 @@ class TestFitLogLinear:
         with pytest.raises(ValueError, match="degenerate"):
             fit_log_linear(pts)
 
+    def test_distinct_computes_sharing_one_ln_rejected(self):
+        # Adjacent floats are distinct computes with one ln: no spread to fit.
+        c = 1e20
+        pts = [point(c, 0.1, steps=1), point(math.nextafter(c, math.inf), 0.2, steps=2)]
+        assert math.log(pts[0].compute) == math.log(pts[1].compute)
+        with pytest.raises(ValueError, match=r"^source 's': degenerate design"):
+            fit_log_linear(pts)
+
+    @pytest.mark.parametrize(
+        "computes, drop, message",
+        [
+            ([1e20], 0, "need at least 2 points to fit, got 1"),
+            ([1e19, 1e20, 1e21], 2, "dropping 2 smallest-compute points leaves fewer than 2"),
+            ([1e20, 1e20], 0, "degenerate design: all points share one ln(compute)"),
+        ],
+    )
+    def test_fit_errors_name_the_source(self, computes, drop, message):
+        pts = [point(c, 0.1, source="filt", steps=i + 1) for i, c in enumerate(computes)]
+        with pytest.raises(ValueError) as excinfo:
+            fit_by_source(pts, drop_smallest=drop)
+        assert str(excinfo.value) == f"source 'filt': {message}"
+
     def test_nonpositive_compute_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             fit_log_linear([point(0.0, 0.1, steps=1), point(1e20, 0.2, steps=2)])
