@@ -58,20 +58,15 @@ class TestFitLogLinear:
         with pytest.raises(ValueError, match="degenerate"):
             fit_log_linear(pts)
 
-    def test_distinct_computes_sharing_one_ln_rejected(self):
-        # Adjacent floats are distinct computes with one ln: no spread to fit.
-        c = 1e20
-        pts = [point(c, 0.1, steps=1), point(math.nextafter(c, math.inf), 0.2, steps=2)]
-        assert math.log(pts[0].compute) == math.log(pts[1].compute)
-        with pytest.raises(ValueError, match=r"^source 's': degenerate design"):
-            fit_log_linear(pts)
-
     @pytest.mark.parametrize(
         "computes, drop, message",
         [
             ([1e20], 0, "need at least 2 points to fit, got 1"),
             ([1e19, 1e20, 1e21], 2, "dropping 2 smallest-compute points leaves fewer than 2"),
             ([1e20, 1e20], 0, "degenerate design: all points share one ln(compute)"),
+            # Adjacent floats: distinct computes with one ln leave no spread to fit.
+            ([1e20, math.nextafter(1e20, math.inf)], 0,
+             "degenerate design: all points share one ln(compute)"),
         ],
     )
     def test_fit_errors_name_the_source(self, computes, drop, message):
