@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .scaling import ScalingFit, predict
@@ -142,7 +141,6 @@ def allocate_proportional(fits: Sequence[ScalingFit], c_max: float) -> Allocatio
     )
 
 
-@lru_cache(maxsize=8)
 def _compositions(n_parts: int, total: int) -> np.ndarray:
     """All length-``n_parts`` nonnegative integer tuples summing to ``total``.
 

@@ -26,7 +26,6 @@ import operator
 import struct
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -135,18 +134,20 @@ def _string_keys(tokens: list[str]) -> np.ndarray:
 
 
 def _id_keys(tokens) -> np.ndarray:
-    """Keys of integer tokens, in a new array the caller cannot refill.
+    """Keys of integer tokens, or an integer array that casts to them.
 
     An id's key is its value modulo 2**64, so ids must lie in
-    [-2**63, 2**64). ``uint64`` ids are keys already (the text reader's,
-    or ids that need no widening); other integer arrays are widened
-    through ``int64``. Tokens numpy puts in no integer dtype (ids past
-    ``int64`` beside negative or small ones, or non-integers) are checked
-    and keyed one at a time.
+    [-2**63, 2**64). An integer array, the caller's own included, is
+    returned uncopied: casting it to ``uint64`` wraps each id to its key.
+    The profiler copies a document whole into its flush buffer, or counts
+    it at once, so the caller may refill the array for the next document.
+    Tokens numpy puts in no integer dtype (ids past ``int64`` beside
+    negative or small ones, or non-integers) are checked and keyed one at
+    a time.
     """
-    ids = np.array(tokens)
+    ids = np.asarray(tokens)
     if ids.dtype.kind in "iu":
-        return ids if ids.dtype == np.uint64 else ids.astype(np.int64).astype(np.uint64)
+        return ids
     try:
         values = [operator.index(t) for t in tokens]
     except TypeError:
@@ -190,8 +191,9 @@ class NgramProfiler:
 
     Feed documents one at a time with :meth:`add_document`; each call is
     a boundary that n-grams do not cross. Documents of any size are
-    fine: tokens are buffered and processed in large batches, so many
-    tiny documents cost no more than one big one.
+    fine: short ones are buffered whole, in any order, and counted in
+    large batches, so many tiny documents cost no more than one big one;
+    a document longer than a batch is counted at once.
     """
 
     def __init__(self, n_max: int):
@@ -202,91 +204,82 @@ class NgramProfiler:
         # (keys, counts) table of those counted.
         self._parts: list[list[np.ndarray]] = [[] for _ in range(n_max + 1)]
         self._tables: list[tuple[np.ndarray, np.ndarray] | None] = [None] * (n_max + 1)
-        self._doc_counter = 0
-        self._buf_keys: list[np.ndarray] = []
-        self._buf_text: list[str] = []  # string tokens not yet keyed, after _buf_keys
-        self._buf_segments: list[tuple[int, int]] = []  # (doc id, token count)
-        self._buf_len = 0
-        self._tail_hashes = np.empty(0, dtype=np.uint64)
-        self._tail_docs = np.empty(0, dtype=np.int64)
+        # Buffered documents: integer keys fill _keys from the front and
+        # string tokens wait in _text, keyed into _keys after them at a flush.
+        self._keys = np.empty(_FLUSH_TOKENS, dtype=np.uint64)
+        self._filled = 0
+        self._lengths: list[int] = []
+        self._text: list[str] = []
+        self._text_lengths: list[int] = []
 
     def add_document(self, tokens: Iterable) -> None:
-        """Count all n-grams of one document; boundaries are implicit."""
-        doc_id = self._doc_counter
-        self._doc_counter += 1
-        if isinstance(tokens, (list, tuple, np.ndarray)):
-            size = len(tokens)
-            # Slicing copies a list, so only documents longer than a flush are cut.
-            for start in range(0, size, _FLUSH_TOKENS):
-                chunk = tokens if size <= _FLUSH_TOKENS else tokens[start : start + _FLUSH_TOKENS]
-                self._buffer(doc_id, chunk)
-            return
-        iterator = iter(tokens)
-        while chunk := list(islice(iterator, _FLUSH_TOKENS)):
-            self._buffer(doc_id, chunk)
+        """Count all n-grams of one document; boundaries are implicit.
 
-    def _buffer(self, doc_id: int, tokens) -> None:
-        if isinstance(tokens[0], str):
-            if not all(isinstance(token, str) for token in tokens):
-                raise ValueError("a document that starts with a str token must hold only str")
-            # Keyed in one numpy pass per flush, not one per document.
-            self._buf_text.extend(tokens)
-        else:
-            self._key_text()
-            self._buf_keys.append(_id_keys(tokens))
+        The whole document is checked first, so a rejected one leaves no count.
+        """
+        if not isinstance(tokens, (list, tuple, np.ndarray)):
+            tokens = list(tokens)
         size = len(tokens)
-        self._buf_segments.append((doc_id, size))
-        self._buf_len += size
-        if self._buf_len >= _FLUSH_TOKENS:
+        if not size:
+            return
+        is_text = isinstance(tokens[0], str)
+        if is_text and not all(isinstance(token, str) for token in tokens):
+            raise ValueError("a document that starts with a str token must hold only str")
+        capacity = len(self._keys)
+        if size > capacity:
+            keys = _string_keys(tokens) if is_text else _id_keys(tokens)
+            # Each slice carries the n_max - 1 keys after its first `capacity`,
+            # so every window starting in those ends inside it; _count counts
+            # only those, and the next slice counts the rest.
+            for start in range(0, size, capacity):
+                piece = keys[start : start + capacity + self.n_max - 1]
+                self._count(piece, [len(piece)])
+            return
+        if self._filled + len(self._text) + size > capacity:
             self._flush()
-
-    def _key_text(self) -> None:
-        if self._buf_text:
-            self._buf_keys.append(_string_keys(self._buf_text))
-            self._buf_text.clear()
+        if is_text:
+            # Keyed in one numpy pass per flush, not one per document.
+            self._text.extend(tokens)
+            self._text_lengths.append(size)
+        else:
+            self._keys[self._filled : self._filled + size] = _id_keys(tokens)
+            self._filled += size
+            self._lengths.append(size)
 
     def _flush(self) -> None:
-        if not self._buf_len:
+        end = self._filled + len(self._text)
+        if not end:
             return
-        self._key_text()
-        mixed = _mix64(np.concatenate(self._buf_keys))
-        seg_docs = np.array([d for d, _ in self._buf_segments], dtype=np.int64)
-        seg_lens = np.array([c for _, c in self._buf_segments], dtype=np.int64)
-        docs = np.repeat(seg_docs, seg_lens)
-        self._buf_keys.clear()
-        self._buf_segments.clear()
-        self._buf_len = 0
+        if self._text:
+            self._keys[self._filled : end] = _string_keys(self._text)
+        self._count(self._keys[:end], self._lengths + self._text_lengths)
+        self._filled = 0
+        self._lengths.clear()
+        self._text.clear()
+        self._text_lengths.clear()
 
-        tail_len = len(self._tail_hashes)
-        if tail_len:
-            mixed = np.concatenate([self._tail_hashes, mixed])
-            docs = np.concatenate([self._tail_docs, docs])
-        length = len(mixed)
+    def _count(self, keys: np.ndarray, lengths: list[int]) -> None:
+        """Count the windows of whole documents of ``lengths`` keys, laid end to end.
 
+        Only windows starting in the first ``_FLUSH_TOKENS`` keys count.
+        """
+        mixed = _mix64(keys)
+        docs = np.repeat(np.arange(len(lengths)), lengths)
         for n in range(1, self.n_max + 1):
-            # Windows fully inside the carried tail were counted by the
-            # previous flush; keep only those ending in the new region,
-            # and only those that stay within one document.
-            start = max(0, tail_len - n + 1)
-            width = (length - n + 1) - start
+            width = min(len(keys) - n + 1, len(self._keys))
             if width <= 0:
-                continue
+                break
             hashes = np.zeros(width, dtype=np.uint64)
             for j in range(n):
                 hashes *= _WINDOW_MULTIPLIER
-                hashes += mixed[start + j : start + j + width]
+                hashes += mixed[j : j + width]
             if n > 1:
-                valid = docs[start : start + width] == docs[start + n - 1 : start + n - 1 + width]
-                hashes = hashes[valid]
+                # Keep the windows that stay within one document.
+                hashes = hashes[docs[:width] == docs[n - 1 : n - 1 + width]]
                 if not len(hashes):
                     continue
             self._parts[n].append(hashes)
             self._consolidate_if_due(n)
-
-        if self.n_max > 1:
-            keep = min(self.n_max - 1, length)
-            self._tail_hashes = mixed[length - keep :].copy()
-            self._tail_docs = docs[length - keep :].copy()
 
     def _consolidate_if_due(self, n: int) -> None:
         table = self._tables[n]

@@ -29,6 +29,11 @@ __all__ = [
 
 # Two predictions within this relative tolerance are reported as tied.
 TIE_RTOL = 1e-12
+# Each ln(compute), the fit's x, is rounded to about 1e-16 of its size.
+# Points whose ln values spread less than this share of the largest
+# |ln(compute)| (or of 1) would fit a slope that rounding alone moves by
+# over 1e-7 of its value, so they count as sharing one ln(compute).
+_LN_SPREAD_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -109,8 +114,9 @@ def _check_points(points: Sequence[UtilityPoint], drop_smallest: int) -> list[Ut
             raise ValueError(
                 f"{where}dropping {drop_smallest} smallest-compute points leaves fewer than 2"
             )
-    # Distinct computes can share one ln, the fit's x, and leave it no spread.
-    if len({math.log(p.compute) for p in points}) < 2:
+    # Distinct computes can share one ln, or nearly, and leave no spread.
+    ln_computes = [math.log(p.compute) for p in points]
+    if max(ln_computes) - min(ln_computes) <= _LN_SPREAD_RTOL * max(1.0, *map(abs, ln_computes)):
         raise ValueError(f"{where}degenerate design: all points share one ln(compute)")
     return list(points)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,6 +200,18 @@ class TestGridOracle:
     def test_infinite_budget(self):
         with pytest.raises(ValueError, match="c_max must be finite, got inf"):
             allocate_grid_oracle([make_fit(0.0, 1.0, "a")], math.inf, resolution=10)
+
+    def test_keeps_no_grid_after_the_call(self):
+        # numpy is imported above, so tracing sees only the oracle's own
+        # allocations; the 2,000,000-row grid alone would hold 32 MB.
+        fits = [make_fit(0.0, 2.0, "a"), make_fit(0.0, 1.0, "b")]
+        tracemalloc.start()
+        try:
+            allocate_grid_oracle(fits, 3.0, resolution=2_000_000)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 1 << 20
 
     def test_all_negative_fallback_matches_closed_form(self):
         fits = [make_fit(0.0, -0.5, "a"), make_fit(5.0, -1.0, "b")]

@@ -1,9 +1,12 @@
 import math
 import struct
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annealplan import diversity
 from annealplan.diversity import (
@@ -166,8 +169,8 @@ class TestProfileCorpus:
         assert skewed.entropy_bits < math.log2(3) - 1e-3
 
     def test_chunk_boundary_continuity(self):
-        # One document big enough to span several internal flushes must
-        # count windows crossing flush boundaries exactly once.
+        # One document longer than a flush is counted in overlapping
+        # slices, which must count windows crossing a slice edge once.
         rng = np.random.default_rng(5)
         tokens = rng.integers(0, 64, size=3_000_000).tolist()
         report = profile_corpus([tokens], 3)
@@ -195,8 +198,9 @@ class TestProfileCorpus:
             assert refilled.counts(n).tolist() == fresh.counts(n).tolist()
 
     def test_string_and_key_documents_interleave(self):
-        # String documents are keyed at flush time; documents fed as key
-        # arrays in between must keep their place in the stream.
+        # Documents are buffered whole and their order does not matter:
+        # string documents keyed at flush time count as the same keys fed
+        # as arrays between them.
         rng = np.random.default_rng(29)
         docs = [
             [f"tok{t}" for t in rng.integers(0, 20, size=int(rng.integers(1, 30)))]
@@ -224,11 +228,24 @@ class TestProfileCorpus:
         with pytest.raises(ValueError, match=r"integers in \[-2\*\*63, 2\*\*64\)"):
             profile_corpus([tokens], 1)
 
-    @pytest.mark.parametrize("bad", [["a", 1], ("a", b"b"), iter(["a", None])])
-    def test_str_document_with_other_token_rejected_cleanly(self, bad):
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (["a", 1], "only str"),
+            (("a", b"b"), "only str"),
+            (iter(["a", None]), "only str"),
+            # Longer than a flush of 4 tokens, bad only past the first 4:
+            # the document is counted whole or not at all.
+            (["a", "b", "c", "d", "e", 1], "only str"),
+            ([1, 2, 3, 4, 5, 2**70], "integers in"),
+        ],
+        ids=[f"bad{i}" for i in range(5)],
+    )
+    def test_str_document_with_other_token_rejected_cleanly(self, monkeypatch, bad, message):
+        monkeypatch.setattr(diversity, "_FLUSH_TOKENS", 4)
         profiler = NgramProfiler(2)
         profiler.add_document(["x", "y"])
-        with pytest.raises(ValueError, match="only str"):
+        with pytest.raises(ValueError, match=message):
             profiler.add_document(bad)
         profiler.add_document([3, 4])
         assert profiler.report() == profile_corpus([["x", "y"], [3, 4]], 2)
@@ -276,6 +293,43 @@ class TestConsolidation:
             oracle = tuple_counts(docs, n)
             assert report.stats(n).total == sum(oracle.values())
             assert counts[n - 1] == sorted(oracle.values())
+
+
+# One document as (kind, ids): built afresh by as_document, so a generator
+# document can be fed more than once.
+DOCUMENT_KINDS = ["int list", "str list", "uint64 array", "int64 array", "generator"]
+
+
+def as_document(kind, ids):
+    if kind == "str list":
+        return [f"t{t}" for t in ids]
+    if kind.endswith("array"):
+        return np.array(ids, dtype=kind.split()[0])
+    return iter(ids) if kind == "generator" else list(ids)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    flush=st.integers(1, 8),
+    n_max=st.integers(1, 4),
+    specs=st.lists(
+        st.tuples(st.sampled_from(DOCUMENT_KINDS), st.lists(st.integers(0, 3), max_size=20)),
+        max_size=6,
+    ),
+)
+def test_any_flush_size_counts_like_tuples(flush, n_max, specs):
+    # Long documents are counted in overlapping slices; short ones are
+    # buffered whole. Neither may change a count or an entropy bit.
+    with mock.patch.object(diversity, "_FLUSH_TOKENS", flush):
+        report, counts = results(profiled([as_document(*spec) for spec in specs], n_max))
+    assert (report, counts) == results(profiled([as_document(*spec) for spec in specs], n_max))
+    docs = [list(as_document(*spec)) for spec in specs]
+    assert report.token_total == sum(map(len, docs))
+    for n in range(1, n_max + 1):
+        oracle = tuple_counts(docs, n)
+        assert report.stats(n).distinct == len(oracle)
+        assert report.stats(n).total == sum(oracle.values())
+        assert counts[n - 1] == sorted(oracle.values())
 
 
 def text_keys(tokens):

@@ -67,6 +67,9 @@ class TestFitLogLinear:
             # Adjacent floats: distinct computes with one ln leave no spread to fit.
             ([1e20, math.nextafter(1e20, math.inf)], 0,
              "degenerate design: all points share one ln(compute)"),
+            # ln one ulp apart: a slope of 7e11 from rounding alone.
+            ([1e20, 1.0000000000000044e20], 0,
+             "degenerate design: all points share one ln(compute)"),
         ],
     )
     def test_fit_errors_name_the_source(self, computes, drop, message):
