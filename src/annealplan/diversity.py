@@ -223,8 +223,14 @@ class NgramProfiler:
         if not size:
             return
         is_text = isinstance(tokens[0], str)
-        if is_text and not all(isinstance(token, str) for token in tokens):
-            raise ValueError("a document that starts with a str token must hold only str")
+        if is_text:
+            if not all(isinstance(token, str) for token in tokens):
+                raise ValueError("a document that starts with a str token must hold only str")
+            try:
+                "".join(tokens).encode()  # a flush keys the UTF-8 bytes
+            except UnicodeEncodeError as exc:
+                token = next(token for token in tokens if exc.object[exc.start] in token)
+                raise ValueError(f"str token {token!r} cannot be encoded as UTF-8") from None
         capacity = len(self._keys)
         if size > capacity:
             keys = _string_keys(tokens) if is_text else _id_keys(tokens)

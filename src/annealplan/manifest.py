@@ -8,9 +8,11 @@ seed-averaged baseline run at the same step count to produce
 
 Validation is strict: unknown fields and repeated JSON keys are
 rejected, every error names the offending field, and loading the same
-bytes always yields the same points in the same order. A run's scores
-are checked in one pass; only when that pass finds a fault are they
-checked again field by field, to build the error message.
+bytes always yields the same points in the same order. The text is
+parsed without a repeated-key hook and each run is checked in one pass.
+After a fault, the text is parsed again with the hook and checked field
+by field, to build the error message; when a count cannot rule out a
+repeated key, it is parsed again with the hook only.
 """
 
 from __future__ import annotations
@@ -257,20 +259,39 @@ def _scores_in_one_pass(scores_obj: list) -> tuple[TaskScore, ...] | None:
     return tuple(scores)
 
 
+def _run_in_one_pass(obj) -> RunRecord | None:
+    """The run, if it passes ``_parse_run``; None if it might not.
+
+    Like :func:`_scores_in_one_pass`, it accepts only JSON's own types.
+    """
+    if type(obj) is not dict or not _RUN_KEYS - {"metadata"} <= obj.keys() <= _RUN_KEYS:
+        return None
+    seed, steps, metadata = obj["seed"], obj["steps"], obj.get("metadata", {})
+    if (
+        type(obj["source_id"]) is not str or type(seed) is not int or type(steps) is not int
+        or steps <= 0 or max(seed.bit_length(), steps.bit_length()) > 1000  # float() takes these
+        or type(obj["scores"]) is not list or type(metadata) is not dict
+        or not all(type(value) is str for value in metadata.values())
+    ):
+        return None
+    scores = _scores_in_one_pass(obj["scores"])
+    if not scores or len({s.task_id for s in scores}) != len(scores):
+        return None
+    return RunRecord(obj["source_id"], seed, steps, scores, dict(metadata))
+
+
 def _parse_run(obj, index: int) -> RunRecord:
+    run = _run_in_one_pass(obj)
+    if run is not None:
+        return run
     where = f"runs[{index}]"
     if not isinstance(obj, Mapping):
         raise ManifestError(f"{where} must be an object")
-    if not obj.keys() <= _RUN_KEYS:
-        _reject_unknown(obj, _RUN_KEYS, where)
+    _reject_unknown(obj, _RUN_KEYS, where)
     scores_obj = _get(obj, "scores", where)
     if not isinstance(scores_obj, list):
         raise ManifestError(f"field 'scores' in {where} must be a list")
-    scores = _scores_in_one_pass(scores_obj)
-    if scores is None:
-        scores = tuple(
-            _parse_score(s, f"{where}.scores[{i}]") for i, s in enumerate(scores_obj)
-        )
+    scores = tuple(_parse_score(s, f"{where}.scores[{i}]") for i, s in enumerate(scores_obj))
     if len({s.task_id for s in scores}) != len(scores):
         ids = [s.task_id for s in scores]
         i = next(i for i, task_id in enumerate(ids) if task_id in ids[:i])
@@ -347,10 +368,40 @@ def _repeated_key_offset(text: str) -> int:
     raise AssertionError("no JSON object repeats a key")
 
 
+def _pairs_in(data: dict) -> int:
+    """Key/value pairs in the objects of a manifest that passed validation."""
+    runs = data["runs"]
+    return (
+        len(data) + len(data["training_model"]) + len(data["geometry"]) + len(data["sources"])
+        + sum(map(len, data["sources"].values()))
+        + sum(map(len, runs))
+        + sum(sum(map(len, run["scores"])) for run in runs)
+        + sum(len(run["metadata"]) for run in runs if "metadata" in run)
+    )
+
+
 def loads_manifest(text: str) -> RunSet:
     """Parse and fully validate manifest JSON from a string."""
+    # Plain json.loads keeps the last of repeated keys, so a count proves
+    # there were none: every ':' outside a string separates one pair, and
+    # a repeated key leaves its object one entry short. Validation visits
+    # every object a valid manifest holds, so its pairs add up to the
+    # count of ':' only when no key repeats and no string holds a ':'.
     try:
-        data = json.loads(text, object_pairs_hook=_object_without_repeats)
+        data = json.loads(text)
+        runset = _runset_from(data)
+    except (ValueError, RecursionError):
+        # A repeated key, or else the JSON error, comes first, as it did.
+        return _runset_from(_parse_checked(text))
+    if _pairs_in(data) != text.count(":"):
+        _parse_checked(text)  # raises if a key repeats
+    return runset
+
+
+def _parse_checked(text: str):
+    """``json.loads`` with a hook that rejects repeated keys; errors name the place."""
+    try:
+        return json.loads(text, object_pairs_hook=_object_without_repeats)
     except json.JSONDecodeError as exc:
         raise ManifestError(
             f"manifest is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
@@ -360,6 +411,10 @@ def loads_manifest(text: str) -> RunSet:
         at = _repeated_key_offset(text)
         line, column = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
         raise ManifestError(f"{exc} at line {line} column {column}") from None
+
+
+def _runset_from(data) -> RunSet:
+    """Validate parsed manifest JSON, checking each run in one pass first."""
     if not isinstance(data, Mapping):
         raise ManifestError("manifest root must be a JSON object")
     _reject_unknown(
@@ -436,9 +491,9 @@ def average_seeds(runs: Sequence[RunRecord]) -> RunRecord:
     if len(runs) == 1:
         return runs[0]
     first = runs[0]
-    by_task = [{s.task_id: s for s in run.scores} for run in runs]
-    mine = by_task[0]
-    for run, theirs in zip(runs[1:], by_task[1:]):
+    suite = [(s.task_id, s.metric) for s in first.scores]
+    aligned = [first.scores]  # each run's scores in the order of the first's
+    for run in runs[1:]:
         if run.source_id != first.source_id:
             raise ManifestError(
                 f"cannot average runs from different sources: {first.source_id!r} vs {run.source_id!r}"
@@ -447,6 +502,11 @@ def average_seeds(runs: Sequence[RunRecord]) -> RunRecord:
             raise ManifestError(
                 f"cannot average runs at different steps: {first.steps} vs {run.steps}"
             )
+        if [(s.task_id, s.metric) for s in run.scores] == suite:
+            aligned.append(run.scores)
+            continue
+        mine = {s.task_id: s for s in first.scores}
+        theirs = {s.task_id: s for s in run.scores}
         if mine.keys() != theirs.keys():
             diff = sorted(mine.keys() ^ theirs.keys())
             raise ManifestError(f"runs have mismatched task sets; differing tasks: {diff}")
@@ -456,11 +516,10 @@ def average_seeds(runs: Sequence[RunRecord]) -> RunRecord:
                 f"seeds {first.seed} and {run.seed} of ({first.source_id!r}, {first.steps})"
                 f" score tasks {sorted(mixed)} with different metrics"
             )
+        aligned.append([theirs[s.task_id] for s in first.scores])
     averaged = tuple(
-        TaskScore(
-            s.task_id, s.metric, anchored_mean([m[s.task_id].value for m in by_task]), s.n_examples
-        )
-        for s in first.scores
+        TaskScore(s.task_id, s.metric, anchored_mean([t.value for t in column]), s.n_examples)
+        for s, column in zip(first.scores, zip(*aligned))
     )
     seeds = ",".join(str(run.seed) for run in runs)
     return RunRecord(

@@ -40,6 +40,9 @@ class MetricKind(enum.Enum):
     ACCURACY = "accuracy"
     EXACT_MATCH = "exact_match"
 
+    # Members are singletons equal only to themselves; skip Enum's Python __hash__.
+    __hash__ = object.__hash__
+
     @property
     def direction(self) -> MetricDirection:
         if self is MetricKind.BRIER:
@@ -127,7 +130,7 @@ def anchored_mean(values: Sequence[float]) -> float:
     constant input returns that value bit-for-bit, not a re-rounded sum/n.
     """
     anchor = values[0]
-    return anchor + math.fsum(v - anchor for v in values) / len(values)
+    return anchor + math.fsum([v - anchor for v in values]) / len(values)
 
 
 def aggregate_suite(scores: Sequence[TaskScore]) -> TaskScore:

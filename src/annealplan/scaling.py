@@ -34,6 +34,7 @@ TIE_RTOL = 1e-12
 # |ln(compute)| (or of 1) would fit a slope that rounding alone moves by
 # over 1e-7 of its value, so they count as sharing one ln(compute).
 _LN_SPREAD_RTOL = 1e-9
+_LN2 = math.log(2)
 
 
 @dataclass(frozen=True)
@@ -179,9 +180,10 @@ def crossover(fit_a: ScalingFit, fit_b: ScalingFit) -> Crossover | None:
     """
     if fit_a.basis is not fit_b.basis:
         raise ValueError("cannot intersect fits with different cost bases")
-    if fit_a.slope == fit_b.slope:
+    a0, a1, b0, b1 = fit_a.intercept, fit_a.slope, fit_b.intercept, fit_b.slope
+    if a1 == b1:
         return None
-    log_c = (fit_b.intercept - fit_a.intercept) / (fit_a.slope - fit_b.slope)
+    log_c = (b0 - a0) / (a1 - b1)
     try:
         c_star = math.exp(log_c)
     except OverflowError:
@@ -191,17 +193,13 @@ def crossover(fit_a: ScalingFit, fit_b: ScalingFit) -> Crossover | None:
     # Probe at half and double the crossover, directly in log space so
     # the probes stay representable even when c_star is near the float
     # range limits.
-    below_a = fit_a.intercept + fit_a.slope * (log_c - math.log(2))
-    below_b = fit_b.intercept + fit_b.slope * (log_c - math.log(2))
-    above_a = fit_a.intercept + fit_a.slope * (log_c + math.log(2))
-    above_b = fit_b.intercept + fit_b.slope * (log_c + math.log(2))
-    leader_below = fit_a.source_id if below_a >= below_b else fit_b.source_id
-    leader_above = fit_a.source_id if above_a >= above_b else fit_b.source_id
+    below, above = log_c - _LN2, log_c + _LN2
+    leader_below = fit_a.source_id if a0 + a1 * below >= b0 + b1 * below else fit_b.source_id
+    leader_above = fit_a.source_id if a0 + a1 * above >= b0 + b1 * above else fit_b.source_id
     if leader_below == leader_above:
         return None
-    in_range = all(
-        fit.compute_range[0] <= c_star <= fit.compute_range[1] for fit in (fit_a, fit_b)
-    )
+    (a_lo, a_hi), (b_lo, b_hi) = fit_a.compute_range, fit_b.compute_range
+    in_range = a_lo <= c_star <= a_hi and b_lo <= c_star <= b_hi
     return Crossover(
         compute=c_star,
         leader_below=leader_below,

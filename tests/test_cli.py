@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -236,6 +237,26 @@ class TestCrossoverCmd:
         assert row["leader_below"] == "wrap_like"
         assert row["leader_above"] == "mbf_like"
         assert row["in_range"] == "true"
+
+
+@pytest.mark.parametrize("valid", [True, False], ids=["valid", "invalid"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_planning_leaves_the_collector_as_found(sim_manifest, tmp_path, capsys, enabled, valid):
+    # Loading pauses the cyclic collector; it must come back on, and only
+    # if the caller had it on, whether the manifest loads or not.
+    manifest = sim_manifest
+    if not valid:
+        manifest = tmp_path / "empty.json"
+        manifest.write_text("{}", encoding="utf-8")
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code, _, err = run_cli(capsys, "crossover", "--manifest", str(manifest))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    expected = "" if valid else "error: missing field 'baseline_id' in manifest\n"
+    assert (code, err) == (0 if valid else 1, expected)
 
 
 class TestAllocate:

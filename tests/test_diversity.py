@@ -238,8 +238,10 @@ class TestProfileCorpus:
             # the document is counted whole or not at all.
             (["a", "b", "c", "d", "e", 1], "only str"),
             ([1, 2, 3, 4, 5, 2**70], "integers in"),
+            # A lone surrogate has no UTF-8 bytes to key at the flush.
+            (["ok", "\ud800"], r"'\\ud800' cannot be encoded as UTF-8"),
         ],
-        ids=[f"bad{i}" for i in range(5)],
+        ids=[f"bad{i}" for i in range(6)],
     )
     def test_str_document_with_other_token_rejected_cleanly(self, monkeypatch, bad, message):
         monkeypatch.setattr(diversity, "_FLUSH_TOKENS", 4)

@@ -83,6 +83,25 @@ def _seeded_manifest() -> dict:
     }
 
 
+def _probe_manifest() -> dict:
+    """Two sources whose fits differ in the last bits of slope and intercept.
+
+    Their lines meet at ln compute 96, where one pair of half/double
+    probes rounds to equal values, so both probes name the same leader
+    and the pair is reported as no crossover although the slopes differ.
+    """
+    values = {"replay": [0.6] * 4, "alpha": [0.59, 0.585, 0.575, 0.57],
+              "beta": [0.59, 0.5850000000000001, 0.5750000000000001, 0.57]}
+    runs = [
+        {"source_id": source_id, "seed": 0, "steps": steps, "scores": [
+            {"task_id": "mmlu_anatomy", "metric": "brier", "value": value, "n_examples": 100}]}
+        for source_id, row in values.items()
+        for steps, value in zip(_STEPS, row)
+    ]
+    source = {"kind": "mbf", "mbf_recall": 22.0, "annotator_per_token_flops": 2e8}
+    return {**_seeded_manifest(), "sources": {"alpha": source, "beta": source}, "runs": runs}
+
+
 _CORPUS = "\n".join(
     [
         "the cat sat on the mat",
@@ -103,13 +122,15 @@ def inputs(tmp_path_factory):
     flip.write_bytes(generate_manifest(scenario_rank_flip(7)))
     seeds = root / "seeds.json"
     seeds.write_text(json.dumps(_seeded_manifest(), indent=1), encoding="utf-8")
+    probe = root / "probe.json"
+    probe.write_text(json.dumps(_probe_manifest()), encoding="utf-8")
     text = root / "corpus.txt"
     text.write_text(_CORPUS, encoding="utf-8")
     binary = root / "corpus.bin"
     binary.write_bytes(
         b"".join(struct.pack(f"<I{len(d)}I", len(d), *d) for d in _BINARY_DOCS)
     )
-    return {"flip": str(flip), "seeds": str(seeds), "text": str(text),
+    return {"flip": str(flip), "seeds": str(seeds), "probe": str(probe), "text": str(text),
             "binary": str(binary), "out": str(root / "out.bin")}
 
 
@@ -147,6 +168,7 @@ CASES = {
     "fit seeds one task": "fit --manifest {seeds} --tasks mmlu_anatomy",
     "fit seeds two tasks": "fit --manifest {seeds} --basis total --tasks mmlu_a*,mmlu_c*",
     "crossover seeds drop2": "crossover --manifest {seeds} --drop-smallest 2",
+    "crossover probes round equal": "crossover --manifest {probe}",
     "fit seeds drop3": "fit --manifest {seeds} --drop-smallest 3",
     "fit nomatch tasks": "fit --manifest {flip} --tasks nomatch*",
     "fit empty tasks": "fit --manifest {flip} --tasks ,",
@@ -344,6 +366,8 @@ GOLDEN = {
         "6019042a450624de964847f1227418e47f41919a616ac6f6d290d7a743192516",
     "crossover flip total":
         "5e94cb46f0ca8032631bc7a8439ce9e56ca14638056ec7f6ad20631b896e15c5",
+    "crossover probes round equal":
+        "7ca4f4fa053fa55ff10e34080a847a200dc35fb4ac9fafaa6e181ebad9890183",
     "crossover seeds curation-only":
         "b59eabbb7e6ad8920a8a4b119f33be00c9b1de342565fb950d5b402129836377",
     "crossover seeds drop2":

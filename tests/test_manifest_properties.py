@@ -20,7 +20,15 @@ A run's scores are checked in one pass, with the per-field checks of
 ``_parse_score`` kept to build error messages. On score lists mixing
 valid and faulty entries, the run parser must return what the per-field
 checks build, or raise their first error, and take the one pass exactly
-when every entry is valid.
+when every entry is valid. Runs are checked in one pass too: on run
+objects with one faulty run-level field, ``_parse_run`` must give what
+it gives with the one pass switched off.
+
+The text is parsed without a repeated-key hook, and a count of ``:``
+proves that no key repeated. On raw JSON text with a repeated key in
+any kind of object, a ``:`` inside a string (plain or escaped), and
+invalid JSON after a repeated key, ``loads_manifest`` must give the same
+``RunSet``, or the same error, as the kept hook-plus-per-field parse.
 """
 
 import contextlib
@@ -29,6 +37,7 @@ import csv
 import io
 import json
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +48,9 @@ from annealplan.costs import CostBasis
 from annealplan.manifest import (
     ManifestError,
     RunRecord,
+    _parse_checked,
     _parse_run,
+    _runset_from,
     _parse_score,
     _scores_in_one_pass,
     build_utility_points,
@@ -308,3 +319,124 @@ def test_one_pass_score_check_agrees_with_per_field_checks(scores):
     assert got == expected
     if isinstance(got, RunRecord):
         assert all(type(s.value) is float for s in got.scores)
+
+
+# Replacements for one field of a valid run that fail, or pass only as
+# edge cases (steps of 2**1000 converts to float, 2**1030 does not).
+RUN_FAULTS = [
+    ("source_id", st.sampled_from([None, 7, ["s"]])),
+    ("seed", st.sampled_from([True, 1.0, "0", 10**400, -(2**1000)])),
+    ("steps", st.sampled_from([0, -5, True, 2.0, 2**1000, 2**1030])),
+    ("metadata", st.sampled_from([None, [], {}, {"k": 1}, {"k": None, "j": "v"}])),
+    ("scores", st.sampled_from([None, {}, "s", [], [{"task_id": "t"}]])),
+]
+
+
+@st.composite
+def run_objects(draw):
+    """A run object with valid scores, most of them with one faulty run-level field."""
+    scores = [{"task_id": f"t{i}", "metric": "brier", "value": 0.5, "n_examples": 10}
+              for i in range(draw(st.integers(1, 3)))]
+    run = {"source_id": "s", "seed": draw(st.integers(-3, 3)),
+           "steps": draw(st.integers(1, 10**6)), "scores": scores}
+    if draw(st.booleans()):
+        run["metadata"] = {"start_lr": "1.5e-04"}
+    fault = draw(st.sampled_from(
+        [None, "missing key", "extra key", "duplicate task", "non-object", *RUN_FAULTS]
+    ))
+    if fault == "missing key":
+        del run[draw(st.sampled_from(sorted(run)))]
+    elif fault == "extra key":
+        run["notes"] = "x"
+    elif fault == "duplicate task":
+        scores.append(dict(scores[0]))
+    elif fault == "non-object":
+        run = draw(st.sampled_from([None, [], "run"]))
+    elif fault is not None:
+        key, values = fault
+        run[key] = draw(values)
+    return run
+
+
+def _outcome(load, arg):
+    """What ``load(arg)`` returns, or the text of the ``ManifestError`` it raises."""
+    try:
+        return load(arg)
+    except ManifestError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(run=run_objects())
+def test_one_pass_run_check_agrees_with_per_field_checks(run):
+    with mock.patch("annealplan.manifest._run_in_one_pass", lambda obj: None):
+        expected = _outcome(lambda r: _parse_run(r, 3), run)
+    assert _outcome(lambda r: _parse_run(r, 3), run) == expected
+
+
+def _object_kind(path) -> str:
+    """Which of the manifest's kinds of JSON object sits at ``path``."""
+    if not path:
+        return "root"
+    if len(path) == 1:
+        return path[0]  # training_model, geometry, sources
+    if path[0] == "sources":
+        return "source"
+    return {2: "run", 3: "metadata", 4: "score"}[len(path)]
+
+
+OBJECTS_BY_KIND: dict[str, list[tuple]] = {}
+for _path, _key in OBJECT_PATHS:
+    OBJECTS_BY_KIND.setdefault(_object_kind(_path), []).append((_path, _key))
+# Quoted keys and string values of the base manifest that get a ':' inside.
+COLON_SITES = ['"full_replay"', '"rephrased"', '"mmlu_anatomy"', '"1.515e-04"', '"start_lr"',
+               '"scores"', '"brier"']
+
+
+@st.composite
+def raw_manifest_texts(draw) -> str:
+    """Manifest JSON text with repeated keys, ':' in strings or invalid JSON."""
+    data = copy.deepcopy(BASE)
+    repeated = []
+    for kind in draw(st.lists(st.sampled_from(sorted(OBJECTS_BY_KIND)), max_size=2)):
+        path, key = draw(st.sampled_from(OBJECTS_BY_KIND[kind]))
+        parent = _resolve(data, path)
+        value = copy.deepcopy(parent[key])
+        if draw(st.booleans()):
+            value = draw(st.sampled_from(WRONG_TYPES))
+        items = list(parent.items())
+        placeholder = f"{REPEAT}{len(repeated)}"
+        items.insert(draw(st.integers(0, len(items))), (placeholder, value))
+        parent.clear()
+        parent.update(items)
+        repeated.append((placeholder, key))
+    text = json.dumps(data, indent=draw(st.sampled_from([None, 1])))
+    for placeholder, key in repeated:
+        text = text.replace(json.dumps(placeholder), json.dumps(key))
+    for site in draw(st.lists(st.sampled_from(COLON_SITES), max_size=2, unique=True)):
+        colon = draw(st.sampled_from([":", "\\u003a", "\\u003A"]))
+        at = draw(st.integers(1, len(site) - 1))
+        text = text.replace(site, site[:at] + colon + site[at:], draw(st.sampled_from([1, -1])))
+    if draw(st.integers(0, 3)) == 0:  # spoil the text after some point
+        at = draw(st.integers(len(text) // 2, len(text)))
+        text = text[:at] + draw(st.sampled_from(["", "}", ",", "]", "x", '{"a":1,"a":2}']))
+    return text
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(text=raw_manifest_texts())
+def test_parse_without_hook_agrees_with_checked_parse(text):
+    checked = _outcome(lambda t: _runset_from(_parse_checked(t)), text)
+    assert _outcome(loads_manifest, text) == checked
+
+
+def test_checked_parse_runs_only_when_a_key_may_repeat(monkeypatch):
+    calls = []
+    monkeypatch.setattr("annealplan.manifest._parse_checked", lambda text: calls.append(text))
+    clean = json.dumps(BASE)
+    assert loads_manifest(clean) == _runset_from(_parse_checked(clean))
+    assert calls == []
+    for text in (clean.replace('"rephrased"', '"re:phrased"'),
+                 clean.replace('"epochs"', '"epochs": 2, "epochs"')):
+        loads_manifest(text)
+        assert calls[-1] == text

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from annealplan.costs import CostBasis
 from annealplan.manifest import UtilityPoint
 from annealplan.metrics import MetricKind, UtilityDelta
 from annealplan.scaling import (
+    ScalingFit,
     crossover,
     fit_by_source,
     fit_log_linear,
@@ -37,6 +39,36 @@ def curve_points(intercept, slope, computes, source="s"):
 
 def make_fit(intercept, slope, source="s", c_range=(1e18, 1e22)):
     return fit_log_linear(curve_points(intercept, slope, c_range, source=source))
+
+
+def raw_fit(intercept, slope, source, c_range=(1e18, 1e22)):
+    """A fit with exactly these fields, which no least-squares fit need reach."""
+    return ScalingFit(source, intercept, slope, 2, 0.0, c_range, BASIS)
+
+
+def reference_crossover(fit_a, fit_b):
+    """The crossover formula as first written: (compute, leaders, in_range) or None."""
+    if fit_a.slope == fit_b.slope:
+        return None
+    log_c = (fit_b.intercept - fit_a.intercept) / (fit_a.slope - fit_b.slope)
+    try:
+        c_star = math.exp(log_c)
+    except OverflowError:
+        return None
+    if not (math.isfinite(c_star) and c_star > 0):
+        return None
+    below_a = fit_a.intercept + fit_a.slope * (log_c - math.log(2))
+    below_b = fit_b.intercept + fit_b.slope * (log_c - math.log(2))
+    above_a = fit_a.intercept + fit_a.slope * (log_c + math.log(2))
+    above_b = fit_b.intercept + fit_b.slope * (log_c + math.log(2))
+    leader_below = fit_a.source_id if below_a >= below_b else fit_b.source_id
+    leader_above = fit_a.source_id if above_a >= above_b else fit_b.source_id
+    if leader_below == leader_above:
+        return None
+    in_range = all(
+        fit.compute_range[0] <= c_star <= fit.compute_range[1] for fit in (fit_a, fit_b)
+    )
+    return struct.pack("<d", c_star), leader_below, leader_above, in_range
 
 
 class TestFitLogLinear:
@@ -240,6 +272,57 @@ class TestCrossover:
             assert got is not None
             assert got.compute == pytest.approx(oracle, rel=1e-6)
             checked += 1
+
+    def test_probes_that_round_equal_give_none(self):
+        # The lines meet at c = 1, but at 1e17 a slope times ln 2 is below
+        # half an ulp, so both probes name "a" although the slopes differ.
+        assert crossover(raw_fit(1e17, 0.01, "a"), raw_fit(1e17, 0.02, "b")) is None
+
+    @pytest.mark.parametrize("log_c", [709.8, 710.0, -745.2, -800.0])
+    def test_exp_beyond_the_float_range_gives_none(self, log_c):
+        # exp overflows above ln c = 709.78 and underflows to 0.0 below -745.13.
+        assert crossover(raw_fit(0.0, 1.0, "a"), raw_fit(log_c, 0.0, "b")) is None
+
+    def test_in_range_includes_both_ends(self):
+        log_c = 45.5
+        c_star = math.exp(log_c)
+        above = math.nextafter(c_star, math.inf)
+        for range_a, range_b, expected in [
+            ((c_star, 1e22), (1e18, c_star), True),
+            ((above, 1e22), (1e18, c_star), False),
+            ((c_star, 1e22), (1e18, math.nextafter(c_star, 0.0)), False),
+        ]:
+            got = crossover(raw_fit(0.0, 1.0, "a", range_a), raw_fit(log_c, 0.0, "b", range_b))
+            assert (got.compute, got.leader_below, got.leader_above) == (c_star, "b", "a")
+            assert got.in_range is expected
+
+    def test_bits_match_the_reference_formula(self):
+        # Magnitudes from 1e-12 to 1e17; about one pair in five shares its
+        # intercept's magnitude, so near-equal probes and parallel lines occur.
+        rng = np.random.default_rng(2024)
+
+        def magnitude():
+            return float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, 17))
+
+        found = 0
+        for _ in range(5000):
+            a0, a1, b1 = magnitude(), magnitude(), magnitude()
+            b0 = a0 * (1 + rng.choice([0.0, 1e-15, 1e-3])) if rng.random() < 0.2 else magnitude()
+            if rng.random() < 0.05:
+                b1 = a1
+            lo = 10.0 ** rng.uniform(-5, 30)
+            ranges = [(lo, lo * 10.0 ** rng.uniform(0, 10)) for _ in range(2)]
+            fit_a = raw_fit(a0, a1, "a", ranges[0])
+            fit_b = raw_fit(b0, b1, "b", ranges[1])
+            got = crossover(fit_a, fit_b)
+            expected = reference_crossover(fit_a, fit_b)
+            if expected is None:
+                assert got is None
+                continue
+            found += 1
+            assert (struct.pack("<d", got.compute), got.leader_below, got.leader_above,
+                    got.in_range) == expected
+        assert found > 1000
 
     def test_ranking_flips_across_crossover(self):
         fit_a = make_fit(-0.6, 0.015, source="a")
