@@ -8,11 +8,11 @@ seed-averaged baseline run at the same step count to produce
 
 Validation is strict: unknown fields and repeated JSON keys are
 rejected, every error names the offending field, and loading the same
-bytes always yields the same points in the same order. The text is
-parsed without a repeated-key hook and each run is checked in one pass.
-After a fault, the text is parsed again with the hook and checked field
-by field, to build the error message; when a count cannot rule out a
-repeated key, it is parsed again with the hook only.
+bytes always yields the same points in the same order. A run's scores
+are checked in one pass; only when that pass finds a fault are they
+checked again field by field, to build the error message. The text is
+parsed without a repeated-key hook, and again with it after a fault or
+when a count of ':' cannot rule out a repeated key.
 """
 
 from __future__ import annotations
@@ -259,39 +259,20 @@ def _scores_in_one_pass(scores_obj: list) -> tuple[TaskScore, ...] | None:
     return tuple(scores)
 
 
-def _run_in_one_pass(obj) -> RunRecord | None:
-    """The run, if it passes ``_parse_run``; None if it might not.
-
-    Like :func:`_scores_in_one_pass`, it accepts only JSON's own types.
-    """
-    if type(obj) is not dict or not _RUN_KEYS - {"metadata"} <= obj.keys() <= _RUN_KEYS:
-        return None
-    seed, steps, metadata = obj["seed"], obj["steps"], obj.get("metadata", {})
-    if (
-        type(obj["source_id"]) is not str or type(seed) is not int or type(steps) is not int
-        or steps <= 0 or max(seed.bit_length(), steps.bit_length()) > 1000  # float() takes these
-        or type(obj["scores"]) is not list or type(metadata) is not dict
-        or not all(type(value) is str for value in metadata.values())
-    ):
-        return None
-    scores = _scores_in_one_pass(obj["scores"])
-    if not scores or len({s.task_id for s in scores}) != len(scores):
-        return None
-    return RunRecord(obj["source_id"], seed, steps, scores, dict(metadata))
-
-
 def _parse_run(obj, index: int) -> RunRecord:
-    run = _run_in_one_pass(obj)
-    if run is not None:
-        return run
     where = f"runs[{index}]"
     if not isinstance(obj, Mapping):
         raise ManifestError(f"{where} must be an object")
-    _reject_unknown(obj, _RUN_KEYS, where)
+    if not obj.keys() <= _RUN_KEYS:
+        _reject_unknown(obj, _RUN_KEYS, where)
     scores_obj = _get(obj, "scores", where)
     if not isinstance(scores_obj, list):
         raise ManifestError(f"field 'scores' in {where} must be a list")
-    scores = tuple(_parse_score(s, f"{where}.scores[{i}]") for i, s in enumerate(scores_obj))
+    scores = _scores_in_one_pass(scores_obj)
+    if scores is None:
+        scores = tuple(
+            _parse_score(s, f"{where}.scores[{i}]") for i, s in enumerate(scores_obj)
+        )
     if len({s.task_id for s in scores}) != len(scores):
         ids = [s.task_id for s in scores]
         i = next(i for i, task_id in enumerate(ids) if task_id in ids[:i])
@@ -369,7 +350,11 @@ def _repeated_key_offset(text: str) -> int:
 
 
 def _pairs_in(data: dict) -> int:
-    """Key/value pairs in the objects of a manifest that passed validation."""
+    """Key/value pairs in the objects of a manifest that passed validation.
+
+    It must count every object ``_runset_from`` visits; one it missed
+    would send every manifest through :func:`_parse_checked` as well.
+    """
     runs = data["runs"]
     return (
         len(data) + len(data["training_model"]) + len(data["geometry"]) + len(data["sources"])
@@ -380,20 +365,30 @@ def _pairs_in(data: dict) -> int:
     )
 
 
+# A key's closing quote with whitespace before its ':'.
+_SPACED_SEPARATOR = re.compile(r'"[ \t\n\r]+:')
+
+
 def loads_manifest(text: str) -> RunSet:
     """Parse and fully validate manifest JSON from a string."""
     # Plain json.loads keeps the last of repeated keys, so a count proves
-    # there were none: every ':' outside a string separates one pair, and
-    # a repeated key leaves its object one entry short. Validation visits
-    # every object a valid manifest holds, so its pairs add up to the
-    # count of ':' only when no key repeats and no string holds a ':'.
+    # there were none: a repeated key leaves its object one entry short.
+    # Each pair in the text puts one ':' outside a string, right after its
+    # key's closing quote unless space comes between. So the count of ':',
+    # and the count of '":' when no key has space before its ':', is at
+    # least the text's pairs; equal to the pairs validation saw (it visits
+    # every object a valid manifest holds), it rules out a repeated key.
     try:
         data = json.loads(text)
         runset = _runset_from(data)
     except (ValueError, RecursionError):
         # A repeated key, or else the JSON error, comes first, as it did.
         return _runset_from(_parse_checked(text))
-    if _pairs_in(data) != text.count(":"):
+    pairs = _pairs_in(data)
+    del data  # not held through a second parse
+    if pairs != text.count(":") and (
+        pairs != text.count('":') or _SPACED_SEPARATOR.search(text)
+    ):
         _parse_checked(text)  # raises if a key repeats
     return runset
 
@@ -414,7 +409,7 @@ def _parse_checked(text: str):
 
 
 def _runset_from(data) -> RunSet:
-    """Validate parsed manifest JSON, checking each run in one pass first."""
+    """Validate parsed manifest JSON."""
     if not isinstance(data, Mapping):
         raise ManifestError("manifest root must be a JSON object")
     _reject_unknown(
@@ -491,9 +486,9 @@ def average_seeds(runs: Sequence[RunRecord]) -> RunRecord:
     if len(runs) == 1:
         return runs[0]
     first = runs[0]
-    suite = [(s.task_id, s.metric) for s in first.scores]
-    aligned = [first.scores]  # each run's scores in the order of the first's
-    for run in runs[1:]:
+    by_task = [{s.task_id: s for s in run.scores} for run in runs]
+    mine = by_task[0]
+    for run, theirs in zip(runs[1:], by_task[1:]):
         if run.source_id != first.source_id:
             raise ManifestError(
                 f"cannot average runs from different sources: {first.source_id!r} vs {run.source_id!r}"
@@ -502,11 +497,6 @@ def average_seeds(runs: Sequence[RunRecord]) -> RunRecord:
             raise ManifestError(
                 f"cannot average runs at different steps: {first.steps} vs {run.steps}"
             )
-        if [(s.task_id, s.metric) for s in run.scores] == suite:
-            aligned.append(run.scores)
-            continue
-        mine = {s.task_id: s for s in first.scores}
-        theirs = {s.task_id: s for s in run.scores}
         if mine.keys() != theirs.keys():
             diff = sorted(mine.keys() ^ theirs.keys())
             raise ManifestError(f"runs have mismatched task sets; differing tasks: {diff}")
@@ -516,10 +506,11 @@ def average_seeds(runs: Sequence[RunRecord]) -> RunRecord:
                 f"seeds {first.seed} and {run.seed} of ({first.source_id!r}, {first.steps})"
                 f" score tasks {sorted(mixed)} with different metrics"
             )
-        aligned.append([theirs[s.task_id] for s in first.scores])
     averaged = tuple(
-        TaskScore(s.task_id, s.metric, anchored_mean([t.value for t in column]), s.n_examples)
-        for s, column in zip(first.scores, zip(*aligned))
+        TaskScore(
+            s.task_id, s.metric, anchored_mean([m[s.task_id].value for m in by_task]), s.n_examples
+        )
+        for s in first.scores
     )
     seeds = ",".join(str(run.seed) for run in runs)
     return RunRecord(

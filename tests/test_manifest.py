@@ -339,6 +339,17 @@ class TestAverageSeeds:
         assert merged.metadata["averaged_seeds"] == "0,1"
         assert merged.scores[0].n_examples == 100
 
+    def test_seeds_listing_tasks_in_another_order(self):
+        merged = average_seeds(
+            [
+                make_run(seed=0, tasks=(("t1", 0.25), ("t2", 0.75))),
+                make_run(seed=1, tasks=(("t2", 0.5), ("t1", 0.125))),
+                make_run(seed=2, tasks=(("t1", 0.375), ("t2", 0.25))),
+            ]
+        )
+        assert [s.task_id for s in merged.scores] == ["t1", "t2"]
+        assert [s.value for s in merged.scores] == [0.25, 0.5]
+
     def test_single_run_identity(self):
         run = make_run()
         assert average_seeds([run]) is run

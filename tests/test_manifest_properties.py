@@ -20,15 +20,15 @@ A run's scores are checked in one pass, with the per-field checks of
 ``_parse_score`` kept to build error messages. On score lists mixing
 valid and faulty entries, the run parser must return what the per-field
 checks build, or raise their first error, and take the one pass exactly
-when every entry is valid. Runs are checked in one pass too: on run
-objects with one faulty run-level field, ``_parse_run`` must give what
-it gives with the one pass switched off.
+when every entry is valid.
 
 The text is parsed without a repeated-key hook, and a count of ``:``
 proves that no key repeated. On raw JSON text with a repeated key in
-any kind of object, a ``:`` inside a string (plain or escaped), and
+any kind of object, a ``:`` inside a string (plain, escaped, or after an
+escaped quote), space around the ``:`` between keys and values, and
 invalid JSON after a repeated key, ``loads_manifest`` must give the same
 ``RunSet``, or the same error, as the kept hook-plus-per-field parse.
+A ``:`` inside a string must not cost the hooked parse.
 """
 
 import contextlib
@@ -37,14 +37,13 @@ import csv
 import io
 import json
 import math
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annealplan.cli import main
-from annealplan.costs import CostBasis
+from annealplan.costs import SOURCE_FLOAT_FIELDS, CostBasis, SourceCostModel
 from annealplan.manifest import (
     ManifestError,
     RunRecord,
@@ -57,6 +56,7 @@ from annealplan.manifest import (
     loads_manifest,
 )
 from annealplan.scaling import fit_by_source
+from annealplan.simulate import generate_manifest, scenario_rank_flip
 
 from conftest import manifest_dict
 
@@ -321,57 +321,12 @@ def test_one_pass_score_check_agrees_with_per_field_checks(scores):
         assert all(type(s.value) is float for s in got.scores)
 
 
-# Replacements for one field of a valid run that fail, or pass only as
-# edge cases (steps of 2**1000 converts to float, 2**1030 does not).
-RUN_FAULTS = [
-    ("source_id", st.sampled_from([None, 7, ["s"]])),
-    ("seed", st.sampled_from([True, 1.0, "0", 10**400, -(2**1000)])),
-    ("steps", st.sampled_from([0, -5, True, 2.0, 2**1000, 2**1030])),
-    ("metadata", st.sampled_from([None, [], {}, {"k": 1}, {"k": None, "j": "v"}])),
-    ("scores", st.sampled_from([None, {}, "s", [], [{"task_id": "t"}]])),
-]
-
-
-@st.composite
-def run_objects(draw):
-    """A run object with valid scores, most of them with one faulty run-level field."""
-    scores = [{"task_id": f"t{i}", "metric": "brier", "value": 0.5, "n_examples": 10}
-              for i in range(draw(st.integers(1, 3)))]
-    run = {"source_id": "s", "seed": draw(st.integers(-3, 3)),
-           "steps": draw(st.integers(1, 10**6)), "scores": scores}
-    if draw(st.booleans()):
-        run["metadata"] = {"start_lr": "1.5e-04"}
-    fault = draw(st.sampled_from(
-        [None, "missing key", "extra key", "duplicate task", "non-object", *RUN_FAULTS]
-    ))
-    if fault == "missing key":
-        del run[draw(st.sampled_from(sorted(run)))]
-    elif fault == "extra key":
-        run["notes"] = "x"
-    elif fault == "duplicate task":
-        scores.append(dict(scores[0]))
-    elif fault == "non-object":
-        run = draw(st.sampled_from([None, [], "run"]))
-    elif fault is not None:
-        key, values = fault
-        run[key] = draw(values)
-    return run
-
-
 def _outcome(load, arg):
     """What ``load(arg)`` returns, or the text of the ``ManifestError`` it raises."""
     try:
         return load(arg)
     except ManifestError as exc:
         return str(exc)
-
-
-@settings(derandomize=True, database=None, max_examples=500, deadline=None)
-@given(run=run_objects())
-def test_one_pass_run_check_agrees_with_per_field_checks(run):
-    with mock.patch("annealplan.manifest._run_in_one_pass", lambda obj: None):
-        expected = _outcome(lambda r: _parse_run(r, 3), run)
-    assert _outcome(lambda r: _parse_run(r, 3), run) == expected
 
 
 def _object_kind(path) -> str:
@@ -410,11 +365,12 @@ def raw_manifest_texts(draw) -> str:
         parent.clear()
         parent.update(items)
         repeated.append((placeholder, key))
-    text = json.dumps(data, indent=draw(st.sampled_from([None, 1])))
+    separators = draw(st.sampled_from([(", ", ": "), (",", ":"), (",", " : "), (",", ":\n")]))
+    text = json.dumps(data, indent=draw(st.sampled_from([None, 1])), separators=separators)
     for placeholder, key in repeated:
-        text = text.replace(json.dumps(placeholder), json.dumps(key))
+        text = text.replace(json.dumps(placeholder), json.dumps(key) + draw(st.sampled_from(["", " "])))
     for site in draw(st.lists(st.sampled_from(COLON_SITES), max_size=2, unique=True)):
-        colon = draw(st.sampled_from([":", "\\u003a", "\\u003A"]))
+        colon = draw(st.sampled_from([":", "\\u003a", "\\u003A", '\\":']))
         at = draw(st.integers(1, len(site) - 1))
         text = text.replace(site, site[:at] + colon + site[at:], draw(st.sampled_from([1, -1])))
     if draw(st.integers(0, 3)) == 0:  # spoil the text after some point
@@ -430,13 +386,40 @@ def test_parse_without_hook_agrees_with_checked_parse(text):
     assert _outcome(loads_manifest, text) == checked
 
 
+def _every_optional_field() -> dict:
+    """A generated manifest whose sources and runs hold every optional field."""
+    data = json.loads(generate_manifest(scenario_rank_flip(0)))
+    data["sources"][data["baseline_id"]] = {
+        "kind": "zero_cost", **{name: getattr(SourceCostModel, name) for name in SOURCE_FLOAT_FIELDS}
+    }
+    for source in data["sources"].values():
+        if source["kind"] != "zero_cost":
+            source.setdefault("generator_params", 3_000_000_000)
+            for name in SOURCE_FLOAT_FIELDS:
+                source.setdefault(name, 1.0)
+    for run in data["runs"]:
+        run["metadata"]["checkpoint"] = "gs://ckpt/step-1"
+        run["metadata"]["started"] = "2024-05-01T12:00:00Z"
+    return data
+
+
 def test_checked_parse_runs_only_when_a_key_may_repeat(monkeypatch):
     calls = []
     monkeypatch.setattr("annealplan.manifest._parse_checked", lambda text: calls.append(text))
+    full = _every_optional_field()
+    assert all(source.keys() >= {"kind", *SOURCE_FLOAT_FIELDS} for source in full["sources"].values())
     clean = json.dumps(BASE)
-    assert loads_manifest(clean) == _runset_from(_parse_checked(clean))
-    assert calls == []
-    for text in (clean.replace('"rephrased"', '"re:phrased"'),
-                 clean.replace('"epochs"', '"epochs": 2, "epochs"')):
+    colons = clean.replace('"rephrased"', '"re:phrased"').replace('"mmlu_anatomy"', '"bbh:date"')
+    for text in (clean, json.dumps(BASE, indent=2), json.dumps(full), json.dumps(full, indent=2),
+                 json.dumps(BASE, separators=(",", " : ")), colons):
+        assert loads_manifest(text) == _runset_from(_parse_checked(text))
+        assert calls == []
+    # The count cannot rule out a repeated key: space before a ':' between
+    # a key and its value beside a ':' in a string, an escaped quote before
+    # a ':' in a string, or a repeated key, with or without those.
+    for text in (json.dumps(full, separators=(",", " : ")),
+                 clean.replace('"1.515e-04"', '"1.515e-04 \\":"'),
+                 clean.replace('"epochs"', '"epochs": 2, "epochs"'),
+                 colons.replace('"epochs"', '"epochs" : 2, "epochs"')):
         loads_manifest(text)
         assert calls[-1] == text
