@@ -6,8 +6,10 @@ pending 8-byte window hashes, which are counted once they outnumber
 max(4 Mi, distinct); not vocabulary-sized tuples. Counts themselves are
 exact; hash collisions (expected well under one per billions of
 distinct n-grams) would merge two n-grams' counts and are accepted.
-Tokens are whatever the caller supplies: integers, or strings. A string
-is keyed by a 64-bit hash of its UTF-8 bytes, computed in numpy for a
+Each order's window hashes are built from the previous order's, so
+hashing all orders 1..n_max is O(N·n_max) work for N tokens. Tokens
+are whatever the caller supplies: integers, or strings. A string is
+keyed by a 64-bit hash of its UTF-8 bytes, computed in numpy for a
 whole batch at once, so a ``str`` token and the text reader's key for
 the same bytes count as one token. The text reader splits lines on
 Python's whitespace (``str.split()``, Unicode separators included) and
@@ -70,6 +72,9 @@ _BINARY_PIECE_BYTES = 16 << 20
 # table's distinct keys, so total merge work stays O(N log N) while
 # pending memory stays within the table's size or the floor.
 _CONSOLIDATE_FLOOR = 4 << 20
+# Every order may hold _CONSOLIDATE_FLOOR pending 8-byte hashes (32 MiB),
+# so this many orders may hold 2 GiB.
+_MAX_ORDER = 64
 
 
 def _mix64(values: np.ndarray) -> np.ndarray:
@@ -87,24 +92,35 @@ def _token_keys(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np
 
     Each token is cut into little-endian 8-byte words (the last one
     zero-filled), every word is mixed together with its offset in the
-    token, and the wrap-around sum of a token's mixed words is mixed
-    once more with the token's byte length. Work is O(bytes) in numpy.
+    token, and the wrap-around sum of a token's mixed words (0 for an
+    empty token) is mixed once more with the token's byte length. Every
+    token's first word is keyed in one pass; only tokens over 8 bytes
+    take a second pass over their continuation words. Work is O(bytes)
+    in numpy.
     """
-    n_words = (lengths + 7) >> 3
-    word_end = np.cumsum(n_words)
-    first_word = word_end - n_words
-    token = np.repeat(np.arange(len(lengths)), n_words)
-    offset = (np.arange(len(token)) - first_word[token]) << 3
     padded = np.zeros(len(data) + 8, dtype=np.uint8)
     padded[: len(data)] = data
     # Unaligned 8-byte little-endian window at every byte offset.
     windows = np.ndarray((len(data) + 1,), dtype="<u8", buffer=padded, strides=(1,))
-    words = windows[starts[token] + offset]
-    words &= _TAIL_MASK[np.minimum(lengths[token] - offset, 8)]
-    words ^= offset.astype(np.uint64) * _WORD_STEP
-    sums = np.zeros(len(words) + 1, dtype=np.uint64)
-    np.cumsum(_mix64(words), out=sums[1:])
-    return _mix64((sums[word_end] - sums[first_word]) ^ lengths.astype(np.uint64))
+    words = windows[starts]
+    words &= _TAIL_MASK[np.minimum(lengths, 8)]
+    sums = _mix64(words)
+    sums[lengths == 0] = 0
+    long = np.flatnonzero(lengths > 8)
+    if len(long):
+        # Continuation words: every word of a long token after its first.
+        n_words = (lengths[long] - 1) >> 3
+        word_end = np.cumsum(n_words)
+        first_word = word_end - n_words
+        token = np.repeat(long, n_words)
+        offset = (np.arange(1, len(token) + 1) - np.repeat(first_word, n_words)) << 3
+        words = windows[starts[token] + offset]
+        words &= _TAIL_MASK[np.minimum(lengths[token] - offset, 8)]
+        words ^= offset.astype(np.uint64) * _WORD_STEP
+        totals = np.zeros(len(words) + 1, dtype=np.uint64)
+        np.cumsum(_mix64(words), out=totals[1:])
+        sums[long] += totals[word_end] - totals[first_word]
+    return _mix64(sums ^ lengths.astype(np.uint64))
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
@@ -199,6 +215,8 @@ class NgramProfiler:
     def __init__(self, n_max: int):
         if n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {n_max}")
+        if n_max > _MAX_ORDER:
+            raise ValueError(f"n_max must be <= {_MAX_ORDER}, got {n_max}")
         self.n_max = n_max
         # Per order: raw window hashes not yet counted, and the sorted
         # (keys, counts) table of those counted.
@@ -271,20 +289,28 @@ class NgramProfiler:
         """
         mixed = _mix64(keys)
         docs = np.repeat(np.arange(len(lengths)), lengths)
-        for n in range(1, self.n_max + 1):
+        # Order 1's part is a view of `mixed`, which the later orders read,
+        # so no part is sorted before the last order is hashed.
+        self._parts[1].append(mixed[: len(self._keys)])
+        hashes = mixed
+        for n in range(2, self.n_max + 1):
             width = min(len(keys) - n + 1, len(self._keys))
             if width <= 0:
                 break
-            hashes = np.zeros(width, dtype=np.uint64)
-            for j in range(n):
+            # Order n's window hash is order n - 1's times the multiplier
+            # plus the next mixed key: order 2 writes a new array, and each
+            # later order updates it in place.
+            if hashes is mixed:
+                hashes = hashes[:width] * _WINDOW_MULTIPLIER
+            else:
+                hashes = hashes[:width]
                 hashes *= _WINDOW_MULTIPLIER
-                hashes += mixed[j : j + width]
-            if n > 1:
-                # Keep the windows that stay within one document.
-                hashes = hashes[docs[:width] == docs[n - 1 : n - 1 + width]]
-                if not len(hashes):
-                    continue
-            self._parts[n].append(hashes)
+            hashes += mixed[n - 1 : n - 1 + width]
+            # Keep the windows that stay within one document.
+            within = hashes[docs[:width] == docs[n - 1 : n - 1 + width]]
+            if len(within):
+                self._parts[n].append(within)
+        for n in range(1, self.n_max + 1):
             self._consolidate_if_due(n)
 
     def _consolidate_if_due(self, n: int) -> None:

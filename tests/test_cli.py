@@ -748,6 +748,15 @@ class TestDiversity:
             " but the stream ends at byte 8"
         ) in proc.stderr
 
+    def test_huge_n_max_fails_within_memory(self, tmp_path):
+        # Per-order state for 10**8 orders is gigabytes; the bound must
+        # refuse it before any is built, not end in MemoryError (exit 2).
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("a b c\n")
+        proc = run_within_2_gib("diversity", "--corpus", str(corpus), "--n-max", "100000000")
+        assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+        assert proc.stderr == "error: n_max must be <= 64, got 100000000\n"
+
 
 class TestSimulate:
     def test_deterministic_per_seed(self, tmp_path, capsys):

@@ -49,6 +49,11 @@ class TestDistinctNgramRatio:
     def test_integer_tokens(self):
         assert stream_stats([7, 7, 9, 9], 1).ratio == 0.5
 
+    def test_n_max_bounded(self):
+        assert stream_stats(list(range(70)), 64).total == 7
+        with pytest.raises(ValueError, match="n_max must be <= 64, got 65"):
+            NgramProfiler(65)
+
 
 class TestNgramEntropy:
     def test_uniform_four_way(self):
@@ -313,16 +318,18 @@ def as_document(kind, ids):
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(
     flush=st.integers(1, 8),
+    floor=st.integers(1, 8),
     n_max=st.integers(1, 4),
     specs=st.lists(
         st.tuples(st.sampled_from(DOCUMENT_KINDS), st.lists(st.integers(0, 3), max_size=20)),
         max_size=6,
     ),
 )
-def test_any_flush_size_counts_like_tuples(flush, n_max, specs):
+def test_any_flush_size_counts_like_tuples(flush, floor, n_max, specs):
     # Long documents are counted in overlapping slices; short ones are
-    # buffered whole. Neither may change a count or an entropy bit.
-    with mock.patch.object(diversity, "_FLUSH_TOKENS", flush):
+    # buffered whole. Neither may change a count or an entropy bit, nor
+    # may consolidating inside one slice's count.
+    with mock.patch.multiple(diversity, _FLUSH_TOKENS=flush, _CONSOLIDATE_FLOOR=floor):
         report, counts = results(profiled([as_document(*spec) for spec in specs], n_max))
     assert (report, counts) == results(profiled([as_document(*spec) for spec in specs], n_max))
     docs = [list(as_document(*spec)) for spec in specs]
@@ -337,6 +344,36 @@ def test_any_flush_size_counts_like_tuples(flush, n_max, specs):
 def text_keys(tokens):
     """The keys a profiler gives a list of string tokens."""
     return diversity._string_keys(list(tokens))
+
+
+_MASK_64 = (1 << 64) - 1
+
+
+def reference_mix(value):
+    """The splitmix64 finalizer of ``value + 0x9E3779B97F4A7C15``, mod 2**64."""
+    x = (value + 0x9E3779B97F4A7C15) & _MASK_64
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & _MASK_64
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & _MASK_64
+    return x ^ (x >> 31)
+
+
+def reference_key(token):
+    """A string token's key, word by word as documented in ``_token_keys``."""
+    data = token.encode()
+    total = 0
+    for offset in range(0, len(data), 8):
+        word = int.from_bytes(data[offset : offset + 8], "little")
+        total += reference_mix(word ^ ((offset * 0xC2B2AE3D27D4EB4F) & _MASK_64))
+    return reference_mix((total & _MASK_64) ^ len(data))
+
+
+# Tokens of 0 to 40 UTF-8 bytes: any text cut to its first 40 bytes,
+# a partly cut last code point dropped.
+TOKENS = st.text(st.characters(codec="utf-8"), max_size=40).map(
+    lambda t: t.encode()[:40].decode("utf-8", "ignore")
+)
 
 
 def thue_morse(size):
@@ -368,6 +405,34 @@ class TestTextKeys:
         (doc,) = read_text_token_documents(path)
         assert text_keys(tokens).tolist() == doc.tolist()
         assert text_keys(["", *tokens, ""]).tolist()[1:-1] == doc.tolist()
+
+    # Keys pinned as constants: a faster way to compute keys must leave
+    # every one of them, or every digest of a text corpus moves.
+    FROZEN_KEYS = {
+        "": 0xE220A8397B1DCDAF,
+        "a": 0x121842D00719760B,
+        "a" * 8: 0x4FD5831D60818156,
+        "a" * 9: 0x0B0B133A57C21B98,
+        "a" * 17: 0x9A0B704A6D5F6ECC,
+        "é": 0xCDA3A2E85CDB6720,
+        "あ" * 5: 0x8CFAF25C2B51A289,
+    }
+
+    def test_frozen_keys(self):
+        assert text_keys(self.FROZEN_KEYS).tolist() == list(self.FROZEN_KEYS.values())
+        assert [reference_key(t) for t in self.FROZEN_KEYS] == list(self.FROZEN_KEYS.values())
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(tokens=st.lists(st.one_of(TOKENS, st.sampled_from(["", "\0", "\0" * 9])), max_size=12))
+    def test_keys_match_word_by_word_reference(self, tmp_path_factory, tokens):
+        expected = [reference_key(t) for t in tokens]
+        assert text_keys(tokens).tolist() == expected
+        # The reader keys the same bytes found between whitespace.
+        words = [t for t in tokens if t.split() == [t]]
+        path = tmp_path_factory.mktemp("keys") / "corpus.txt"
+        path.write_text(" ".join(words), encoding="utf-8")
+        docs = list(read_text_token_documents(path))
+        assert [k for doc in docs for k in doc.tolist()] == [reference_key(w) for w in words]
 
 
 class TestReaders:
