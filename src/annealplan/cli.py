@@ -353,6 +353,10 @@ def _cmd_cost(args) -> int:
 def _cmd_diversity(args) -> int:
     if args.n_max < 1:
         raise _UsageError("--n-max must be >= 1")
+    from .diversity import _MAX_ORDER  # loads numpy, as the profiler below does
+
+    if args.n_max > _MAX_ORDER:
+        raise _UsageError(f"--n-max must be <= {_MAX_ORDER}")
     # Attribute lookups on the module, not bare names, so the first one
     # reaches __getattr__ and a name replaced on the module is honoured.
     cli = sys.modules[__name__]

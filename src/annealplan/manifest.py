@@ -11,8 +11,8 @@ rejected, every error names the offending field, and loading the same
 bytes always yields the same points in the same order. A run's scores
 are checked in one pass; only when that pass finds a fault are they
 checked again field by field, to build the error message. The text is
-parsed without a repeated-key hook, and again with it after a fault or
-when a count of ':' cannot rule out a repeated key.
+parsed once; a scan of it finds a repeated key, and runs only after a
+fault or when a count of ':' cannot rule out a repeated key.
 """
 
 from __future__ import annotations
@@ -295,42 +295,34 @@ def _parse_run(obj, index: int) -> RunRecord:
         raise ManifestError(f"{where}: {exc}") from exc
 
 
-def _object_without_repeats(pairs: list[tuple[str, object]]) -> dict:
-    obj = dict(pairs)
-    if len(obj) != len(pairs):
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise ManifestError(f"manifest repeats the key {key!r} within one JSON object")
-            seen.add(key)
-    return obj
-
-
 # The characters that move a JSON scan between states; numbers and
 # literals hold none of them.
 _JSON_STRUCTURE = re.compile(r'[{}\[\],"]')
 
 
-def _repeated_key_offset(text: str) -> int:
-    """Offset of the repeated key :func:`_object_without_repeats` rejects first.
+def _reject_repeated_keys(text: str) -> None:
+    """Raise if a JSON object in ``text`` repeats a key, naming the first repeat.
 
-    The hook sees an object when it closes, and names the first key in
-    it that repeats an earlier one, so this scan does the same. It runs
-    on the error path only, over text that is valid JSON up to there.
+    Objects are checked as they close, in the order a parser closes them.
+    ``text`` may end early, before a JSON error: an object still open at
+    its end is not checked, and a string that does not end stops the scan.
     """
     # Per open container: an array's None, or an object's keys and the
-    # offset of its first repeated key.
-    open_containers: list[tuple[set[str], list[int]] | None] = []
+    # offsets of its repeated keys.
+    open_containers: list[tuple[set[str], list[tuple[str, int]]] | None] = []
     expect_key = False
     pos = 0
     while match := _JSON_STRUCTURE.search(text, pos):
         char, pos = match.group(), match.end()
         if char == '"':
-            key, end = json.decoder.scanstring(text, pos)
+            try:
+                key, end = json.decoder.scanstring(text, pos)
+            except json.JSONDecodeError:
+                return
             if expect_key:
                 keys, repeats = open_containers[-1]
                 if key in keys:
-                    repeats.append(pos - 1)
+                    repeats.append((key, pos - 1))
                 keys.add(key)
             expect_key = False
             pos = end
@@ -339,21 +331,28 @@ def _repeated_key_offset(text: str) -> int:
             expect_key = True
         elif char == "[":
             open_containers.append(None)
+            expect_key = False
         elif char == ",":
             expect_key = open_containers[-1] is not None
         else:
             closed = open_containers.pop()
             if closed is not None and closed[1]:
-                return closed[1][0]
+                key, at = closed[1][0]
+                line, column = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+                raise ManifestError(
+                    f"manifest repeats the key {key!r} within one JSON object"
+                    f" at line {line} column {column}"
+                )
+            if not open_containers:
+                return  # the top-level value has ended
             expect_key = False
-    raise AssertionError("no JSON object repeats a key")
 
 
 def _pairs_in(data: dict) -> int:
     """Key/value pairs in the objects of a manifest that passed validation.
 
     It must count every object ``_runset_from`` visits; one it missed
-    would send every manifest through :func:`_parse_checked` as well.
+    would send every manifest through :func:`_reject_repeated_keys` as well.
     """
     runs = data["runs"]
     return (
@@ -371,41 +370,36 @@ _SPACED_SEPARATOR = re.compile(r'"[ \t\n\r]+:')
 
 def loads_manifest(text: str) -> RunSet:
     """Parse and fully validate manifest JSON from a string."""
-    # Plain json.loads keeps the last of repeated keys, so a count proves
-    # there were none: a repeated key leaves its object one entry short.
-    # Each pair in the text puts one ':' outside a string, right after its
-    # key's closing quote unless space comes between. So the count of ':',
-    # and the count of '":' when no key has space before its ':', is at
-    # least the text's pairs; equal to the pairs validation saw (it visits
-    # every object a valid manifest holds), it rules out a repeated key.
+    # A repeated key is named before any field error, and before a JSON
+    # error that comes after its object closes.
     try:
         data = json.loads(text)
-        runset = _runset_from(data)
-    except (ValueError, RecursionError):
-        # A repeated key, or else the JSON error, comes first, as it did.
-        return _runset_from(_parse_checked(text))
-    pairs = _pairs_in(data)
-    del data  # not held through a second parse
-    if pairs != text.count(":") and (
-        pairs != text.count('":') or _SPACED_SEPARATOR.search(text)
-    ):
-        _parse_checked(text)  # raises if a key repeats
-    return runset
-
-
-def _parse_checked(text: str):
-    """``json.loads`` with a hook that rejects repeated keys; errors name the place."""
-    try:
-        return json.loads(text, object_pairs_hook=_object_without_repeats)
     except json.JSONDecodeError as exc:
+        _reject_repeated_keys(text[: exc.pos])
         raise ManifestError(
             f"manifest is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from exc
-    except ManifestError as exc:
-        # Only the repeated-key hook raises this inside json.loads.
-        at = _repeated_key_offset(text)
-        line, column = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
-        raise ManifestError(f"{exc} at line {line} column {column}") from None
+    except RecursionError:
+        _reject_repeated_keys(text)
+        raise ManifestError("manifest nests JSON arrays and objects too deeply to parse") from None
+    try:
+        runset = _runset_from(data)
+    except ValueError:
+        _reject_repeated_keys(text)
+        raise
+    # json.loads keeps the last of repeated keys, so a count proves there
+    # were none: a repeated key leaves its object one entry short. Each
+    # pair in the text puts one ':' outside a string, after its key's
+    # closing quote and any whitespace. So the count of ':', and that of
+    # '":' plus _SPACED_SEPARATOR's matches, are each at least the text's
+    # pairs; equal to the pairs validation saw (it visits every object a
+    # valid manifest holds), either rules out a repeated key.
+    pairs = _pairs_in(data)
+    if pairs != text.count(":") and (
+        pairs != text.count('":') + len(_SPACED_SEPARATOR.findall(text))
+    ):
+        _reject_repeated_keys(text)
+    return runset
 
 
 def _runset_from(data) -> RunSet:
@@ -469,7 +463,7 @@ def load_manifest(path: str | Path) -> RunSet:
     """Load, parse, and fully validate a manifest JSON file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     return loads_manifest(text)
 

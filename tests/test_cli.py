@@ -755,7 +755,17 @@ class TestDiversity:
         corpus.write_text("a b c\n")
         proc = run_within_2_gib("diversity", "--corpus", str(corpus), "--n-max", "100000000")
         assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
-        assert proc.stderr == "error: n_max must be <= 64, got 100000000\n"
+        assert proc.stderr == "usage error: --n-max must be <= 64\n"
+
+    def test_n_max_bounds_are_usage_errors(self, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("a b c\n", encoding="utf-8")
+        for n_max, bound in (("0", ">= 1"), ("65", "<= 64")):
+            code, out, err = run_cli(capsys, "diversity", "--corpus", str(corpus), "--n-max", n_max)
+            assert (code, out, err) == (1, "", f"usage error: --n-max must be {bound}\n")
+        code, out, err = run_cli(capsys, "diversity", "--corpus", str(corpus), "--n-max", "64")
+        assert code == 0, err
+        assert parse_csv(out)[-1]["n"] == "64"
 
 
 class TestSimulate:

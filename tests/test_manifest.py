@@ -135,6 +135,53 @@ class TestLoadManifest:
             "manifest repeats the key 'b' within one JSON object at line 2 column 11"
         )
 
+    def test_repeat_in_a_closed_object_beats_a_later_json_error(self):
+        # The tab in the last string is invalid JSON, but the inner object
+        # closed with its repeated key before the parser reached it.
+        with pytest.raises(ManifestError) as info:
+            loads_manifest('{"a": {"b": 1, "b": 2}, "c": "x\ty"}')
+        assert str(info.value) == (
+            "manifest repeats the key 'b' within one JSON object at line 1 column 16"
+        )
+
+    def test_json_error_beats_a_repeat_in_an_open_object(self):
+        with pytest.raises(ManifestError) as info:
+            loads_manifest('{"a": 1, "a": "x\ty"}')
+        assert str(info.value) == (
+            "manifest is not valid JSON: Invalid control character at at line 1 column 17"
+        )
+
+    @pytest.mark.parametrize(
+        "tail", ["", "]" * 100_001, '{["a"'], ids=["open", "one closer too many", "array in object"]
+    )
+    def test_deep_nesting_fails_cleanly(self, tmp_path, capsys, tail):
+        # Past the recursion limit json.loads raises RecursionError, which
+        # the CLI would report as an internal error (exit 2). The scan for
+        # a repeated key then reads the whole text, invalid JSON included.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + tail, encoding="utf-8")
+        with pytest.raises(ManifestError, match="nests JSON arrays and objects too deeply"):
+            load_manifest(path)
+        assert main(["fit", "--manifest", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: manifest nests JSON")
+        # An object that closed with a repeated key before the nesting
+        # went too deep is still named first.
+        with pytest.raises(ManifestError, match="repeats the key 'a'.* line 1 column 11"):
+            loads_manifest('[{"a": 1, "a": 2}, ' + "[" * 100_000)
+
+    def test_manifest_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"baseline_id": "caf\xe9"}')
+        message = (
+            f"cannot read manifest {path}: 'utf-8' codec can't decode byte 0xe9 in position 20:"
+            " invalid continuation byte"
+        )
+        with pytest.raises(ManifestError) as info:
+            load_manifest(path)
+        assert str(info.value) == message
+        assert main(["fit", "--manifest", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_bool_not_accepted_as_int(self, write_manifest):
         data = manifest_dict()
         data["runs"][0]["steps"] = True

@@ -22,13 +22,16 @@ valid and faulty entries, the run parser must return what the per-field
 checks build, or raise their first error, and take the one pass exactly
 when every entry is valid.
 
-The text is parsed without a repeated-key hook, and a count of ``:``
-proves that no key repeated. On raw JSON text with a repeated key in
-any kind of object, a ``:`` inside a string (plain, escaped, or after an
-escaped quote), space around the ``:`` between keys and values, and
-invalid JSON after a repeated key, ``loads_manifest`` must give the same
-``RunSet``, or the same error, as the kept hook-plus-per-field parse.
-A ``:`` inside a string must not cost the hooked parse.
+The text is parsed once, without a repeated-key hook; a count of ``:``
+proves that no key repeated, and a scan of the text finds the repeat
+otherwise. On raw JSON text with a repeated key in any kind of object, a
+``:`` inside a string (plain, escaped, or after an escaped quote), space
+around the ``:`` between keys and values, and invalid JSON after a
+repeated key, ``loads_manifest`` must give the same ``RunSet``, or the
+same error, as a reference parse with an ``object_pairs_hook`` that
+rejects a repeated key as its object closes; the line and column it adds
+to a repeated-key error must point at that key. A ``:`` inside a string
+or space before a key's ``:`` must not cost the scan.
 """
 
 import contextlib
@@ -37,6 +40,7 @@ import csv
 import io
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -47,7 +51,6 @@ from annealplan.costs import SOURCE_FLOAT_FIELDS, CostBasis, SourceCostModel
 from annealplan.manifest import (
     ManifestError,
     RunRecord,
-    _parse_checked,
     _parse_run,
     _runset_from,
     _parse_score,
@@ -379,11 +382,45 @@ def raw_manifest_texts(draw) -> str:
     return text
 
 
+def _object_without_repeats(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ManifestError(f"manifest repeats the key {key!r} within one JSON object")
+            seen.add(key)
+    return obj
+
+
+def _checked_parse(text: str):
+    """The reference: a hook rejects a repeated key as its object closes, then validation."""
+    try:
+        data = json.loads(text, object_pairs_hook=_object_without_repeats)
+    except json.JSONDecodeError as exc:
+        raise ManifestError(
+            f"manifest is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
+        ) from exc
+    return _runset_from(data)
+
+
+REPEAT_AT = re.compile(
+    r"(manifest repeats the key .* within one JSON object) at line (\d+) column (\d+)"
+)
+
+
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(text=raw_manifest_texts())
 def test_parse_without_hook_agrees_with_checked_parse(text):
-    checked = _outcome(lambda t: _runset_from(_parse_checked(t)), text)
-    assert _outcome(loads_manifest, text) == checked
+    got = _outcome(loads_manifest, text)
+    if isinstance(got, str) and (repeat := REPEAT_AT.fullmatch(got)):
+        # The hook knows no position; the one reported must hold the key.
+        got, line, column = repeat.group(1), int(repeat.group(2)), int(repeat.group(3))
+        at = sum(len(row) + 1 for row in text.split("\n")[: line - 1]) + column - 1
+        assert text[at] == '"'
+        key, _ = json.decoder.scanstring(text, at + 1)
+        assert got == f"manifest repeats the key {key!r} within one JSON object"
+    assert got == _outcome(_checked_parse, text)
 
 
 def _every_optional_field() -> dict:
@@ -405,20 +442,20 @@ def _every_optional_field() -> dict:
 
 def test_checked_parse_runs_only_when_a_key_may_repeat(monkeypatch):
     calls = []
-    monkeypatch.setattr("annealplan.manifest._parse_checked", lambda text: calls.append(text))
+    monkeypatch.setattr("annealplan.manifest._reject_repeated_keys", calls.append)
     full = _every_optional_field()
     assert all(source.keys() >= {"kind", *SOURCE_FLOAT_FIELDS} for source in full["sources"].values())
     clean = json.dumps(BASE)
     colons = clean.replace('"rephrased"', '"re:phrased"').replace('"mmlu_anatomy"', '"bbh:date"')
     for text in (clean, json.dumps(BASE, indent=2), json.dumps(full), json.dumps(full, indent=2),
-                 json.dumps(BASE, separators=(",", " : ")), colons):
-        assert loads_manifest(text) == _runset_from(_parse_checked(text))
+                 json.dumps(BASE, separators=(",", " : ")), colons,
+                 json.dumps(full, separators=(",", " : "))):
+        assert loads_manifest(text) == _checked_parse(text)
         assert calls == []
-    # The count cannot rule out a repeated key: space before a ':' between
-    # a key and its value beside a ':' in a string, an escaped quote before
-    # a ':' in a string, or a repeated key, with or without those.
-    for text in (json.dumps(full, separators=(",", " : ")),
-                 clean.replace('"1.515e-04"', '"1.515e-04 \\":"'),
+    # The count cannot rule out a repeated key: an escaped quote before a
+    # ':' in a string, or a repeated key, with or without a ':' in a
+    # string and space before a key's ':'.
+    for text in (clean.replace('"1.515e-04"', '"1.515e-04 \\":"'),
                  clean.replace('"epochs"', '"epochs": 2, "epochs"'),
                  colons.replace('"epochs"', '"epochs" : 2, "epochs"')):
         loads_manifest(text)
