@@ -537,6 +537,40 @@ class TestBuildUtilityPoints:
         (point,) = build_utility_points(runset, ["mmlu_anatomy"], CostBasis.CURATION_ONLY)
         assert point.delta.value == pytest.approx(0.06, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "change, tasks, message",
+        [
+            ("seed tasks", None,
+             "runs have mismatched task sets; differing tasks:"
+             " ['mmlu_college_biology', 'mmlu_virology']"),
+            ("treated tasks", None,
+             "task suite of ('med_filter', 1000) differs from the baseline's at the same steps;"
+             " differing tasks: ['mmlu_college_biology', 'mmlu_virology']"),
+            ("treated steps", None, "no baseline run at steps=2000 to pair with ('med_filter', 2000)"),
+            (None, "gsm8k*", "task filter ['gsm8k*'] matches no baseline tasks at steps=1000"),
+            ("treated tasks", "mmlu_college_biology",
+             "task filter ['mmlu_college_biology'] matches no tasks for ('med_filter', 1000)"),
+        ],
+        ids=["seed-task-sets", "treated-suite", "no-baseline-steps", "filter-baseline",
+             "filter-treated"],
+    )
+    def test_group_messages(self, write_manifest, capsys, change, tasks, message):
+        data = manifest_dict()
+        if change == "seed tasks":
+            data["runs"][1]["scores"][1]["task_id"] = "mmlu_virology"
+        elif change == "treated tasks":
+            data["runs"][2]["scores"][1]["task_id"] = "mmlu_virology"
+        elif change == "treated steps":
+            data["runs"][2]["steps"] = 2000
+        manifest = write_manifest(data)
+        runset = loads_manifest(manifest.read_text(encoding="utf-8"))
+        with pytest.raises(ManifestError) as info:
+            build_utility_points(runset, tasks and [tasks], CostBasis.CURATION_ONLY)
+        assert str(info.value) == message
+        argv = ["fit", "--manifest", str(manifest)] + (["--tasks", tasks] if tasks else [])
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_basis_changes_compute_not_delta(self, write_manifest):
         runset = load_manifest(write_manifest(manifest_dict()))
         only = build_utility_points(runset, None, CostBasis.CURATION_ONLY)

@@ -41,23 +41,33 @@ import io
 import json
 import math
 import re
+from fnmatch import fnmatchcase
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annealplan.cli import main
-from annealplan.costs import SOURCE_FLOAT_FIELDS, CostBasis, SourceCostModel
+from annealplan.costs import (
+    SOURCE_FLOAT_FIELDS,
+    CostBasis,
+    SourceCostModel,
+    tokens_per_step,
+    total_cost,
+)
 from annealplan.manifest import (
     ManifestError,
     RunRecord,
+    UtilityPoint,
     _parse_run,
     _runset_from,
     _parse_score,
     _scores_in_one_pass,
+    average_seeds,
     build_utility_points,
     loads_manifest,
 )
+from annealplan.metrics import aggregate_suite, anchored_mean, utility_delta
 from annealplan.scaling import fit_by_source
 from annealplan.simulate import generate_manifest, scenario_rank_flip
 
@@ -322,6 +332,109 @@ def test_one_pass_score_check_agrees_with_per_field_checks(scores):
     assert got == expected
     if isinstance(got, RunRecord):
         assert all(type(s.value) is float for s in got.scores)
+
+
+SUITE_TASKS = ["mmlu_anatomy", "mmlu_virology", "gsm8k", "pubmedqa"]
+TASK_GLOBS = ["mmlu_*", "gsm8k*", "*", "pubmedqa", "*a*", "mmlu_[av]*", "none*"]
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def multi_seed_manifests(draw) -> tuple[str, list[str] | None]:
+    """(manifest JSON text, task filter) with one to three seeds per group.
+
+    Runs and seeds come in any order, each seed lists the tasks in its own
+    order and with its own ``n_examples``, and some manifests hold only
+    signed zeros, so single-seed, single-task groups carry ``-0.0`` through.
+    """
+    metric = draw(st.sampled_from(METRICS))
+    tasks = draw(st.lists(st.sampled_from(SUITE_TASKS), min_size=1, max_size=4, unique=True))
+    values = SIGNED_ZEROS if draw(st.integers(0, 3)) == 0 else st.floats(0.0, 1.0)
+    steps_grid = draw(st.lists(st.integers(1, 40_000), min_size=1, max_size=3, unique=True))
+    sources = {
+        "full_replay": {"kind": "zero_cost"},
+        "filt": {"kind": "mbf", "mbf_recall": 22.0, "annotator_per_token_flops": 2e8},
+        "syn": {"kind": "synthetic", "generator_params": 3_000_000_000},
+    }
+    runs = []
+    for source_id in draw(st.sampled_from([["full_replay", "filt"], list(sources)])):
+        for steps in steps_grid:
+            seeds = draw(st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True))
+            for seed in seeds:
+                scores = [
+                    {"task_id": task, "metric": metric, "value": draw(values),
+                     "n_examples": draw(st.integers(1, 500))}
+                    for task in draw(st.permutations(tasks))
+                ]
+                runs.append({"source_id": source_id, "seed": seed, "steps": steps,
+                             "scores": scores})
+    data = {
+        "baseline_id": "full_replay",
+        "training_model": {"param_count": 7_000_000_000},
+        "geometry": {"batch_size": 256, "sequence_length": 8192, "upsample_ratio": 0.1,
+                     "epochs": 1.0},
+        "sources": sources,
+        "runs": draw(st.permutations(runs)),
+    }
+    task_filter = draw(st.none() | st.lists(st.sampled_from(TASK_GLOBS), min_size=1, max_size=2))
+    return json.dumps(data), task_filter
+
+
+def _reference_points(runset, task_filter, basis) -> list[UtilityPoint]:
+    """Points built score by score: seed averages, filter, suite mean, delta, price."""
+    baseline, treated = {}, {}
+    for run in runset.runs:
+        if run.source_id == runset.baseline_id:
+            baseline.setdefault(run.steps, []).append(run)
+        else:
+            treated.setdefault((run.source_id, run.steps), []).append(run)
+
+    def suite(runs):
+        runs = sorted(runs, key=lambda r: r.seed)
+        merged = average_seeds(runs)
+        by_task = [{s.task_id: s.value for s in run.scores} for run in runs]
+        assert [s.value for s in merged.scores] == [
+            anchored_mean([values[s.task_id] for values in by_task]) for s in merged.scores
+        ]
+        if len(runs) == 1:
+            assert merged.scores == runs[0].scores
+        return aggregate_suite([
+            s for s in merged.scores
+            if task_filter is None or any(fnmatchcase(s.task_id, p) for p in task_filter)
+        ])
+
+    baselines = {steps: suite(runs) for steps, runs in baseline.items()}
+    total, upsampled = tokens_per_step(runset.geometry)
+    return [
+        UtilityPoint(
+            source_id=source_id,
+            steps=steps,
+            compute=total_cost(runset.sources[source_id], runset.geometry, steps * total,
+                               runset.training_model, basis),
+            tokens_upsampled=steps * upsampled,
+            delta=utility_delta(baselines[steps], suite(runs), source_id=source_id),
+            basis=basis,
+        )
+        for (source_id, steps), runs in sorted(treated.items())
+    ]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(case=multi_seed_manifests(), basis=st.sampled_from(list(CostBasis)))
+def test_points_equal_score_by_score_reference(case, basis):
+    text, task_filter = case
+    runset = loads_manifest(text)
+    try:
+        expected = _reference_points(runset, task_filter, basis)
+    except ValueError:  # the filter matches no task
+        with pytest.raises(ManifestError, match=r"task filter .* matches no baseline tasks"):
+            build_utility_points(runset, task_filter, basis)
+        return
+    got = build_utility_points(runset, task_filter, basis)
+    assert got == expected
+    assert repr(got) == repr(expected)  # tells -0.0 from 0.0
+    for point, want in zip(got, expected):
+        assert (point.compute, point.delta.value) == (want.compute, want.delta.value)
 
 
 def _outcome(load, arg):
