@@ -6,13 +6,18 @@ source, and the per-run task scores. Treated runs are paired with the
 seed-averaged baseline run at the same step count to produce
 (compute, delta) utility points under a chosen cost basis.
 
+Scores are held as a table: each run keeps a suite, the flat tuple of
+its tasks' (task_id, metric, n_examples) shared by every run of the
+manifest with that suite, and a tuple of its values in the same order.
+Seeds sharing a suite are averaged column by column.
+
 Validation is strict: unknown fields and repeated JSON keys are
 rejected, every error names the offending field, and loading the same
 bytes always yields the same points in the same order. A run's scores
 are checked in one pass; only when that pass finds a fault are they
 checked again field by field, to build the error message. The text is
 parsed once; a scan of it finds a repeated key, and runs only after a
-fault or when a count of ':' cannot rule out a repeated key.
+JSON error or when a count of ':' cannot rule out a repeated key.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
@@ -41,7 +47,7 @@ from .metrics import (
     UtilityDelta,
     aggregate_suite,
     anchored_mean,
-    utility_delta,
+    utility_delta,  # noqa: F401  (bound here for callers that look it up in this module)
 )
 
 __all__ = [
@@ -66,19 +72,26 @@ class ManifestError(ValueError):
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One annealing run: identity, step count, and per-task scores."""
+    """One annealing run: identity, step count, and its row of the score table."""
 
     source_id: str
     seed: int
     steps: int
-    scores: tuple[TaskScore, ...]
+    suite: tuple
+    values: tuple[float, ...]
     metadata: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.steps <= 0:
             raise ManifestError(f"steps must be positive, got {self.steps}")
-        if not self.scores:
+        if not self.suite:
             raise ManifestError(f"run ({self.source_id}, {self.seed}, {self.steps}) has no scores")
+
+    @property
+    def scores(self) -> tuple[TaskScore, ...]:
+        """One ``TaskScore`` per task, in the suite's order."""
+        suite = self.suite
+        return tuple(map(TaskScore, suite[::3], suite[1::3], self.values, suite[2::3]))
 
 
 @dataclass(frozen=True)
@@ -207,7 +220,8 @@ def _parse_source(source_id: str, obj) -> SourceCostModel:
 
 _SCORE_KEYS = frozenset({"task_id", "metric", "value", "n_examples"})
 _RUN_KEYS = frozenset({"source_id", "seed", "steps", "scores", "metadata"})
-_METRICS = {m.value: m for m in MetricKind}
+# Metric name -> (kind, lowest value, highest value).
+_METRICS = {m.value: (m, *m.value_range) for m in MetricKind}
 
 
 def _parse_score(obj, where: str) -> TaskScore:
@@ -231,13 +245,14 @@ def _parse_score(obj, where: str) -> TaskScore:
         raise ManifestError(f"{where}: {exc}") from exc
 
 
-def _scores_in_one_pass(scores_obj: list) -> tuple[TaskScore, ...] | None:
-    """The scores, if every one passes ``_parse_score``; None at the first that might not.
+def _scores_in_one_pass(scores_obj: list) -> tuple[tuple, tuple[float, ...]] | None:
+    """The run's (suite, values) if every score surely passes ``_parse_score``, else None.
 
     Accepts only JSON's own types, so it never accepts what
     ``_parse_score`` rejects; it may decline what ``_parse_score`` accepts.
     """
-    scores = []
+    suite: list = []
+    values = []
     try:
         for obj in scores_obj:
             if type(obj) is not dict or obj.keys() != _SCORE_KEYS:
@@ -252,14 +267,20 @@ def _scores_in_one_pass(scores_obj: list) -> tuple[TaskScore, ...] | None:
                 or (type(value) is not float and type(value) is not int)
             ):
                 return None
+            kind, lo, hi = _METRICS[metric]
+            value = float(value)
+            if not (lo <= value <= hi and n_examples > 0):
+                return None
             float(n_examples)
-            scores.append(TaskScore(task_id, _METRICS[metric], float(value), n_examples))
+            suite += task_id, kind, n_examples
+            values.append(value)
     except (KeyError, ValueError, OverflowError):
         return None
-    return tuple(scores)
+    return tuple(suite), tuple(values)
 
 
-def _parse_run(obj, index: int) -> RunRecord:
+def _parse_run(obj, index: int, suites: dict[tuple, tuple]) -> RunRecord:
+    """Validate run ``index``; ``suites`` interns the suites of one manifest's runs."""
     where = f"runs[{index}]"
     if not isinstance(obj, Mapping):
         raise ManifestError(f"{where} must be an object")
@@ -268,15 +289,18 @@ def _parse_run(obj, index: int) -> RunRecord:
     scores_obj = _get(obj, "scores", where)
     if not isinstance(scores_obj, list):
         raise ManifestError(f"field 'scores' in {where} must be a list")
-    scores = _scores_in_one_pass(scores_obj)
-    if scores is None:
-        scores = tuple(
-            _parse_score(s, f"{where}.scores[{i}]") for i, s in enumerate(scores_obj)
-        )
-    if len({s.task_id for s in scores}) != len(scores):
-        ids = [s.task_id for s in scores]
-        i = next(i for i, task_id in enumerate(ids) if task_id in ids[:i])
-        raise ManifestError(f"{where}.scores[{i}]: task id {ids[i]!r} appears twice in {where}")
+    table = _scores_in_one_pass(scores_obj)
+    if table is None:
+        scores = [_parse_score(s, f"{where}.scores[{i}]") for i, s in enumerate(scores_obj)]
+        suite = tuple(x for s in scores for x in (s.task_id, s.metric, s.n_examples))
+        table = suite, tuple(s.value for s in scores)
+    suite, values = table
+    if suite not in suites:
+        ids = suite[::3]
+        if len(set(ids)) != len(ids):
+            i = next(i for i, task_id in enumerate(ids) if task_id in ids[:i])
+            raise ManifestError(f"{where}.scores[{i}]: task id {ids[i]!r} appears twice in {where}")
+    suite = suites.setdefault(suite, suite)
     metadata: dict[str, str] = {}
     if "metadata" in obj:
         meta_obj = obj["metadata"]
@@ -290,7 +314,7 @@ def _parse_run(obj, index: int) -> RunRecord:
     seed = _get_int(obj, "seed", where)
     steps = _get_int(obj, "steps", where)
     try:
-        return RunRecord(source_id, seed, steps, scores, metadata)
+        return RunRecord(source_id, seed, steps, suite, values, metadata)
     except ManifestError as exc:
         raise ManifestError(f"{where}: {exc}") from exc
 
@@ -298,6 +322,11 @@ def _parse_run(obj, index: int) -> RunRecord:
 # The characters that move a JSON scan between states; numbers and
 # literals hold none of them.
 _JSON_STRUCTURE = re.compile(r'[{}\[\],"]')
+
+
+def _line_column(text: str, at: int) -> str:
+    line, column = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+    return f"line {line} column {column}"
 
 
 def _reject_repeated_keys(text: str) -> None:
@@ -338,10 +367,9 @@ def _reject_repeated_keys(text: str) -> None:
             closed = open_containers.pop()
             if closed is not None and closed[1]:
                 key, at = closed[1][0]
-                line, column = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
                 raise ManifestError(
                     f"manifest repeats the key {key!r} within one JSON object"
-                    f" at line {line} column {column}"
+                    f" at {_line_column(text, at)}"
                 )
             if not open_containers:
                 return  # the top-level value has ended
@@ -364,6 +392,19 @@ def _pairs_in(data: dict) -> int:
     )
 
 
+def _pairs_in_every_object(tree) -> int:
+    """Key/value pairs in every object of any parsed JSON value."""
+    pairs, stack = 0, [tree]
+    while stack:
+        node = stack.pop()
+        if type(node) is dict:
+            pairs += len(node)
+            stack += node.values()
+        elif type(node) is list:
+            stack += node
+    return pairs
+
+
 # A key's closing quote with whitespace before its ':'.
 _SPACED_SEPARATOR = re.compile(r'"[ \t\n\r]+:')
 
@@ -382,23 +423,38 @@ def loads_manifest(text: str) -> RunSet:
     except RecursionError:
         _reject_repeated_keys(text)
         raise ManifestError("manifest nests JSON arrays and objects too deeply to parse") from None
-    try:
-        runset = _runset_from(data)
     except ValueError:
-        _reject_repeated_keys(text)
+        # Only an integer literal past int()'s digit limit raises this. The
+        # pattern matches strings whole, so it skips the digits inside them.
+        limit = sys.get_int_max_str_digits()
+        pattern = rf'"[^"\\]*(?:\\.[^"\\]*)*"|(?<![\d.eE+-])-?\d{{{limit + 1},}}(?![\d.eE])'
+        for match in re.finditer(pattern, text):
+            if match[0][0] != '"':
+                _reject_repeated_keys(text[: match.start()])
+                raise ManifestError(
+                    f"manifest holds an integer of {len(match[0].lstrip('-'))} digits at"
+                    f" {_line_column(text, match.start())}, beyond the float range"
+                ) from None
         raise
-    # json.loads keeps the last of repeated keys, so a count proves there
-    # were none: a repeated key leaves its object one entry short. Each
-    # pair in the text puts one ':' outside a string, after its key's
-    # closing quote and any whitespace. So the count of ':', and that of
-    # '":' plus _SPACED_SEPARATOR's matches, are each at least the text's
-    # pairs; equal to the pairs validation saw (it visits every object a
-    # valid manifest holds), either rules out a repeated key.
-    pairs = _pairs_in(data)
+    try:
+        runset, error = _runset_from(data), None
+    except ValueError as exc:
+        runset, error = None, exc
+    # json.loads keeps the last of repeated keys, so a repeated key leaves
+    # its object one entry short. Each pair in the text puts one ':' outside
+    # a string, after its key's closing quote and any whitespace. So the
+    # count of ':', and that of '":' plus _SPACED_SEPARATOR's matches, are
+    # each at least the text's pairs; equal to the pairs of every object
+    # the parse holds, either rules out a repeated key. Validation visits
+    # every object of a valid manifest; after a field error, the whole
+    # parse is counted instead, which is slower but still beats the scan.
+    pairs = _pairs_in(data) if error is None else _pairs_in_every_object(data)
     if pairs != text.count(":") and (
         pairs != text.count('":') + len(_SPACED_SEPARATOR.findall(text))
     ):
         _reject_repeated_keys(text)
+    if error is not None:
+        raise error
     return runset
 
 
@@ -432,7 +488,8 @@ def _runset_from(data) -> RunSet:
     runs_obj = _get(data, "runs", "manifest")
     if not isinstance(runs_obj, list) or not runs_obj:
         raise ManifestError("runs must be a nonempty list")
-    runs = tuple(_parse_run(r, i) for i, r in enumerate(runs_obj))
+    suites: dict[tuple, tuple] = {}
+    runs = tuple(_parse_run(r, i, suites) for i, r in enumerate(runs_obj))
 
     seen: set[tuple[str, int, int]] = set()
     for run in runs:
@@ -468,6 +525,42 @@ def load_manifest(path: str | Path) -> RunSet:
     return loads_manifest(text)
 
 
+def _seed_means(runs: Sequence[RunRecord]) -> tuple[float, ...]:
+    """Each task's mean over seeds of one (source, steps), in the first seed's task order.
+
+    Raises unless the runs share source, step count, task set and each
+    task's metric. A single run's values are returned untouched.
+    """
+    first = runs[0]
+    rows = [first.values]
+    for run in runs[1:]:
+        if run.source_id != first.source_id:
+            raise ManifestError(
+                f"cannot average runs from different sources: {first.source_id!r} vs {run.source_id!r}"
+            )
+        if run.steps != first.steps:
+            raise ManifestError(
+                f"cannot average runs at different steps: {first.steps} vs {run.steps}"
+            )
+        if run.suite == first.suite:
+            rows.append(run.values)
+            continue
+        mine = dict(zip(first.suite[::3], first.suite[1::3]))
+        theirs = dict(zip(run.suite[::3], run.suite[1::3]))
+        if mine.keys() != theirs.keys():
+            diff = sorted(mine.keys() ^ theirs.keys())
+            raise ManifestError(f"runs have mismatched task sets; differing tasks: {diff}")
+        mixed = [t for t, metric in mine.items() if metric is not theirs[t]]
+        if mixed:
+            raise ManifestError(
+                f"seeds {first.seed} and {run.seed} of ({first.source_id!r}, {first.steps})"
+                f" score tasks {sorted(mixed)} with different metrics"
+            )
+        values = dict(zip(run.suite[::3], run.values))
+        rows.append([values[t] for t in mine])
+    return first.values if len(rows) == 1 else tuple(map(anchored_mean, zip(*rows)))
+
+
 def average_seeds(runs: Sequence[RunRecord]) -> RunRecord:
     """Average per-task scores across seeds of otherwise identical runs.
 
@@ -480,52 +573,15 @@ def average_seeds(runs: Sequence[RunRecord]) -> RunRecord:
     if len(runs) == 1:
         return runs[0]
     first = runs[0]
-    by_task = [{s.task_id: s for s in run.scores} for run in runs]
-    mine = by_task[0]
-    for run, theirs in zip(runs[1:], by_task[1:]):
-        if run.source_id != first.source_id:
-            raise ManifestError(
-                f"cannot average runs from different sources: {first.source_id!r} vs {run.source_id!r}"
-            )
-        if run.steps != first.steps:
-            raise ManifestError(
-                f"cannot average runs at different steps: {first.steps} vs {run.steps}"
-            )
-        if mine.keys() != theirs.keys():
-            diff = sorted(mine.keys() ^ theirs.keys())
-            raise ManifestError(f"runs have mismatched task sets; differing tasks: {diff}")
-        mixed = [t for t, score in mine.items() if score.metric is not theirs[t].metric]
-        if mixed:
-            raise ManifestError(
-                f"seeds {first.seed} and {run.seed} of ({first.source_id!r}, {first.steps})"
-                f" score tasks {sorted(mixed)} with different metrics"
-            )
-    averaged = tuple(
-        TaskScore(
-            s.task_id, s.metric, anchored_mean([m[s.task_id].value for m in by_task]), s.n_examples
-        )
-        for s in first.scores
-    )
     seeds = ",".join(str(run.seed) for run in runs)
     return RunRecord(
         source_id=first.source_id,
         seed=AGGREGATE_SEED,
         steps=first.steps,
-        scores=averaged,
+        suite=first.suite,
+        values=_seed_means(runs),
         metadata={"averaged_seeds": seeds},
     )
-
-
-def _filter_scores(
-    run: RunRecord, task_filter: Sequence[str] | None, matched: dict[str, bool]
-) -> list[TaskScore]:
-    """The run's scores whose task id matches a pattern; ``matched`` memoizes task ids."""
-    if task_filter is None:
-        return list(run.scores)
-    for s in run.scores:
-        if s.task_id not in matched:
-            matched[s.task_id] = any(fnmatchcase(s.task_id, pattern) for pattern in task_filter)
-    return [s for s in run.scores if matched[s.task_id]]
 
 
 def build_utility_points(
@@ -543,49 +599,65 @@ def build_utility_points(
     task set of each treated group must equal the baseline's at the
     same step count. Output is sorted by (source_id, steps).
     """
-    baseline_by_steps: dict[int, list[RunRecord]] = {}
-    treated_by_key: dict[tuple[str, int], list[RunRecord]] = {}
+    groups: dict[tuple[str, int], list[RunRecord]] = {}
     for run in runset.runs:
-        if run.source_id == runset.baseline_id:
-            baseline_by_steps.setdefault(run.steps, []).append(run)
-        else:
-            treated_by_key.setdefault((run.source_id, run.steps), []).append(run)
+        groups.setdefault((run.source_id, run.steps), []).append(run)
+    # Suite -> {task_id: metric} of its filtered tasks, and their offsets in it.
+    picked_by_suite: dict[tuple, tuple[dict[str, MetricKind], list[int]]] = {}
 
-    matched: dict[str, bool] = {}
+    def filtered(runs: list[RunRecord]) -> tuple[dict[str, MetricKind], list[int], list[float]]:
+        """The filtered tasks' metrics, offsets in the suite and seed means."""
+        runs.sort(key=lambda r: r.seed)
+        suite = runs[0].suite
+        if suite not in picked_by_suite:
+            picked = [
+                i for i in range(0, len(suite), 3)
+                if task_filter is None or any(fnmatchcase(suite[i], p) for p in task_filter)
+            ]
+            picked_by_suite[suite] = {suite[i]: suite[i + 1] for i in picked}, picked
+        metrics, picked = picked_by_suite[suite]
+        means = _seed_means(runs)
+        return metrics, picked, [means[i // 3] for i in picked]
+
     baseline_agg: dict[int, tuple[dict[str, MetricKind], TaskScore]] = {}
-    for steps, runs in baseline_by_steps.items():
-        merged = average_seeds(sorted(runs, key=lambda r: r.seed))
-        scores = _filter_scores(merged, task_filter, matched)
-        if not scores:
+    for (source_id, steps), runs in groups.items():
+        if source_id != runset.baseline_id:
+            continue
+        metrics, picked, means = filtered(runs)
+        if not metrics:
             raise ManifestError(
                 f"task filter {list(task_filter or [])} matches no baseline tasks at steps={steps}"
             )
-        metrics = {s.task_id: s.metric for s in scores}
-        odd = sorted(t for t, metric in metrics.items() if metric is not scores[0].metric)
+        task_id, kind = next(iter(metrics.items()))
+        odd = sorted(t for t, metric in metrics.items() if metric is not kind)
         if odd:
             raise ManifestError(
                 f"baseline task suite at steps={steps} mixes metric kinds: tasks {odd}"
-                f" are not scored with {scores[0].metric.value} like {scores[0].task_id!r}"
+                f" are not scored with {kind.value} like {task_id!r}"
             )
         # A treated suite must match these metrics task by task, so it
-        # cannot mix kinds either.
+        # cannot mix kinds either. The baseline's suite score, one per step
+        # count, comes from aggregate_suite, whose calls perfbench's traced
+        # run records; a treated group's value is taken below with the same
+        # arithmetic.
+        suite = runs[0].suite
+        scores = [
+            TaskScore(suite[i], suite[i + 1], mean, suite[i + 2]) for i, mean in zip(picked, means)
+        ]
         baseline_agg[steps] = (metrics, aggregate_suite(scores))
 
     total_per_step, upsampled_per_step = tokens_per_step(runset.geometry)
 
     points = []
-    for (source_id, steps) in sorted(treated_by_key):
-        runs = treated_by_key[(source_id, steps)]
+    for source_id, steps in sorted(key for key in groups if key[0] != runset.baseline_id):
         if steps not in baseline_agg:
             raise ManifestError(f"no baseline run at steps={steps} to pair with ({source_id!r}, {steps})")
-        merged = average_seeds(sorted(runs, key=lambda r: r.seed))
-        scores = _filter_scores(merged, task_filter, matched)
-        if not scores:
+        metrics, picked, means = filtered(groups[(source_id, steps)])
+        if not metrics:
             raise ManifestError(
                 f"task filter {list(task_filter or [])} matches no tasks for ({source_id!r}, {steps})"
             )
-        baseline_metrics, baseline_score = baseline_agg[steps]
-        metrics = {s.task_id: s.metric for s in scores}
+        baseline_metrics, baseline = baseline_agg[steps]
         if metrics != baseline_metrics:
             differing = baseline_metrics.keys() ^ metrics.keys()
             if differing:
@@ -602,7 +674,9 @@ def build_utility_points(
                 f"metrics of ({source_id!r}, {steps}) differ from the baseline's at the"
                 f" same steps: {'; '.join(mixed)}"
             )
-        delta = utility_delta(baseline_score, aggregate_suite(scores), source_id=source_id)
+        value = means[0] if len(means) == 1 else anchored_mean(means)
+        kind = baseline.metric
+        delta = UtilityDelta(kind.improvement(baseline.value, value), kind, source_id)
         compute = total_cost(
             runset.sources[source_id],
             runset.geometry,

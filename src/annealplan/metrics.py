@@ -53,6 +53,12 @@ class MetricKind(enum.Enum):
     def value_range(self) -> tuple[float, float]:
         return _VALUE_RANGES[self]
 
+    def improvement(self, baseline: float, treated: float) -> float:
+        """How far ``treated`` beats ``baseline``; positive is better in either direction."""
+        if self.direction is MetricDirection.LOWER_IS_BETTER:
+            return baseline - treated
+        return treated - baseline
+
 
 # Inclusive (low, high) bounds of each metric's values.
 _VALUE_RANGES = {
@@ -165,8 +171,5 @@ def utility_delta(baseline: TaskScore, treated: TaskScore, source_id: str = "") 
         raise ValueError(
             f"metric mismatch: baseline {baseline.metric.value} vs treated {treated.metric.value}"
         )
-    if baseline.metric.direction is MetricDirection.LOWER_IS_BETTER:
-        value = baseline.value - treated.value
-    else:
-        value = treated.value - baseline.value
+    value = baseline.metric.improvement(baseline.value, treated.value)
     return UtilityDelta(value=value, metric=baseline.metric, source_id=source_id)

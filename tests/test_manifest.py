@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -20,7 +21,7 @@ from annealplan.manifest import (
     load_manifest,
     loads_manifest,
 )
-from annealplan.metrics import MetricKind, TaskScore
+from annealplan.metrics import MetricKind
 
 from conftest import manifest_dict
 
@@ -36,6 +37,17 @@ class TestLoadManifest:
         assert runset.sources["med_filter"].kind is SourceKind.MBF
         # The baseline gets an implicit zero-cost model.
         assert runset.sources["full_replay"].kind is SourceKind.ZERO_COST
+
+    def test_runs_with_one_suite_share_it(self, write_manifest):
+        first, second, treated = load_manifest(write_manifest(manifest_dict())).runs
+        assert first.suite is second.suite is treated.suite
+        assert first.suite == (
+            "mmlu_anatomy", MetricKind.BRIER, 135, "mmlu_college_biology", MetricKind.BRIER, 144
+        )
+        assert (first.values, treated.values) == ((0.50, 0.60), (0.45, 0.55))
+        assert [(s.task_id, s.value, s.n_examples) for s in treated.scores] == [
+            ("mmlu_anatomy", 0.45, 135), ("mmlu_college_biology", 0.55, 144)
+        ]
 
     def test_missing_baseline_runs(self, write_manifest):
         data = manifest_dict()
@@ -168,6 +180,34 @@ class TestLoadManifest:
         # went too deep is still named first.
         with pytest.raises(ManifestError, match="repeats the key 'a'.* line 1 column 11"):
             loads_manifest('[{"a": 1, "a": 2}, ' + "[" * 100_000)
+
+    def test_integer_past_the_digit_limit_names_its_position(self, tmp_path, capsys):
+        # int() refuses a literal of more than 4,300 digits, so json.loads
+        # raises a plain ValueError that names neither field nor position.
+        # Digits in a string and in a float's fraction come first and are
+        # not that literal.
+        data = manifest_dict()
+        data["baseline_id"] = "9" * 5000
+        text = json.dumps(data, indent=1).replace('"mbf_recall": 22.0', '"mbf_recall": 22.' + "0" * 5000)
+        text = text.replace('"seed": 1', '"seed": -' + "7" * 5000)
+        at = text.index("-777")
+        line, column = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+        message = (
+            f"manifest holds an integer of 5000 digits at line {line} column {column},"
+            " beyond the float range"
+        )
+        path = tmp_path / "long.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ManifestError) as info:
+            load_manifest(path)
+        assert str(info.value) == message
+        assert main(["fit", "--manifest", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        # A repeated key in an object that closed before the literal is named first.
+        with pytest.raises(ManifestError, match="repeats the key 'b'.* line 1 column 16"):
+            loads_manifest('{"a": {"b": 1, "b": 2}, "c": ' + "1" * 5000 + "}")
+        with pytest.raises(ManifestError, match="integer of 5000 digits at line 1 column 15"):
+            loads_manifest('{"a": 1, "a": ' + "1" * 5000 + "}")
 
     def test_manifest_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
@@ -370,9 +410,8 @@ def make_run(
         source_id=source,
         seed=seed,
         steps=steps,
-        scores=tuple(
-            TaskScore(task_id=t, metric=metric, value=v, n_examples=100) for t, v in tasks
-        ),
+        suite=tuple(x for t, _ in tasks for x in (t, metric, 100)),
+        values=tuple(v for _, v in tasks),
     )
 
 

@@ -22,6 +22,12 @@ valid and faulty entries, the run parser must return what the per-field
 checks build, or raise their first error, and take the one pass exactly
 when every entry is valid.
 
+Utility points come from a per-run score table. On multi-seed manifests
+with shuffled runs and seeds, task order and ``n_examples`` differing
+between seeds, every metric kind, ``--tasks`` globs and signed zeros,
+they must equal, bit for bit, points built score by score with
+``average_seeds``, the filter, ``aggregate_suite`` and ``utility_delta``.
+
 The text is parsed once, without a repeated-key hook; a count of ``:``
 proves that no key repeated, and a scan of the text finds the repeat
 otherwise. On raw JSON text with a repeated key in any kind of object, a
@@ -30,8 +36,8 @@ around the ``:`` between keys and values, and invalid JSON after a
 repeated key, ``loads_manifest`` must give the same ``RunSet``, or the
 same error, as a reference parse with an ``object_pairs_hook`` that
 rejects a repeated key as its object closes; the line and column it adds
-to a repeated-key error must point at that key. A ``:`` inside a string
-or space before a key's ``:`` must not cost the scan.
+to a repeated-key error must point at that key. A ``:`` inside a string,
+space before a key's ``:`` or a wrong-typed field must not cost the scan.
 """
 
 import contextlib
@@ -57,7 +63,6 @@ from annealplan.costs import (
 )
 from annealplan.manifest import (
     ManifestError,
-    RunRecord,
     UtilityPoint,
     _parse_run,
     _runset_from,
@@ -322,16 +327,23 @@ def test_one_pass_score_check_agrees_with_per_field_checks(scores):
     except ManifestError as exc:
         expected = str(exc)
     else:
-        expected = RunRecord("s", 0, 10, parsed)
-    assert (_scores_in_one_pass(scores) is None) == isinstance(expected, str)
+        expected = parsed
+    table = _scores_in_one_pass(scores)
+    if isinstance(expected, str):
+        assert table is None
+    else:
+        assert table == (
+            tuple(x for s in parsed for x in (s.task_id, s.metric, s.n_examples)),
+            tuple(s.value for s in parsed),
+        )
     run = {"source_id": "s", "seed": 0, "steps": 10, "scores": scores}
     try:
-        got = _parse_run(run, 3)
+        got = _parse_run(run, 3, {}).scores
     except ManifestError as exc:
         got = str(exc)
     assert got == expected
-    if isinstance(got, RunRecord):
-        assert all(type(s.value) is float for s in got.scores)
+    if not isinstance(got, str):
+        assert all(type(s.value) is float for s in got)
 
 
 SUITE_TASKS = ["mmlu_anatomy", "mmlu_virology", "gsm8k", "pubmedqa"]
@@ -573,3 +585,19 @@ def test_checked_parse_runs_only_when_a_key_may_repeat(monkeypatch):
                  colons.replace('"epochs"', '"epochs" : 2, "epochs"')):
         loads_manifest(text)
         assert calls[-1] == text
+    # After a field error every parsed object is counted, so a wrong-typed
+    # field (an object among them) costs no scan unless a key repeats.
+    calls.clear()
+    for seed in ("0", {"x": 1, "y:": [{"z": None}]}):
+        wrong = copy.deepcopy(full)
+        wrong["runs"][-1]["seed"] = seed
+        for text in (json.dumps(wrong), json.dumps(wrong, indent=2),
+                     json.dumps(wrong, separators=(",", " : "))):
+            with pytest.raises(ManifestError, match=r"field 'seed' in runs\[\d+\] must be an integer"):
+                loads_manifest(text)
+            assert calls == []
+        text = json.dumps(wrong).replace('"epochs"', '"epochs": 2, "epochs"')
+        with pytest.raises(ManifestError, match="must be an integer"):
+            loads_manifest(text)
+        assert calls == [text]
+        calls.clear()
