@@ -320,6 +320,62 @@ class TestLoadManifest:
         assert main(["fit", "--manifest", str(manifest)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (lambda d: d.update(geometry=[256]), "geometry must be an object"),
+            (lambda d: d["geometry"].update(depth=3), "unknown field(s) ['depth'] in geometry"),
+            (lambda d: d["geometry"].update(batch_size=0),
+             "geometry: batch_size must be positive, got 0"),
+            (lambda d: d.update(training_model=7), "training_model must be an object"),
+            (lambda d: d["training_model"].update(layers=32),
+             "unknown field(s) ['layers'] in training_model"),
+            (lambda d: d["training_model"].update(param_count=0),
+             "training_model: param_count must be positive, got 0"),
+            (lambda d: d["sources"].update(med_filter="mbf"),
+             "sources['med_filter'] must be an object"),
+            (lambda d: d["sources"]["med_filter"].update(recall=22.0),
+             "unknown field(s) ['recall'] in sources['med_filter']"),
+            (lambda d: d["sources"]["med_filter"].update(mbf_recall=0.5),
+             "sources['med_filter']: mbf_recall must be >= 1, got 0.5"),
+            (lambda d: d["sources"]["med_filter"].update(kind="telepathy"),
+             "sources['med_filter']: unknown kind 'telepathy';"
+             " expected one of ['mbf', 'rephrase', 'synthetic', 'zero_cost']"),
+            (lambda d: d["sources"].update(med_filter={"kind": "synthetic", "generator_params": 0}),
+             "sources['med_filter'].generator_params: param_count must be positive, got 0"),
+            (lambda d: d.update(sources=[]), "sources must be an object"),
+            (lambda d: d["runs"][0]["scores"].__setitem__(0, 0.5),
+             "runs[0].scores[0] must be an object"),
+            (lambda d: d["runs"][0]["scores"][0].update(stderr=0.01),
+             "unknown field(s) ['stderr'] in runs[0].scores[0]"),
+            (lambda d: d["runs"][0]["scores"][0].update(metric="vibes"),
+             "runs[0].scores[0]: unknown metric 'vibes';"
+             " expected one of ['accuracy', 'brier', 'exact_match']"),
+            (lambda d: d["runs"][0]["scores"][0].update(value=2.5),
+             "runs[0].scores[0]: brier value 2.5 outside valid range [0.0, 2.0]"
+             " for task 'mmlu_anatomy'"),
+            (lambda d: d["runs"][0]["scores"][0].update(n_examples=0),
+             "runs[0].scores[0]: n_examples must be positive, got 0"),
+        ],
+        ids=[
+            "geometry-not-object", "geometry-unknown-field", "geometry-constructor",
+            "training_model-not-object", "training_model-unknown-field",
+            "training_model-constructor", "source-not-object", "source-unknown-field",
+            "source-constructor", "source-kind", "generator_params", "sources-not-object",
+            "score-not-object", "score-unknown-field", "score-metric", "score-range",
+            "score-n_examples",
+        ],
+    )
+    def test_object_enum_and_constructor_messages(self, write_manifest, capsys, fault, message):
+        data = manifest_dict()
+        fault(data)
+        manifest = write_manifest(data)
+        with pytest.raises(ManifestError) as info:
+            load_manifest(manifest)
+        assert str(info.value) == message
+        assert main(["fit", "--manifest", str(manifest)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_mbf_recall_below_one_names_source(self, write_manifest, capsys):
         # A negative recall would lower the price of every point of a rephrase source.
         data = manifest_dict()

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annealplan.costs import CostBasis
 from annealplan.manifest import UtilityPoint
@@ -17,6 +19,10 @@ from annealplan.scaling import (
 )
 
 BASIS = CostBasis.CURATION_PLUS_ANNEALING
+# Signed magnitudes from 1e-12 to 1e17.
+MAGNITUDES = st.builds(
+    lambda sign, exponent: sign * 10.0**exponent, st.sampled_from([-1.0, 1.0]), st.floats(-12, 17)
+)
 
 
 def point(compute, delta, source="s", basis=BASIS, steps=1000):
@@ -323,6 +329,24 @@ class TestCrossover:
             assert (struct.pack("<d", got.compute), got.leader_below, got.leader_above,
                     got.in_range) == expected
         assert found > 1000
+
+    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @given(
+        a0=MAGNITUDES, a1=MAGNITUDES, b1=MAGNITUDES,
+        b0=MAGNITUDES | st.none(),
+        edge=st.sampled_from([709.782712893384, -745.1332191019411]),
+        offset=st.floats(-1e-6, 1e-6),
+    )
+    def test_result_has_distinct_leaders_and_finite_positive_compute(
+        self, a0, a1, b0, b1, edge, offset
+    ):
+        # Without a drawn b0 the lines meet near where exp over- or underflows.
+        if b0 is None:
+            b0 = a0 + (edge + offset) * (a1 - b1)
+        got = crossover(raw_fit(a0, a1, "a"), raw_fit(b0, b1, "b"))
+        if got is not None:
+            assert got.leader_below != got.leader_above
+            assert math.isfinite(got.compute) and got.compute > 0
 
     def test_ranking_flips_across_crossover(self):
         fit_a = make_fit(-0.6, 0.015, source="a")
