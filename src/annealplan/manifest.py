@@ -137,6 +137,23 @@ def _reject_unknown(obj: Mapping, allowed: Collection[str], where: str) -> None:
         raise ManifestError(f"unknown field(s) {unknown} in {where}")
 
 
+def _object(obj, where: str, allowed: Collection[str] | None = None) -> Mapping:
+    """``obj`` if it is an object whose fields are all ``allowed``; None allows any."""
+    if not isinstance(obj, Mapping):
+        raise ManifestError(f"{where} must be an object")
+    if allowed is not None:
+        _reject_unknown(obj, allowed, where)
+    return obj
+
+
+def _build(cls, where: str, /, *args, **kwargs):
+    """``cls(*args, **kwargs)``, its ValueError re-raised naming ``where``."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        raise ManifestError(f"{where}: {exc}") from exc
+
+
 def _get(obj: Mapping, key: str, where: str):
     if key not in obj:
         raise ManifestError(f"missing field {key!r} in {where}")
@@ -148,6 +165,15 @@ def _get_str(obj: Mapping, key: str, where: str) -> str:
     if not isinstance(value, str):
         raise ManifestError(f"field {key!r} in {where} must be a string, got {value!r}")
     return value
+
+
+def _get_member(enum, obj: Mapping, key: str, where: str):
+    name = _get_str(obj, key, where)
+    try:
+        return enum(name)
+    except ValueError:
+        valid = sorted(member.value for member in enum)
+        raise ManifestError(f"{where}: unknown {key} {name!r}; expected one of {valid}") from None
 
 
 def _beyond_float(key: str, where: str, value: int) -> ManifestError:
@@ -179,43 +205,25 @@ def _get_float(obj: Mapping, key: str, where: str) -> float:
 
 
 def _parse_geometry(obj, where: str) -> AnnealingGeometry:
-    if not isinstance(obj, Mapping):
-        raise ManifestError(f"{where} must be an object")
-    _reject_unknown(obj, ["batch_size", "sequence_length", "upsample_ratio", "epochs"], where)
+    _object(obj, where, ["batch_size", "sequence_length", "upsample_ratio", "epochs"])
     batch_size = _get_int(obj, "batch_size", where)
     sequence_length = _get_int(obj, "sequence_length", where)
     upsample_ratio = _get_float(obj, "upsample_ratio", where)
     epochs = _get_float(obj, "epochs", where)
-    try:
-        return AnnealingGeometry(batch_size, sequence_length, upsample_ratio, epochs)
-    except ValueError as exc:
-        raise ManifestError(f"{where}: {exc}") from exc
+    return _build(AnnealingGeometry, where, batch_size, sequence_length, upsample_ratio, epochs)
 
 
 def _parse_source(source_id: str, obj) -> SourceCostModel:
     _check_writable(source_id, "sources key")
     where = f"sources[{source_id!r}]"
-    if not isinstance(obj, Mapping):
-        raise ManifestError(f"{where} must be an object")
-    _reject_unknown(obj, ["kind", "generator_params", *SOURCE_FLOAT_FIELDS], where)
-    kind_name = _get_str(obj, "kind", where)
-    try:
-        kind = SourceKind(kind_name)
-    except ValueError:
-        valid = sorted(k.value for k in SourceKind)
-        raise ManifestError(f"{where}: unknown kind {kind_name!r}; expected one of {valid}") from None
+    _object(obj, where, ["kind", "generator_params", *SOURCE_FLOAT_FIELDS])
+    kind = _get_member(SourceKind, obj, "kind", where)
     generator = None
     if "generator_params" in obj:
         param_count = _get_int(obj, "generator_params", where)
-        try:
-            generator = ModelSpec(param_count)
-        except ValueError as exc:
-            raise ManifestError(f"{where}.generator_params: {exc}") from exc
+        generator = _build(ModelSpec, f"{where}.generator_params", param_count)
     kwargs = {key: _get_float(obj, key, where) for key in SOURCE_FLOAT_FIELDS if key in obj}
-    try:
-        return SourceCostModel(kind=kind, generator=generator, **kwargs)
-    except ValueError as exc:
-        raise ManifestError(f"{where}: {exc}") from exc
+    return _build(SourceCostModel, where, kind=kind, generator=generator, **kwargs)
 
 
 _SCORE_KEYS = frozenset({"task_id", "metric", "value", "n_examples"})
@@ -225,24 +233,12 @@ _METRICS = {m.value: (m, *m.value_range) for m in MetricKind}
 
 
 def _parse_score(obj, where: str) -> TaskScore:
-    if not isinstance(obj, Mapping):
-        raise ManifestError(f"{where} must be an object")
-    _reject_unknown(obj, ["task_id", "metric", "value", "n_examples"], where)
-    metric_name = _get_str(obj, "metric", where)
-    try:
-        metric = MetricKind(metric_name)
-    except ValueError:
-        valid = sorted(m.value for m in MetricKind)
-        raise ManifestError(
-            f"{where}: unknown metric {metric_name!r}; expected one of {valid}"
-        ) from None
+    _object(obj, where, _SCORE_KEYS)
+    metric = _get_member(MetricKind, obj, "metric", where)
     task_id = _get_str(obj, "task_id", where)
     value = _get_float(obj, "value", where)
     n_examples = _get_int(obj, "n_examples", where)
-    try:
-        return TaskScore(task_id, metric, value, n_examples)
-    except ValueError as exc:
-        raise ManifestError(f"{where}: {exc}") from exc
+    return _build(TaskScore, where, task_id, metric, value, n_examples)
 
 
 def _scores_in_one_pass(scores_obj: list) -> tuple[tuple, tuple[float, ...]] | None:
@@ -468,21 +464,13 @@ def _runset_from(data) -> RunSet:
     baseline_id = _get_str(data, "baseline_id", "manifest")
     _check_writable(baseline_id, "baseline_id")
 
-    model_obj = _get(data, "training_model", "manifest")
-    if not isinstance(model_obj, Mapping):
-        raise ManifestError("training_model must be an object")
-    _reject_unknown(model_obj, ["param_count"], "training_model")
+    model_obj = _object(_get(data, "training_model", "manifest"), "training_model", ["param_count"])
     param_count = _get_int(model_obj, "param_count", "training_model")
-    try:
-        training_model = ModelSpec(param_count)
-    except ValueError as exc:
-        raise ManifestError(f"training_model: {exc}") from exc
+    training_model = _build(ModelSpec, "training_model", param_count)
 
     geometry = _parse_geometry(_get(data, "geometry", "manifest"), "geometry")
 
-    sources_obj = _get(data, "sources", "manifest")
-    if not isinstance(sources_obj, Mapping):
-        raise ManifestError("sources must be an object")
+    sources_obj = _object(_get(data, "sources", "manifest"), "sources")
     sources = {sid: _parse_source(sid, s) for sid, s in sources_obj.items()}
 
     runs_obj = _get(data, "runs", "manifest")

@@ -77,12 +77,6 @@ class Crossover:
     leader_above: str
     in_range: bool
 
-    def __post_init__(self) -> None:
-        if self.leader_below == self.leader_above:
-            raise ValueError("a crossover must have distinct leaders")
-        if not (math.isfinite(self.compute) and self.compute > 0):
-            raise ValueError(f"crossover compute must be finite and positive, got {self.compute}")
-
 
 @dataclass(frozen=True)
 class RankedSource:
