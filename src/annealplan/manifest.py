@@ -16,8 +16,9 @@ rejected, every error names the offending field, and loading the same
 bytes always yields the same points in the same order. A run's scores
 are checked in one pass; only when that pass finds a fault are they
 checked again field by field, to build the error message. The text is
-parsed once; a scan of it finds a repeated key, and runs only after a
-JSON error or when a count of ':' cannot rule out a repeated key.
+parsed once; a count of ':' rules out a repeated key, and a scan finds it
+only after a JSON error or too deep a nesting, or when a string starts
+with optional whitespace and a ':'.
 """
 
 from __future__ import annotations
@@ -401,14 +402,16 @@ def _pairs_in_every_object(tree) -> int:
     return pairs
 
 
-# A key's closing quote with whitespace before its ':'.
-_SPACED_SEPARATOR = re.compile(r'"[ \t\n\r]+:')
+def _escaped_quotes(text: str, then: str = "") -> int:
+    """Quotes in ``text`` that an odd run of backslashes escapes, followed by pattern ``then``."""
+    return sum(len(m[1]) % 2 for m in re.finditer(r'(\\+)"' + then, text)) if "\\" in text else 0
 
 
 def loads_manifest(text: str) -> RunSet:
     """Parse and fully validate manifest JSON from a string."""
     # A repeated key is named before any field error, and before a JSON
-    # error that comes after its object closes.
+    # error or a too long integer literal that comes after its object closes.
+    scanned = len(text)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -419,36 +422,48 @@ def loads_manifest(text: str) -> RunSet:
     except RecursionError:
         _reject_repeated_keys(text)
         raise ManifestError("manifest nests JSON arrays and objects too deeply to parse") from None
-    except ValueError:
-        # Only an integer literal past int()'s digit limit raises this. The
-        # pattern matches strings whole, so it skips the digits inside them.
+    except ValueError:  # only an integer literal past int()'s digit limit raises this
+        literals: list[str] = []
+        try:  # again, keeping each integer literal and parsing it as None
+            data = json.loads(text, parse_int=literals.append)
+        except (ValueError, RecursionError):
+            data = None  # the text is invalid after the literal
         limit = sys.get_int_max_str_digits()
-        pattern = rf'"[^"\\]*(?:\\.[^"\\]*)*"|(?<![\d.eE+-])-?\d{{{limit + 1},}}(?![\d.eE])'
-        for match in re.finditer(pattern, text):
-            if match[0][0] != '"':
-                _reject_repeated_keys(text[: match.start()])
-                raise ManifestError(
-                    f"manifest holds an integer of {len(match[0].lstrip('-'))} digits at"
-                    f" {_line_column(text, match.start())}, beyond the float range"
-                ) from None
-        raise
-    try:
-        runset, error = _runset_from(data), None
-    except ValueError as exc:
-        runset, error = None, exc
+        literal = next((s for s in literals if len(s.lstrip("-")) > limit), None)
+        if literal is None:  # keeping it took a call past the recursion limit
+            _reject_repeated_keys(text)
+            raise ManifestError("manifest nests JSON arrays and objects too deeply to parse") from None
+        # Its first whole occurrence outside every string. The text before
+        # it parsed, so the unescaped quotes there pair up.
+        whole = re.compile(rf"(?<![\d.eE+-]){re.escape(literal)}(?![\d.eE])")
+        scanned = text.find(literal)
+        while not whole.match(text, scanned) or (
+            text.count('"', 0, scanned) - _escaped_quotes(text[:scanned])
+        ) % 2:
+            scanned = text.find(literal, scanned + 1)
+        runset, error = None, ManifestError(
+            f"manifest holds an integer of {len(literal.lstrip('-'))} digits at"
+            f" {_line_column(text, scanned)}, beyond the float range"
+        )
+    else:
+        try:
+            runset, error = _runset_from(data), None
+        except ValueError as exc:
+            runset, error = None, exc
     # json.loads keeps the last of repeated keys, so a repeated key leaves
     # its object one entry short. Each pair in the text puts one ':' outside
-    # a string, after its key's closing quote and any whitespace. So the
-    # count of ':', and that of '":' plus _SPACED_SEPARATOR's matches, are
-    # each at least the text's pairs; equal to the pairs of every object
-    # the parse holds, either rules out a repeated key. Validation visits
-    # every object of a valid manifest; after a field error, the whole
-    # parse is counted instead, which is slower but still beats the scan.
+    # a string, after its key's unescaped closing quote and any whitespace.
+    # So the count of ':', and that of such quotes (more only by strings
+    # that start with optional whitespace and a ':'), are each at least the
+    # text's pairs; equal to the parse's pairs, either rules out a repeat.
+    # Validation visits every object of a valid manifest; after an error,
+    # the whole parse is counted instead, slower but still faster than the scan.
     pairs = _pairs_in(data) if error is None else _pairs_in_every_object(data)
-    if pairs != text.count(":") and (
-        pairs != text.count('":') + len(_SPACED_SEPARATOR.findall(text))
+    if pairs != text.count(":") and pairs != (
+        text.count('":') + len(re.findall(r'"[ \t\n\r]+:', text))
+        - _escaped_quotes(text, r"[ \t\n\r]*:")
     ):
-        _reject_repeated_keys(text)
+        _reject_repeated_keys(text[:scanned])
     if error is not None:
         raise error
     return runset

@@ -26,6 +26,7 @@ from .costs import (
     ModelSpec,
     SourceCostModel,
     SourceKind,
+    _require_finite,
     tokens_per_step,
     total_cost,
 )
@@ -69,10 +70,7 @@ class GroundTruthSource:
     noise_sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("true_intercept", "true_slope", "noise_sigma"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        _require_finite(self, "true_intercept", "true_slope", "noise_sigma")
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
@@ -99,6 +97,9 @@ class Scenario:
             raise ValueError(f"duplicate source ids: {ids}")
         if _BASELINE_ID in ids:
             raise ValueError(f"baseline id {_BASELINE_ID!r} collides with a source")
+        _require_finite(self, "baseline_score", "baseline_noise_sigma")
+        if self.baseline_noise_sigma < 0:
+            raise ValueError(f"baseline_noise_sigma must be >= 0, got {self.baseline_noise_sigma}")
 
     def source_compute(self, source: GroundTruthSource, steps: int) -> float:
         """Cost of a run at ``steps``, curation plus annealing."""

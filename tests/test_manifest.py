@@ -209,6 +209,27 @@ class TestLoadManifest:
         with pytest.raises(ManifestError, match="integer of 5000 digits at line 1 column 15"):
             loads_manifest('{"a": 1, "a": ' + "1" * 5000 + "}")
 
+    def test_integer_past_the_digit_limit_costs_no_scan(self, monkeypatch):
+        # Counting ':' rules out a repeated key, as on the other paths. The
+        # literal's digits come first in a string, after an escaped quote.
+        calls = []
+        monkeypatch.setattr("annealplan.manifest._reject_repeated_keys", calls.append)
+        data = manifest_dict()
+        data["baseline_id"] = 'a"' + "7" * 5000
+        text = json.dumps(data).replace('"seed": 1', '"seed": ' + "7" * 5000)
+        at = text.index(": 777") + 2
+        message = (
+            f"manifest holds an integer of 5000 digits at line 1 column {at + 1},"
+            " beyond the float range"
+        )
+        with pytest.raises(ManifestError) as info:
+            loads_manifest(text)
+        assert (str(info.value), calls) == (message, [])
+        # After a JSON error past the literal, only the text before it is scanned.
+        with pytest.raises(ManifestError) as info:
+            loads_manifest(text + "x")
+        assert (str(info.value), calls) == (message, [text[:at]])
+
     def test_manifest_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"baseline_id": "caf\xe9"}')

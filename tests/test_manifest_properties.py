@@ -574,13 +574,15 @@ def test_checked_parse_runs_only_when_a_key_may_repeat(monkeypatch):
     colons = clean.replace('"rephrased"', '"re:phrased"').replace('"mmlu_anatomy"', '"bbh:date"')
     for text in (clean, json.dumps(BASE, indent=2), json.dumps(full), json.dumps(full, indent=2),
                  json.dumps(BASE, separators=(",", " : ")), colons,
-                 json.dumps(full, separators=(",", " : "))):
+                 json.dumps(full, separators=(",", " : ")),
+                 clean.replace('"1.515e-04"', '"1.515e-04 \\":"'),
+                 clean.replace('"1.515e-04"', '"1.515e-04 \\\\\\" :"')):
         assert loads_manifest(text) == _checked_parse(text)
         assert calls == []
-    # The count cannot rule out a repeated key: an escaped quote before a
-    # ':' in a string, or a repeated key, with or without a ':' in a
-    # string and space before a key's ':'.
-    for text in (clean.replace('"1.515e-04"', '"1.515e-04 \\":"'),
+    # The count cannot rule out a repeated key: a string that starts with
+    # a ':', or a repeated key, with or without a ':' in a string and space
+    # before a key's ':'.
+    for text in (clean.replace('"1.515e-04"', '":1.515e-04"'),
                  clean.replace('"epochs"', '"epochs": 2, "epochs"'),
                  colons.replace('"epochs"', '"epochs" : 2, "epochs"')):
         loads_manifest(text)

@@ -170,6 +170,22 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="noise_sigma"):
             GroundTruthSource("s", 0.0, 0.0, ZERO, noise_sigma=-1.0)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("baseline_score", math.nan, "baseline_score must be finite, got nan"),
+            ("baseline_score", math.inf, "baseline_score must be finite, got inf"),
+            ("baseline_noise_sigma", math.nan, "baseline_noise_sigma must be finite, got nan"),
+            ("baseline_noise_sigma", -0.5, "baseline_noise_sigma must be >= 0, got -0.5"),
+        ],
+    )
+    def test_rejects_bad_baseline_score_or_noise(self, field, value, message):
+        # Left unchecked, a NaN is written into the manifest's scores and a
+        # negative sigma fails only inside numpy at generation time.
+        with pytest.raises(ValueError) as info:
+            Scenario(sources=(GroundTruthSource("s", 0.0, 0.0, ZERO),), **{field: value})
+        assert str(info.value) == message
+
     def test_manifest_is_valid_json(self):
         payload = generate_manifest(scenario_rank_flip(9))
         data = json.loads(payload.decode("utf-8"))
