@@ -211,12 +211,14 @@ class TestLoadManifest:
 
     def test_integer_past_the_digit_limit_costs_no_scan(self, monkeypatch):
         # Counting ':' rules out a repeated key, as on the other paths. The
-        # literal's digits come first in a string, after an escaped quote.
+        # literal's digits come first in a string, after an escaped quote,
+        # and in a float's fraction.
         calls = []
         monkeypatch.setattr("annealplan.manifest._reject_repeated_keys", calls.append)
         data = manifest_dict()
         data["baseline_id"] = 'a"' + "7" * 5000
         text = json.dumps(data).replace('"seed": 1', '"seed": ' + "7" * 5000)
+        text = text.replace('"mbf_recall": 22.0', '"mbf_recall": 22.' + "7" * 5000)
         at = text.index(": 777") + 2
         message = (
             f"manifest holds an integer of 5000 digits at line 1 column {at + 1},"

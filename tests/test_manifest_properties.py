@@ -580,11 +580,14 @@ def test_checked_parse_runs_only_when_a_key_may_repeat(monkeypatch):
         assert loads_manifest(text) == _checked_parse(text)
         assert calls == []
     # The count cannot rule out a repeated key: a string that starts with
-    # a ':', or a repeated key, with or without a ':' in a string and space
-    # before a key's ':'.
+    # a ':', or a repeated key, with or without a ':' in a string, space
+    # before a key's ':' or a key whose closing quote follows an escaped
+    # backslash.
     for text in (clean.replace('"1.515e-04"', '":1.515e-04"'),
                  clean.replace('"epochs"', '"epochs": 2, "epochs"'),
-                 colons.replace('"epochs"', '"epochs" : 2, "epochs"')):
+                 colons.replace('"epochs"', '"epochs" : 2, "epochs"'),
+                 colons.replace('"start_lr"', '"start_lr\\\\"', 1)
+                 .replace('"epochs"', '"epochs": 2, "epochs"')):
         loads_manifest(text)
         assert calls[-1] == text
     # After a field error every parsed object is counted, so a wrong-typed
