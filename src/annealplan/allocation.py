@@ -60,6 +60,13 @@ def _check_fits(fits: Sequence[ScalingFit]) -> None:
         raise ValueError("cannot allocate across fits with mixed cost bases")
 
 
+def _check_budget(c_max: float) -> None:
+    if not c_max > 0:
+        raise ValueError(f"c_max must be positive, got {c_max}")
+    if not math.isfinite(c_max):
+        raise ValueError(f"c_max must be finite, got {c_max}")
+
+
 def mixture_utility(fits: Sequence[ScalingFit], assignments: Mapping[str, float]) -> float:
     """Total predicted delta of a mixture under additive independence.
 
@@ -104,10 +111,7 @@ def allocate_proportional(fits: Sequence[ScalingFit], c_max: float) -> Allocatio
     fit predicts best at ``c_max``.
     """
     _check_fits(fits)
-    if not c_max > 0:
-        raise ValueError(f"c_max must be positive, got {c_max}")
-    if not math.isfinite(c_max):
-        raise ValueError(f"c_max must be finite, got {c_max}")
+    _check_budget(c_max)
     included = [fit for fit in fits if fit.slope > 0]
     excluded = tuple(
         (fit.source_id, EXCLUDED_NON_POSITIVE_SLOPE) for fit in fits if fit.slope <= 0
@@ -181,10 +185,7 @@ def allocate_grid_oracle(
         )
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
-    if not c_max > 0:
-        raise ValueError(f"c_max must be positive, got {c_max}")
-    if not math.isfinite(c_max):
-        raise ValueError(f"c_max must be finite, got {c_max}")
+    _check_budget(c_max)
 
     included = [fit for fit in fits if fit.slope > 0]
     excluded = tuple(

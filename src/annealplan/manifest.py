@@ -15,10 +15,11 @@ Validation is strict: unknown fields and repeated JSON keys are
 rejected, every error names the offending field, and loading the same
 bytes always yields the same points in the same order. A run's scores
 are checked in one pass; only when that pass finds a fault are they
-checked again field by field, to build the error message. The text is
-parsed once; a count of ':' rules out a repeated key, and a scan finds it
-only after a JSON error or too deep a nesting, or when a string starts
-with optional whitespace and a ':'.
+checked again field by field, to build the error message. A valid
+manifest's text is parsed once, and a count of ':' rules out a repeated
+key. Any error, or a string that starts with optional whitespace and a
+':', takes a second parse whose hook rejects a repeated key as its
+object closes; only a repeat that hook finds is scanned for its position.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from pathlib import Path
+from typing import NoReturn
 
 from .costs import (
     SOURCE_FLOAT_FIELDS,
@@ -307,6 +309,8 @@ def _parse_run(obj, index: int, suites: dict[tuple, tuple]) -> RunRecord:
             if not isinstance(key, str) or not isinstance(value, str):
                 raise ManifestError(f"metadata in {where} must map strings to strings")
             metadata[key] = value
+        if "clamp_warning" in metadata:  # the CLI prints it as a warning
+            _check_writable(metadata["clamp_warning"], f"metadata 'clamp_warning' in {where}")
     source_id = _get_str(obj, "source_id", where)
     seed = _get_int(obj, "seed", where)
     steps = _get_int(obj, "steps", where)
@@ -326,25 +330,22 @@ def _line_column(text: str, at: int) -> str:
     return f"line {line} column {column}"
 
 
-def _reject_repeated_keys(text: str) -> None:
-    """Raise if a JSON object in ``text`` repeats a key, naming the first repeat.
+def _reject_repeated_keys(text: str) -> NoReturn:
+    """Raise for the first repeated key of ``text``, naming its line and column.
 
     Objects are checked as they close, in the order a parser closes them.
-    ``text`` may end early, before a JSON error: an object still open at
-    its end is not checked, and a string that does not end stops the scan.
+    ``text`` must be valid JSON up to the close of an object that repeats a key.
     """
     # Per open container: an array's None, or an object's keys and the
     # offsets of its repeated keys.
     open_containers: list[tuple[set[str], list[tuple[str, int]]] | None] = []
     expect_key = False
     pos = 0
-    while match := _JSON_STRUCTURE.search(text, pos):
+    while True:  # the repeat's object closes before the text ends
+        match = _JSON_STRUCTURE.search(text, pos)
         char, pos = match.group(), match.end()
         if char == '"':
-            try:
-                key, end = json.decoder.scanstring(text, pos)
-            except json.JSONDecodeError:
-                return
+            key, end = json.decoder.scanstring(text, pos)
             if expect_key:
                 keys, repeats = open_containers[-1]
                 if key in keys:
@@ -368,8 +369,6 @@ def _reject_repeated_keys(text: str) -> None:
                     f"manifest repeats the key {key!r} within one JSON object"
                     f" at {_line_column(text, at)}"
                 )
-            if not open_containers:
-                return  # the top-level value has ended
             expect_key = False
 
 
@@ -377,7 +376,7 @@ def _pairs_in(data: dict) -> int:
     """Key/value pairs in the objects of a manifest that passed validation.
 
     It must count every object ``_runset_from`` visits; one it missed
-    would send every manifest through :func:`_reject_repeated_keys` as well.
+    would send every manifest through :func:`_checked_loads` as well.
     """
     runs = data["runs"]
     return (
@@ -389,83 +388,82 @@ def _pairs_in(data: dict) -> int:
     )
 
 
-def _pairs_in_every_object(tree) -> int:
-    """Key/value pairs in every object of any parsed JSON value."""
-    pairs, stack = 0, [tree]
-    while stack:
-        node = stack.pop()
-        if type(node) is dict:
-            pairs += len(node)
-            stack += node.values()
-        elif type(node) is list:
-            stack += node
-    return pairs
-
-
 def _escaped_quotes(text: str, then: str = "") -> int:
     """Quotes in ``text`` that an odd run of backslashes escapes, followed by pattern ``then``."""
     return sum(len(m[1]) % 2 for m in re.finditer(r'(\\+)"' + then, text)) if "\\" in text else 0
 
 
-def loads_manifest(text: str) -> RunSet:
-    """Parse and fully validate manifest JSON from a string."""
-    # A repeated key is named before any field error, and before a JSON
-    # error or a too long integer literal that comes after its object closes.
-    scanned = len(text)
+def _object_without_repeats(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ManifestError("manifest repeats a key within one JSON object")
+    return obj
+
+
+def _checked_loads(text: str) -> None:
+    """Raise the ManifestError of parsing ``text`` with a hook that rejects a repeated key.
+
+    The hook sees each object as the parser closes it, so a repeated key
+    is named before a JSON error, too deep a nesting or an integer literal
+    past the digit limit only if its object closes first. Returns if the
+    text parses.
+    """
     try:
-        data = json.loads(text)
+        json.loads(text, object_pairs_hook=_object_without_repeats)
+    except ManifestError:  # from the hook, which knows no position
+        _reject_repeated_keys(text)
     except json.JSONDecodeError as exc:
-        _reject_repeated_keys(text[: exc.pos])
         raise ManifestError(
             f"manifest is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from exc
     except RecursionError:
-        _reject_repeated_keys(text)
         raise ManifestError("manifest nests JSON arrays and objects too deeply to parse") from None
     except ValueError:  # only an integer literal past int()'s digit limit raises this
         literals: list[str] = []
         try:  # again, keeping each integer literal and parsing it as None
-            data = json.loads(text, parse_int=literals.append)
+            json.loads(text, parse_int=literals.append)
         except (ValueError, RecursionError):
-            data = None  # the text is invalid after the literal
+            pass  # the text is invalid after the literal
         limit = sys.get_int_max_str_digits()
         literal = next((s for s in literals if len(s.lstrip("-")) > limit), None)
         if literal is None:  # keeping it took a call past the recursion limit
-            _reject_repeated_keys(text)
             raise ManifestError("manifest nests JSON arrays and objects too deeply to parse") from None
         # Its first whole occurrence outside every string. The text before
         # it parsed, so the unescaped quotes there pair up.
         whole = re.compile(rf"(?<![\d.eE+-]){re.escape(literal)}(?![\d.eE])")
-        scanned = text.find(literal)
-        while not whole.match(text, scanned) or (
-            text.count('"', 0, scanned) - _escaped_quotes(text[:scanned])
+        at = text.find(literal)
+        while not whole.match(text, at) or (
+            text.count('"', 0, at) - _escaped_quotes(text[:at])
         ) % 2:
-            scanned = text.find(literal, scanned + 1)
-        runset, error = None, ManifestError(
+            at = text.find(literal, at + 1)
+        raise ManifestError(
             f"manifest holds an integer of {len(literal.lstrip('-'))} digits at"
-            f" {_line_column(text, scanned)}, beyond the float range"
-        )
-    else:
-        try:
-            runset, error = _runset_from(data), None
-        except ValueError as exc:
-            runset, error = None, exc
+            f" {_line_column(text, at)}, beyond the float range"
+        ) from None
+
+
+def loads_manifest(text: str) -> RunSet:
+    """Parse and fully validate manifest JSON from a string."""
     # json.loads keeps the last of repeated keys, so a repeated key leaves
     # its object one entry short. Each pair in the text puts one ':' outside
     # a string, after its key's unescaped closing quote and any whitespace.
     # So the count of ':', and that of such quotes (more only by strings
     # that start with optional whitespace and a ':'), are each at least the
-    # text's pairs; equal to the parse's pairs, either rules out a repeat.
-    # Validation visits every object of a valid manifest; after an error,
-    # the whole parse is counted instead, slower but still faster than the scan.
-    pairs = _pairs_in(data) if error is None else _pairs_in_every_object(data)
+    # text's pairs; equal to the pairs validation visited, either rules out
+    # a repeat. An error, or a count that rules out nothing, takes the
+    # hooked parse, which names a repeated key before any field error.
+    try:
+        data = json.loads(text)
+        runset = _runset_from(data)
+    except (ValueError, RecursionError):
+        _checked_loads(text)
+        raise  # a field error, and no key repeats
+    pairs = _pairs_in(data)
     if pairs != text.count(":") and pairs != (
         text.count('":') + len(re.findall(r'"[ \t\n\r]+:', text))
         - _escaped_quotes(text, r"[ \t\n\r]*:")
     ):
-        _reject_repeated_keys(text[:scanned])
-    if error is not None:
-        raise error
+        _checked_loads(text)
     return runset
 
 

@@ -168,8 +168,7 @@ class TestLoadManifest:
     )
     def test_deep_nesting_fails_cleanly(self, tmp_path, capsys, tail):
         # Past the recursion limit json.loads raises RecursionError, which
-        # the CLI would report as an internal error (exit 2). The scan for
-        # a repeated key then reads the whole text, invalid JSON included.
+        # the CLI would report as an internal error (exit 2).
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + tail, encoding="utf-8")
         with pytest.raises(ManifestError, match="nests JSON arrays and objects too deeply"):
@@ -180,6 +179,11 @@ class TestLoadManifest:
         # went too deep is still named first.
         with pytest.raises(ManifestError, match="repeats the key 'a'.* line 1 column 11"):
             loads_manifest('[{"a": 1, "a": 2}, ' + "[" * 100_000)
+        # One the parser never reached, past the depth it gave up at, is not
+        # checked, as one after a JSON error is not.
+        with pytest.raises(ManifestError) as info:
+            loads_manifest("[" * 100_000 + '{"a": 1, "a": 2}')
+        assert str(info.value) == "manifest nests JSON arrays and objects too deeply to parse"
 
     def test_integer_past_the_digit_limit_names_its_position(self, tmp_path, capsys):
         # int() refuses a literal of more than 4,300 digits, so json.loads
@@ -210,9 +214,9 @@ class TestLoadManifest:
             loads_manifest('{"a": 1, "a": ' + "1" * 5000 + "}")
 
     def test_integer_past_the_digit_limit_costs_no_scan(self, monkeypatch):
-        # Counting ':' rules out a repeated key, as on the other paths. The
-        # literal's digits come first in a string, after an escaped quote,
-        # and in a float's fraction.
+        # Only a repeated key costs the scan, also with a JSON error after
+        # the literal. The literal's digits come first in a string, after
+        # an escaped quote, and in a float's fraction.
         calls = []
         monkeypatch.setattr("annealplan.manifest._reject_repeated_keys", calls.append)
         data = manifest_dict()
@@ -224,13 +228,10 @@ class TestLoadManifest:
             f"manifest holds an integer of 5000 digits at line 1 column {at + 1},"
             " beyond the float range"
         )
-        with pytest.raises(ManifestError) as info:
-            loads_manifest(text)
-        assert (str(info.value), calls) == (message, [])
-        # After a JSON error past the literal, only the text before it is scanned.
-        with pytest.raises(ManifestError) as info:
-            loads_manifest(text + "x")
-        assert (str(info.value), calls) == (message, [text[:at]])
+        for tail in ("", "x"):
+            with pytest.raises(ManifestError) as info:
+                loads_manifest(text + tail)
+            assert (str(info.value), calls) == (message, [])
 
     def test_manifest_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
@@ -475,6 +476,23 @@ class TestLoadManifest:
         assert str(info.value) == (
             "baseline_id 'replay\\ud83d' contains U+D83D, which cannot be written out"
         )
+
+    def test_unwritable_clamp_warning(self, write_manifest, capsys):
+        # fit prints a run's clamp warning to stderr, so a line break or an
+        # escape sequence in it could forge a line of output.
+        data = manifest_dict()
+        note = "ok\nerror: forged line\u001b[31m"
+        data["runs"][2]["metadata"] = {"clamp_warning": note}
+        manifest = write_manifest(data)
+        message = (
+            f"metadata 'clamp_warning' in runs[2] {note!r} contains U+000A,"
+            " which cannot be written out"
+        )
+        with pytest.raises(ManifestError) as info:
+            load_manifest(manifest)
+        assert str(info.value) == message
+        assert main(["fit", "--manifest", str(manifest)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_non_ascii_source_id_accepted(self, write_manifest):
         data = manifest_dict()

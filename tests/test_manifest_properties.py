@@ -28,16 +28,16 @@ between seeds, every metric kind, ``--tasks`` globs and signed zeros,
 they must equal, bit for bit, points built score by score with
 ``average_seeds``, the filter, ``aggregate_suite`` and ``utility_delta``.
 
-The text is parsed once, without a repeated-key hook; a count of ``:``
-proves that no key repeated, and a scan of the text finds the repeat
-otherwise. On raw JSON text with a repeated key in any kind of object, a
+A valid manifest's text is parsed once, without a repeated-key hook; a
+count of ``:`` proves that no key repeated, and a second, hooked parse
+decides otherwise. On raw JSON text with a repeated key in any kind of object, a
 ``:`` inside a string (plain, escaped, or after an escaped quote), space
 around the ``:`` between keys and values, and invalid JSON after a
 repeated key, ``loads_manifest`` must give the same ``RunSet``, or the
 same error, as a reference parse with an ``object_pairs_hook`` that
 rejects a repeated key as its object closes; the line and column it adds
-to a repeated-key error must point at that key. A ``:`` inside a string,
-space before a key's ``:`` or a wrong-typed field must not cost the scan.
+to a repeated-key error must point at that key. Only a repeated key may
+cost the scan that finds its position, and then one scan of the whole text.
 """
 
 import contextlib
@@ -572,27 +572,38 @@ def test_checked_parse_runs_only_when_a_key_may_repeat(monkeypatch):
     assert all(source.keys() >= {"kind", *SOURCE_FLOAT_FIELDS} for source in full["sources"].values())
     clean = json.dumps(BASE)
     colons = clean.replace('"rephrased"', '"re:phrased"').replace('"mmlu_anatomy"', '"bbh:date"')
+    # The count, or else the hooked parse, rules out a repeated key: a
+    # string that starts with a ':' costs the second parse but no scan.
     for text in (clean, json.dumps(BASE, indent=2), json.dumps(full), json.dumps(full, indent=2),
                  json.dumps(BASE, separators=(",", " : ")), colons,
                  json.dumps(full, separators=(",", " : ")),
                  clean.replace('"1.515e-04"', '"1.515e-04 \\":"'),
-                 clean.replace('"1.515e-04"', '"1.515e-04 \\\\\\" :"')):
+                 clean.replace('"1.515e-04"', '"1.515e-04 \\\\\\" :"'),
+                 clean.replace('"1.515e-04"', '":1.515e-04"')):
         assert loads_manifest(text) == _checked_parse(text)
         assert calls == []
-    # The count cannot rule out a repeated key: a string that starts with
-    # a ':', or a repeated key, with or without a ':' in a string, space
-    # before a key's ':' or a key whose closing quote follows an escaped
-    # backslash.
-    for text in (clean.replace('"1.515e-04"', '":1.515e-04"'),
-                 clean.replace('"epochs"', '"epochs": 2, "epochs"'),
+    # Nor does a JSON error, too deep a nesting, or an integer past the
+    # digit limit, with or without a JSON error after it.
+    long_seed = clean.replace('"seed": 1', '"seed": ' + "7" * 5000, 1)
+    assert long_seed != clean
+    for text, message in ((clean[:-1], "manifest is not valid JSON: Expecting ',' delimiter"),
+                          ("[" * 100_000, "manifest nests JSON arrays and objects too deeply"),
+                          (long_seed, "manifest holds an integer of 5000 digits"),
+                          (long_seed + "x", "manifest holds an integer of 5000 digits")):
+        with pytest.raises(ManifestError, match=message):
+            loads_manifest(text)
+        assert calls == []
+    # A repeated key is scanned for once, in the whole text, with or
+    # without a ':' in a string, space before a key's ':' or a key whose
+    # closing quote follows an escaped backslash.
+    for text in (clean.replace('"epochs"', '"epochs": 2, "epochs"'),
                  colons.replace('"epochs"', '"epochs" : 2, "epochs"'),
                  colons.replace('"start_lr"', '"start_lr\\\\"', 1)
                  .replace('"epochs"', '"epochs": 2, "epochs"')):
         loads_manifest(text)
-        assert calls[-1] == text
-    # After a field error every parsed object is counted, so a wrong-typed
-    # field (an object among them) costs no scan unless a key repeats.
-    calls.clear()
+        assert calls == [text]
+        calls.clear()
+    # A wrong-typed field (an object among them) costs no scan unless a key repeats.
     for seed in ("0", {"x": 1, "y:": [{"z": None}]}):
         wrong = copy.deepcopy(full)
         wrong["runs"][-1]["seed"] = seed
