@@ -81,6 +81,8 @@ def mixture_utility(fits: Sequence[ScalingFit], assignments: Mapping[str, float]
             continue
         if compute < 0:
             raise ValueError(f"negative assignment {compute} for {source_id!r}")
+        if not math.isfinite(compute):
+            raise ValueError(f"non-finite assignment {compute} for {source_id!r}")
         fit = by_id.get(source_id)
         if fit is None:
             raise ValueError(f"assignment for {source_id!r} has no fit")

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annealplan.allocation import (
     EXCLUDED_NON_POSITIVE_SLOPE,
@@ -13,7 +15,7 @@ from annealplan.allocation import (
 from annealplan.costs import CostBasis
 from annealplan.manifest import UtilityPoint
 from annealplan.metrics import MetricKind, UtilityDelta
-from annealplan.scaling import fit_log_linear
+from annealplan.scaling import ScalingFit, fit_log_linear
 
 BASIS = CostBasis.CURATION_PLUS_ANNEALING
 
@@ -55,6 +57,11 @@ class TestMixtureUtility:
     def test_negative_assignment_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             mixture_utility([make_fit(1.0, 0.1, "a")], {"a": -1.0})
+
+    @pytest.mark.parametrize("compute", [math.nan, math.inf])
+    def test_non_finite_assignment_rejected(self, compute):
+        with pytest.raises(ValueError, match=f"^non-finite assignment {compute} for 'a'$"):
+            mixture_utility([make_fit(1.0, 0.1, "a")], {"a": compute})
 
 
 class TestAllocateProportional:
@@ -219,3 +226,44 @@ class TestGridOracle:
         oracle = allocate_grid_oracle(fits, 1e20, resolution=50)
         assert oracle.assignments == plan.assignments
         assert oracle.predicted_mixture_utility == plan.predicted_mixture_utility
+
+
+# Fits with no positive slope. Intercepts and slopes come from small sets
+# so that equal scores, broken by source id, are common; the fitted
+# ranges span 1e16 to 1e24 FLOPs, so a budget of 1e15 to 1e25 lands both
+# inside and outside them.
+NON_POSITIVE_FITS = st.lists(
+    st.tuples(
+        st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(-5, 5),
+        st.sampled_from([-1.0, -0.25, 0.0]) | st.floats(-2, 0),
+        st.floats(16, 22),
+        st.floats(0, 2),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(NON_POSITIVE_FITS, st.permutations("abcd"), st.floats(15, 25))
+def test_fallbacks_agree_on_non_positive_slopes(params, ids, budget_exponent):
+    fits = [
+        ScalingFit(
+            source_id=source,
+            intercept=intercept,
+            slope=slope,
+            n_points=2,
+            rmse=0.0,
+            compute_range=(10.0**lo, 10.0 ** (lo + width)),
+            basis=BASIS,
+        )
+        for source, (intercept, slope, lo, width) in zip(ids, params)
+    ]
+    c_max = 10.0**budget_exponent
+    plan = allocate_proportional(fits, c_max)
+    oracle = allocate_grid_oracle(fits, c_max, resolution=2)
+    assert list(oracle.assignments.items()) == list(plan.assignments.items())
+    assert oracle.excluded == plan.excluded
+    assert oracle.predicted_mixture_utility == plan.predicted_mixture_utility
+    assert plan.warnings[0].startswith("no source has a positive slope;")
+    assert oracle.warnings == plan.warnings[1:]
