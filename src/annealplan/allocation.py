@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 EXCLUDED_NON_POSITIVE_SLOPE = "non-positive slope"
+_Exclusions = tuple[tuple[str, str], ...]  # (source id, reason) pairs
 
 # The oracle enumerates every composition of the budget grid; beyond a
 # handful of sources that blows up combinatorially.
@@ -90,19 +91,36 @@ def mixture_utility(fits: Sequence[ScalingFit], assignments: Mapping[str, float]
     return total
 
 
-def _range_warnings(fits: Sequence[ScalingFit], assignments: Mapping[str, float]) -> list[str]:
-    warnings = []
+def _plan(
+    fits: Sequence[ScalingFit],
+    c_max: float,
+    assignments: dict[str, float],
+    excluded: _Exclusions,
+    warnings: Sequence[str] = (),
+) -> AllocationPlan:
+    """The plan of ``assignments``, warning of each share outside its fit's range."""
+    warnings = list(warnings)
     for fit in fits:
-        compute = assignments.get(fit.source_id, 0.0)
-        if compute <= 0:
-            continue
+        compute = assignments[fit.source_id]
         c_lo, c_hi = fit.compute_range
-        if not c_lo <= compute <= c_hi:
+        if compute > 0 and not c_lo <= compute <= c_hi:
             warnings.append(
                 f"{fit.source_id}: assignment {compute:.6g} outside fitted range"
                 f" [{c_lo:.6g}, {c_hi:.6g}]; prediction is extrapolated"
             )
-    return warnings
+    return AllocationPlan(
+        assignments, c_max, mixture_utility(fits, assignments), excluded, tuple(warnings)
+    )
+
+
+def _sole_buyer(
+    fits: Sequence[ScalingFit], c_max: float, source_id: str, excluded: _Exclusions, warnings=()
+) -> AllocationPlan:
+    """The plan in which ``source_id`` buys the whole budget."""
+    assignments = {fit.source_id: 0.0 for fit in fits}
+    assignments[source_id] = c_max
+    excluded = tuple(e for e in excluded if e[0] != source_id)
+    return _plan(fits, c_max, assignments, excluded, warnings)
 
 
 def allocate_proportional(fits: Sequence[ScalingFit], c_max: float) -> AllocationPlan:
@@ -118,33 +136,17 @@ def allocate_proportional(fits: Sequence[ScalingFit], c_max: float) -> Allocatio
     excluded = tuple(
         (fit.source_id, EXCLUDED_NON_POSITIVE_SLOPE) for fit in fits if fit.slope <= 0
     )
-    warnings: list[str] = []
-
     if not included:
-        best = min(fits, key=lambda fit: (-predict(fit, c_max).value, fit.source_id))
-        assignments = {fit.source_id: 0.0 for fit in fits}
-        assignments[best.source_id] = c_max
-        excluded = tuple(e for e in excluded if e[0] != best.source_id)
-        warnings.append(
-            f"no source has a positive slope; assigning the whole budget to {best.source_id}"
-        )
-    elif len(included) == 1:
-        assignments = {fit.source_id: 0.0 for fit in fits}
-        assignments[included[0].source_id] = c_max
-    else:
-        slope_sum = math.fsum(fit.slope for fit in included)
-        assignments = {fit.source_id: 0.0 for fit in fits}
-        for fit in included:
-            assignments[fit.source_id] = fit.slope * c_max / slope_sum
-
-    warnings.extend(_range_warnings(fits, assignments))
-    return AllocationPlan(
-        assignments=assignments,
-        total=c_max,
-        predicted_mixture_utility=mixture_utility(fits, assignments),
-        excluded=excluded,
-        warnings=tuple(warnings),
-    )
+        best = min(fits, key=lambda fit: (-predict(fit, c_max).value, fit.source_id)).source_id
+        warning = f"no source has a positive slope; assigning the whole budget to {best}"
+        return _sole_buyer(fits, c_max, best, excluded, [warning])
+    if len(included) == 1:  # s * c / s need not round to c
+        return _sole_buyer(fits, c_max, included[0].source_id, excluded)
+    slope_sum = math.fsum(fit.slope for fit in included)
+    assignments = {fit.source_id: 0.0 for fit in fits}
+    for fit in included:
+        assignments[fit.source_id] = fit.slope * c_max / slope_sum
+    return _plan(fits, c_max, assignments, excluded)
 
 
 def _compositions(n_parts: int, total: int) -> np.ndarray:
@@ -193,23 +195,9 @@ def allocate_grid_oracle(
     excluded = tuple(
         (fit.source_id, EXCLUDED_NON_POSITIVE_SLOPE) for fit in fits if fit.slope <= 0
     )
-    if not included:
-        # Mirror the closed form's fallback family: one source buys the
-        # whole budget.
-        candidates = []
-        for fit in fits:
-            assignments = {f.source_id: 0.0 for f in fits}
-            assignments[fit.source_id] = c_max
-            candidates.append((mixture_utility(fits, assignments), fit.source_id, assignments))
-        candidates.sort(key=lambda item: (-item[0], item[1]))
-        _, best_id, assignments = candidates[0]
-        return AllocationPlan(
-            assignments=assignments,
-            total=c_max,
-            predicted_mixture_utility=mixture_utility(fits, assignments),
-            excluded=tuple(e for e in excluded if e[0] != best_id),
-            warnings=tuple(_range_warnings(fits, assignments)),
-        )
+    if not included:  # the closed form's fallback family, scored by the objective
+        best = min((-mixture_utility(fits, {fit.source_id: c_max}), fit.source_id) for fit in fits)
+        return _sole_buyer(fits, c_max, best[1], excluded)
 
     if resolution < len(included):
         raise ValueError(
@@ -236,10 +224,4 @@ def allocate_grid_oracle(
     assignments = {fit.source_id: 0.0 for fit in fits}
     for i, fit in enumerate(included):
         assignments[fit.source_id] = float(grid[best, i]) * step
-    return AllocationPlan(
-        assignments=assignments,
-        total=c_max,
-        predicted_mixture_utility=mixture_utility(fits, assignments),
-        excluded=excluded,
-        warnings=tuple(_range_warnings(fits, assignments)),
-    )
+    return _plan(fits, c_max, assignments, excluded)
