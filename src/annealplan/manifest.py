@@ -121,9 +121,10 @@ class UtilityPoint:
 
 
 # Characters a source id may not hold: C0 controls (XML 1.0 forbids most,
-# the rest break CSV rows), lone surrogates (UTF-8 cannot encode them) and
-# the noncharacters U+FFFE and U+FFFF (XML forbids them).
-_UNWRITABLE = re.compile("[\x00-\x1f\ud800-\udfff\ufffe\uffff]")
+# the rest break CSV rows), DEL and the C1 controls (a terminal may act on
+# them), lone surrogates (UTF-8 cannot encode them) and the noncharacters
+# U+FFFE and U+FFFF (XML forbids them).
+_UNWRITABLE = re.compile("[\x00-\x1f\x7f-\x9f\ud800-\udfff\ufffe\uffff]")
 
 
 def _check_writable(value: str, where: str) -> None:
@@ -419,25 +420,19 @@ def _checked_loads(text: str) -> None:
     except RecursionError:
         raise ManifestError("manifest nests JSON arrays and objects too deeply to parse") from None
     except ValueError:  # only an integer literal past int()'s digit limit raises this
-        literals: list[str] = []
-        try:  # again, keeping each integer literal and parsing it as None
-            json.loads(text, parse_int=literals.append)
-        except (ValueError, RecursionError):
-            pass  # the text is invalid after the literal
+        # Its digits are the first run of more than the limit that is no
+        # part of a float and lies outside every string: the text before it
+        # parsed, so the unescaped quotes there pair up. Starting the
+        # pattern with a digit lets the regex engine skip to digits.
         limit = sys.get_int_max_str_digits()
-        literal = next((s for s in literals if len(s.lstrip("-")) > limit), None)
-        if literal is None:  # keeping it took a call past the recursion limit
-            raise ManifestError("manifest nests JSON arrays and objects too deeply to parse") from None
-        # Its first whole occurrence outside every string. The text before
-        # it parsed, so the unescaped quotes there pair up.
-        whole = re.compile(rf"(?<![\d.eE+-]){re.escape(literal)}(?![\d.eE])")
-        at = text.find(literal)
-        while not whole.match(text, at) or (
-            text.count('"', 0, at) - _escaped_quotes(text[:at])
-        ) % 2:
-            at = text.find(literal, at + 1)
+        digits = re.compile(rf"\d(?<![\d.eE+]\d)(?<![eE]-\d)\d{{{limit},}}(?![\d.eE])", re.ASCII)
+        run = next(
+            m for m in digits.finditer(text)
+            if not (text.count('"', 0, m.start()) - _escaped_quotes(text[: m.start()])) % 2
+        )
+        at = run.start() - (text[run.start() - 1] == "-")
         raise ManifestError(
-            f"manifest holds an integer of {len(literal.lstrip('-'))} digits at"
+            f"manifest holds an integer of {len(run[0])} digits at"
             f" {_line_column(text, at)}, beyond the float range"
         ) from None
 

@@ -233,6 +233,15 @@ class TestLoadManifest:
                 loads_manifest(text + tail)
             assert (str(info.value), calls) == (message, [])
 
+    def test_integer_past_the_digit_limit_before_a_non_ascii_digit(self):
+        # The parser's number ends at the last ASCII digit; U+0663 is a
+        # digit to a Unicode regex, but not to JSON.
+        with pytest.raises(ManifestError) as info:
+            loads_manifest('{"a": ' + "7" * 5000 + "\u0663}")
+        assert str(info.value) == (
+            "manifest holds an integer of 5000 digits at line 1 column 7, beyond the float range"
+        )
+
     def test_manifest_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"baseline_id": "caf\xe9"}')
@@ -449,8 +458,8 @@ class TestLoadManifest:
         with pytest.raises(ManifestError, match=r"runs\[0\]\.scores\[1\]: task id 't'"):
             load_manifest(write_manifest(data))
 
-    @pytest.mark.parametrize("char", ["\x00", "\x01", "\n", "\x1f", "\ud800", "\udfff",
-                                      "\ufffe", "\uffff"])
+    @pytest.mark.parametrize("char", ["\x00", "\x01", "\n", "\x1f", "\x7f", "\x80", "\x9f",
+                                      "\ud800", "\udfff", "\ufffe", "\uffff"])
     def test_unwritable_source_id(self, write_manifest, capsys, char):
         data = manifest_dict()
         source_id = f"a{char}b"
@@ -491,6 +500,23 @@ class TestLoadManifest:
         with pytest.raises(ManifestError) as info:
             load_manifest(manifest)
         assert str(info.value) == message
+        assert main(["fit", "--manifest", str(manifest)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("field", ["sources key", "clamp_warning"])
+    def test_del_and_c1_controls_unwritable(self, write_manifest, capsys, field):
+        # U+009B is CSI on a terminal that reads 8-bit C1 codes.
+        data = manifest_dict()
+        if field == "sources key":
+            value = "mbf\u009b"
+            data["sources"] = {value: data["sources"].pop("med_filter")}
+            data["runs"][2]["source_id"] = value
+        else:
+            value = "ok\u009b2K\u007fx"
+            data["runs"][2]["metadata"] = {"clamp_warning": value}
+            field = "metadata 'clamp_warning' in runs[2]"
+        manifest = write_manifest(data)
+        message = f"{field} {value!r} contains U+009B, which cannot be written out"
         assert main(["fit", "--manifest", str(manifest)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
