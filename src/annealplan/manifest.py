@@ -430,7 +430,7 @@ def _checked_loads(text: str) -> None:
             m for m in digits.finditer(text)
             if not (text.count('"', 0, m.start()) - _escaped_quotes(text[: m.start()])) % 2
         )
-        at = run.start() - (text[run.start() - 1] == "-")
+        at = run.start() - (text[run.start() - 1 : run.start()] == "-")
         raise ManifestError(
             f"manifest holds an integer of {len(run[0])} digits at"
             f" {_line_column(text, at)}, beyond the float range"

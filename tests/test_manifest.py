@@ -233,13 +233,19 @@ class TestLoadManifest:
                 loads_manifest(text + tail)
             assert (str(info.value), calls) == (message, [])
 
-    def test_integer_past_the_digit_limit_before_a_non_ascii_digit(self):
+    @pytest.mark.parametrize(("text", "column"), [
         # The parser's number ends at the last ASCII digit; U+0663 is a
         # digit to a Unicode regex, but not to JSON.
+        ('{"a": ' + "7" * 5000 + "\u0663}", 7),
+        # The '-' before the text's first character is its last one.
+        ("7" * 5000 + "-", 1),
+    ])
+    def test_integer_past_the_digit_limit_next_to_odd_characters(self, text, column):
         with pytest.raises(ManifestError) as info:
-            loads_manifest('{"a": ' + "7" * 5000 + "\u0663}")
+            loads_manifest(text)
         assert str(info.value) == (
-            "manifest holds an integer of 5000 digits at line 1 column 7, beyond the float range"
+            f"manifest holds an integer of 5000 digits at line 1 column {column},"
+            " beyond the float range"
         )
 
     def test_manifest_not_utf8(self, tmp_path, capsys):
@@ -458,8 +464,8 @@ class TestLoadManifest:
         with pytest.raises(ManifestError, match=r"runs\[0\]\.scores\[1\]: task id 't'"):
             load_manifest(write_manifest(data))
 
-    @pytest.mark.parametrize("char", ["\x00", "\x01", "\n", "\x1f", "\x7f", "\x80", "\x9f",
-                                      "\ud800", "\udfff", "\ufffe", "\uffff"])
+    @pytest.mark.parametrize("char", ["\x00", "\x01", "\n", "\x1f", "\x7f", "\x80", "\x9b",
+                                      "\x9f", "\ud800", "\udfff", "\ufffe", "\uffff"])
     def test_unwritable_source_id(self, write_manifest, capsys, char):
         data = manifest_dict()
         source_id = f"a{char}b"
@@ -503,21 +509,16 @@ class TestLoadManifest:
         assert main(["fit", "--manifest", str(manifest)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("field", ["sources key", "clamp_warning"])
-    def test_del_and_c1_controls_unwritable(self, write_manifest, capsys, field):
+    def test_del_and_c1_controls_in_clamp_warning(self, write_manifest, capsys):
         # U+009B is CSI on a terminal that reads 8-bit C1 codes.
         data = manifest_dict()
-        if field == "sources key":
-            value = "mbf\u009b"
-            data["sources"] = {value: data["sources"].pop("med_filter")}
-            data["runs"][2]["source_id"] = value
-        else:
-            value = "ok\u009b2K\u007fx"
-            data["runs"][2]["metadata"] = {"clamp_warning": value}
-            field = "metadata 'clamp_warning' in runs[2]"
-        manifest = write_manifest(data)
-        message = f"{field} {value!r} contains U+009B, which cannot be written out"
-        assert main(["fit", "--manifest", str(manifest)]) == 1
+        note = "ok\u009b2K\u007fx"
+        data["runs"][2]["metadata"] = {"clamp_warning": note}
+        message = (
+            f"metadata 'clamp_warning' in runs[2] {note!r} contains U+009B,"
+            " which cannot be written out"
+        )
+        assert main(["fit", "--manifest", str(write_manifest(data))]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_non_ascii_source_id_accepted(self, write_manifest):
