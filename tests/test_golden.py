@@ -15,6 +15,7 @@ this test pass: a moved digest means the CLI's bytes changed.
 
 import contextlib
 import copy
+import csv
 import hashlib
 import io
 import json
@@ -102,6 +103,40 @@ def _probe_manifest() -> dict:
     return {**_seeded_manifest(), "sources": {"alpha": source, "beta": source}, "runs": runs}
 
 
+def _awkward_manifest() -> dict:
+    """Source ids that need CSV quoting, and every crossover status.
+
+    The ids hold a comma, quotes (one pair doubled), a leading space and
+    non-ASCII characters. ' lead' and 'a,b' share a cost model and
+    scores, so their fits are identical; 'say "hi"' has the same deltas
+    plus 1/8, all dyadic, so its slope equals theirs bit for bit and the
+    pairs are parallel. '"end"' has their slope but for the last bit of
+    one score, so its lines meet them past the float range (no
+    crossover). 'é→x' crosses them inside the fitted range, and
+    'q""q,é→', priced as a synthetic source, crosses the rest outside it.
+    """
+    scores = {
+        "a,b": [0.5, 0.4921875, 0.484375, 0.4765625],
+        'say "hi"': [0.375, 0.3671875, 0.359375, 0.3515625],
+        " lead": [0.5, 0.4921875, 0.484375, 0.4765625],
+        'q""q,é→': [0.46, 0.461, 0.4625, 0.463],
+        '"end"': [0.25, 0.2421875, 0.234375, 0.2265624],
+        "é→x": [0.499, 0.4922, 0.4845, 0.4768],
+    }
+    runs = [
+        {"source_id": source_id, "seed": 0, "steps": steps, "scores": [
+            {"task_id": "mmlu_anatomy", "metric": "brier", "value": value, "n_examples": 100}]}
+        for source_id, row in {"replay": [0.5] * 4, **scores}.items()
+        for steps, value in zip(_STEPS, row)
+    ]
+    sources = {
+        source_id: {"kind": "mbf", "mbf_recall": 22.0, "annotator_per_token_flops": 2e8}
+        for source_id in scores
+    }
+    sources['q""q,é→'] = copy.deepcopy(_SOURCES["synth"])
+    return {**_seeded_manifest(), "sources": sources, "runs": runs}
+
+
 _CORPUS = "\n".join(
     [
         "the cat sat on the mat",
@@ -124,13 +159,16 @@ def inputs(tmp_path_factory):
     seeds.write_text(json.dumps(_seeded_manifest(), indent=1), encoding="utf-8")
     probe = root / "probe.json"
     probe.write_text(json.dumps(_probe_manifest()), encoding="utf-8")
+    awkward = root / "awkward.json"
+    awkward.write_text(json.dumps(_awkward_manifest(), ensure_ascii=False), encoding="utf-8")
     text = root / "corpus.txt"
     text.write_text(_CORPUS, encoding="utf-8")
     binary = root / "corpus.bin"
     binary.write_bytes(
         b"".join(struct.pack(f"<I{len(d)}I", len(d), *d) for d in _BINARY_DOCS)
     )
-    return {"flip": str(flip), "seeds": str(seeds), "probe": str(probe), "text": str(text),
+    return {"flip": str(flip), "seeds": str(seeds), "probe": str(probe),
+            "awkward": str(awkward), "text": str(text),
             "binary": str(binary), "out": str(root / "out.bin")}
 
 
@@ -169,6 +207,9 @@ CASES = {
     "fit seeds two tasks": "fit --manifest {seeds} --basis total --tasks mmlu_a*,mmlu_c*",
     "crossover seeds drop2": "crossover --manifest {seeds} --drop-smallest 2",
     "crossover probes round equal": "crossover --manifest {probe}",
+    "crossover awkward ids": "crossover --manifest {awkward}",
+    "crossover awkward ids total": "crossover --manifest {awkward} --basis total",
+    "fit awkward ids": "fit --manifest {awkward}",
     "fit seeds drop3": "fit --manifest {seeds} --drop-smallest 3",
     "fit nomatch tasks": "fit --manifest {flip} --tasks nomatch*",
     "fit empty tasks": "fit --manifest {flip} --tasks ,",
@@ -362,6 +403,10 @@ GOLDEN = {
         "d95a4b336a8c929443c6f152392868e5ade71181d1a761a4a839214618918568",
     "cost zero-cost --tokens 3.3e9 total":
         "ba0144babf1d59a7106fb1eaa45cc3e9302ad594fb3251f205af771b99ec0bd7",
+    "crossover awkward ids":
+        "555a71b6de58d0b47e381b7e53c5579c2258b54d751fce45e708acb2f9502db5",
+    "crossover awkward ids total":
+        "32b54357aa98490b02f6334ea2016555bfbbc500f173e68308c9854f533dd650",
     "crossover flip curation-only":
         "6019042a450624de964847f1227418e47f41919a616ac6f6d290d7a743192516",
     "crossover flip total":
@@ -390,6 +435,8 @@ GOLDEN = {
         "292abb72763e20b4bc847f87a5cb42e620d4efe9a318151836809aa51f9a0a79",
     "fit empty tasks":
         "307965bac934c83d9d4931e1509879d91eb25c9f192db27b95c4085727f7dae4",
+    "fit awkward ids":
+        "a24d2b98a448f17d4bfc181bf5808c1d1dcaf51919ef51dbc31e47343cc69c4a",
     "fit flip curation-only":
         "fecd476819a211791be2f9fd614b3d2443154c079a333721b27b40dacf93fa68",
     "fit flip curation-only drop1":
@@ -467,3 +514,17 @@ GOLDEN = {
 def test_golden(name, inputs):
     code, out, err, written = run_case(CASES[name], inputs)
     assert digest(code, out, err, written) == GOLDEN[name], f"exit {code}, stderr: {err[:400]}"
+
+
+def test_awkward_ids_reach_every_crossover_status(inputs):
+    code, out, err, _ = run_case(CASES["crossover awkward ids"], inputs)
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert code == 0 and len(rows) == 15
+    assert {(r["status"], r["in_range"]) for r in rows} == {
+        ("crossover", "true"), ("crossover", "false"), ("parallel", ""), ("identical", ""),
+        ("no-crossover", ""),
+    }
+    assert {r["source_a"] for r in rows} | {r["source_b"] for r in rows} == set(
+        _awkward_manifest()["sources"]
+    )
+    assert err == "warning:  lead and a,b have identical fits (degenerate)\n"
