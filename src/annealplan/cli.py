@@ -68,6 +68,11 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buffer.getvalue()
 
 
+def _csv_field(value: str) -> str:
+    """``value`` as ``csv.writer`` writes it within a row, quoted if it must be."""
+    return _csv_text([value, ""], [])[:-2]
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -197,16 +202,30 @@ def _cmd_rank(args) -> int:
     return 0
 
 
-def _cmd_crossover(args) -> int:
-    _, fits, warnings = _load_fits(args)
-    rows = []
+_CROSSOVER_HEADER = [
+    "source_a", "source_b", "status", "compute", "leader_below", "leader_above", "in_range"
+]
+
+
+def _crossover_text(fits: list[ScalingFit], warnings: list[str]) -> str:
+    """The crossover CSV of every pair of ``fits``, appending a warning per identical pair.
+
+    Rows are written as text, the bytes ``csv.writer`` would give: each
+    source id is quoted once, by the csv module itself, and a compute is
+    written as its ``repr``, as ``csv.writer`` writes a float.
+    """
+    quoted = {fit.source_id: _csv_field(fit.source_id) for fit in fits}
+    lines = [_csv_text(_CROSSOVER_HEADER, [])]
     for i, fit_a in enumerate(fits):
+        field_a = quoted[fit_a.source_id]
         for fit_b in fits[i + 1 :]:
-            pair = [fit_a.source_id, fit_b.source_id]
             result = crossover(fit_a, fit_b)
             if result is not None:
-                rows.append(pair + ["crossover", result.compute, result.leader_below,
-                                    result.leader_above, _bool(result.in_range)])
+                lines.append(
+                    f"{field_a},{quoted[fit_b.source_id]},crossover,{result.compute!r},"
+                    f"{quoted[result.leader_below]},{quoted[result.leader_above]},"
+                    f"{_bool(result.in_range)}\n"
+                )
                 continue
             if fit_a.slope == fit_b.slope and fit_a.intercept == fit_b.intercept:
                 status = "identical"
@@ -217,9 +236,13 @@ def _cmd_crossover(args) -> int:
                 status = "parallel"
             else:
                 status = "no-crossover"
-            rows.append(pair + [status, "", "", "", ""])
-    header = ["source_a", "source_b", "status", "compute", "leader_below", "leader_above", "in_range"]
-    _emit(_csv_text(header, rows), args.out)
+            lines.append(f"{field_a},{quoted[fit_b.source_id]},{status},,,,\n")
+    return "".join(lines)
+
+
+def _cmd_crossover(args) -> int:
+    _, fits, warnings = _load_fits(args)
+    _emit(_crossover_text(fits, warnings), args.out)
     _warn(warnings)
     return 0
 

@@ -32,7 +32,6 @@ from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from pathlib import Path
-from typing import NoReturn
 
 from .costs import (
     SOURCE_FLOAT_FIELDS,
@@ -331,19 +330,19 @@ def _line_column(text: str, at: int) -> str:
     return f"line {line} column {column}"
 
 
-def _reject_repeated_keys(text: str) -> NoReturn:
+def _reject_repeated_keys(text: str) -> None:
     """Raise for the first repeated key of ``text``, naming its line and column.
 
     Objects are checked as they close, in the order a parser closes them.
-    ``text`` must be valid JSON up to the close of an object that repeats a key.
+    ``text`` must be valid JSON up to the close of an object that repeats a
+    key, or all valid JSON; then, if no key repeats, this returns.
     """
     # Per open container: an array's None, or an object's keys and the
     # offsets of its repeated keys.
     open_containers: list[tuple[set[str], list[tuple[str, int]]] | None] = []
     expect_key = False
     pos = 0
-    while True:  # the repeat's object closes before the text ends
-        match = _JSON_STRUCTURE.search(text, pos)
+    while match := _JSON_STRUCTURE.search(text, pos):
         char, pos = match.group(), match.end()
         if char == '"':
             key, end = json.decoder.scanstring(text, pos)
@@ -401,13 +400,14 @@ def _object_without_repeats(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def _checked_loads(text: str) -> None:
+def _checked_loads(text: str, parsed: bool) -> None:
     """Raise the ManifestError of parsing ``text`` with a hook that rejects a repeated key.
 
     The hook sees each object as the parser closes it, so a repeated key
     is named before a JSON error, too deep a nesting or an integer literal
     past the digit limit only if its object closes first. Returns if the
-    text parses.
+    text parses, or if only the hook's extra frames pass the recursion
+    limit of a text that ``json.loads`` already ``parsed`` and no key repeats.
     """
     try:
         json.loads(text, object_pairs_hook=_object_without_repeats)
@@ -418,6 +418,9 @@ def _checked_loads(text: str) -> None:
             f"manifest is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from exc
     except RecursionError:
+        if parsed:
+            _reject_repeated_keys(text)
+            return
         raise ManifestError("manifest nests JSON arrays and objects too deeply to parse") from None
     except ValueError:  # only an integer literal past int()'s digit limit raises this
         # Its digits are the first run of more than the limit that is no
@@ -449,16 +452,20 @@ def loads_manifest(text: str) -> RunSet:
     # hooked parse, which names a repeated key before any field error.
     try:
         data = json.loads(text)
+    except (ValueError, RecursionError):
+        _checked_loads(text, parsed=False)
+        raise
+    try:
         runset = _runset_from(data)
     except (ValueError, RecursionError):
-        _checked_loads(text)
+        _checked_loads(text, parsed=True)
         raise  # a field error, and no key repeats
     pairs = _pairs_in(data)
     if pairs != text.count(":") and pairs != (
         text.count('":') + len(re.findall(r'"[ \t\n\r]+:', text))
         - _escaped_quotes(text, r"[ \t\n\r]*:")
     ):
-        _checked_loads(text)
+        _checked_loads(text, parsed=True)
     return runset
 
 

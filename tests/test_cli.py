@@ -21,12 +21,14 @@ from annealplan.cli import main
 from annealplan.costs import (
     SOURCE_FLOAT_FIELDS,
     AnnealingGeometry,
+    CostBasis,
     ModelSpec,
     SourceCostModel,
     SourceKind,
     tokens_per_step,
 )
 from annealplan.manifest import loads_manifest
+from annealplan.scaling import ScalingFit, crossover
 from annealplan.simulate import _source_to_json, generate_manifest, scenario_rank_flip
 
 from conftest import manifest_dict
@@ -237,6 +239,62 @@ class TestCrossoverCmd:
         assert row["leader_below"] == "wrap_like"
         assert row["leader_above"] == "mbf_like"
         assert row["in_range"] == "true"
+
+
+# Source ids a manifest may hold (no control or surrogate characters, no
+# U+FFFE or U+FFFF), weighted towards the characters CSV quoting acts on.
+SOURCE_IDS = st.text(
+    st.sampled_from(',"\' é→') | st.characters(blacklist_categories=("Cc", "Cs"),
+                                                 blacklist_characters="\ufffe\uffff"),
+    min_size=1, max_size=8,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(SOURCE_IDS)
+def test_source_id_is_quoted_as_csv_writer_quotes_it(source_id):
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow(["x", source_id, "y"])
+    assert buffer.getvalue() == f"x,{cli._csv_field(source_id)},y\n"
+
+
+# Few distinct coefficients, so drawn pairs are often parallel or identical.
+COEFFICIENTS = st.sampled_from([-0.5, 0.0, 0.125, 0.25]) | st.floats(-1, 1)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(SOURCE_IDS, COEFFICIENTS, COEFFICIENTS, st.floats(1e10, 1e18), st.floats(1, 1e4)),
+        min_size=1, max_size=6, unique_by=lambda drawn: drawn[0],
+    )
+)
+def test_crossover_csv_reads_back_every_pair(drawn):
+    fits = [
+        ScalingFit(source_id=source_id, intercept=intercept, slope=slope, n_points=4, rmse=0.0,
+                   compute_range=(c_lo, c_lo * spread), basis=CostBasis.CURATION_ONLY)
+        for source_id, intercept, slope, c_lo, spread in sorted(drawn)
+    ]
+    warnings = []
+    rows = list(csv.reader(io.StringIO(cli._crossover_text(fits, warnings))))
+    assert rows[0] == list(cli._CROSSOVER_HEADER)
+    expected, identical = [], []
+    for i, fit_a in enumerate(fits):
+        for fit_b in fits[i + 1 :]:
+            result = crossover(fit_a, fit_b)
+            pair = [fit_a.source_id, fit_b.source_id]
+            if result is not None:
+                in_range = "true" if result.in_range else "false"
+                expected.append(pair + ["crossover", repr(result.compute), result.leader_below,
+                                        result.leader_above, in_range])
+            elif (fit_a.slope, fit_a.intercept) == (fit_b.slope, fit_b.intercept):
+                expected.append(pair + ["identical", "", "", "", ""])
+                identical.append(f"{pair[0]} and {pair[1]} have identical fits (degenerate)")
+            else:
+                status = "parallel" if fit_a.slope == fit_b.slope else "no-crossover"
+                expected.append(pair + [status, "", "", "", ""])
+    assert rows[1:] == expected
+    assert warnings == identical
 
 
 @pytest.mark.parametrize("valid", [True, False], ids=["valid", "invalid"])

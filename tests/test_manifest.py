@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 
@@ -184,6 +185,35 @@ class TestLoadManifest:
         with pytest.raises(ManifestError) as info:
             loads_manifest("[" * 100_000 + '{"a": 1, "a": 2}')
         assert str(info.value) == "manifest nests JSON arrays and objects too deeply to parse"
+
+    def test_depth_only_the_hooked_parse_cannot_reach_is_not_too_deep(self, monkeypatch):
+        # The hooked parse runs a few frames deeper than the plain one, so
+        # just below the recursion limit it can give up where the plain
+        # parse did not. Then the plain parse's own error stands, after a
+        # scan for repeated keys.
+        plain_parsed = set()
+        loads = json.loads
+
+        def recording_loads(text, **kwargs):
+            data = loads(text, **kwargs)
+            if not kwargs:
+                plain_parsed.add(text)
+            return data
+
+        monkeypatch.setattr(json, "loads", recording_loads)
+        too_deep = "manifest nests JSON arrays and objects too deeply to parse"
+        for depth in range(1, sys.getrecursionlimit() + 10):
+            for inner, message in [
+                ('{"a": 1}', "manifest root must be a JSON object"),
+                ('{"a": 1, "a": 2}', f"manifest repeats the key 'a' within one JSON object"
+                                     f" at line 1 column {depth + 10}"),
+            ]:
+                text = "[" * depth + inner + "]" * depth
+                with pytest.raises(ManifestError) as info:
+                    loads_manifest(text)
+                expected = message if text in plain_parsed else too_deep
+                assert (depth, str(info.value)) == (depth, expected)
+        assert 0 < len(plain_parsed) < 2 * sys.getrecursionlimit()
 
     def test_integer_past_the_digit_limit_names_its_position(self, tmp_path, capsys):
         # int() refuses a literal of more than 4,300 digits, so json.loads
