@@ -221,10 +221,10 @@ def _crossover_text(fits: list[ScalingFit], warnings: list[str]) -> str:
         for fit_b in fits[i + 1 :]:
             result = crossover(fit_a, fit_b)
             if result is not None:
+                compute, below, above, in_range = result
                 lines.append(
-                    f"{field_a},{quoted[fit_b.source_id]},crossover,{result.compute!r},"
-                    f"{quoted[result.leader_below]},{quoted[result.leader_above]},"
-                    f"{_bool(result.in_range)}\n"
+                    f"{field_a},{quoted[fit_b.source_id]},crossover,{compute!r},"
+                    f"{quoted[below]},{quoted[above]},{'true' if in_range else 'false'}\n"
                 )
                 continue
             if fit_a.slope == fit_b.slope and fit_a.intercept == fit_b.intercept:

@@ -400,44 +400,55 @@ def _object_without_repeats(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def _checked_loads(text: str, parsed: bool) -> None:
+def _checked_loads(text: str, plain: Exception | None) -> None:
     """Raise the ManifestError of parsing ``text`` with a hook that rejects a repeated key.
 
-    The hook sees each object as the parser closes it, so a repeated key
-    is named before a JSON error, too deep a nesting or an integer literal
-    past the digit limit only if its object closes first. Returns if the
-    text parses, or if only the hook's extra frames pass the recursion
-    limit of a text that ``json.loads`` already ``parsed`` and no key repeats.
+    ``plain`` is what a plain ``json.loads`` of ``text`` raised, or None if
+    it parsed. The hook sees each object as the parser closes it, so a
+    repeated key is named before a JSON error, too deep a nesting or an
+    integer literal past the digit limit only if its object closes first.
+    Returns if the text parses, or if only the hook's extra frames pass the
+    recursion limit of a text that parsed and no key repeats.
     """
     try:
         json.loads(text, object_pairs_hook=_object_without_repeats)
+        return
     except ManifestError:  # from the hook, which knows no position
         _reject_repeated_keys(text)
+        return
     except json.JSONDecodeError as exc:
         raise ManifestError(
             f"manifest is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from exc
     except RecursionError:
-        if parsed:
+        if plain is None:
             _reject_repeated_keys(text)
             return
-        raise ManifestError("manifest nests JSON arrays and objects too deeply to parse") from None
+        if type(plain) is not ValueError:
+            raise ManifestError("manifest nests JSON arrays and objects too deeply to parse") from None
+        # The plain parse stopped at an integer literal past the digit
+        # limit; the hook's extra frames passed the recursion limit before
+        # it, so objects that close before the literal are still unchecked.
+        unchecked = True
     except ValueError:  # only an integer literal past int()'s digit limit raises this
-        # Its digits are the first run of more than the limit that is no
-        # part of a float and lies outside every string: the text before it
-        # parsed, so the unescaped quotes there pair up. Starting the
-        # pattern with a digit lets the regex engine skip to digits.
-        limit = sys.get_int_max_str_digits()
-        digits = re.compile(rf"\d(?<![\d.eE+]\d)(?<![eE]-\d)\d{{{limit},}}(?![\d.eE])", re.ASCII)
-        run = next(
-            m for m in digits.finditer(text)
-            if not (text.count('"', 0, m.start()) - _escaped_quotes(text[: m.start()])) % 2
-        )
-        at = run.start() - (text[run.start() - 1 : run.start()] == "-")
-        raise ManifestError(
-            f"manifest holds an integer of {len(run[0])} digits at"
-            f" {_line_column(text, at)}, beyond the float range"
-        ) from None
+        unchecked = False
+    # Its digits are the first run of more than the limit that is no part
+    # of a float and lies outside every string: the text before it parsed,
+    # so the unescaped quotes there pair up. Starting the pattern with a
+    # digit lets the regex engine skip to digits.
+    limit = sys.get_int_max_str_digits()
+    digits = re.compile(rf"\d(?<![\d.eE+]\d)(?<![eE]-\d)\d{{{limit},}}(?![\d.eE])", re.ASCII)
+    run = next(
+        m for m in digits.finditer(text)
+        if not (text.count('"', 0, m.start()) - _escaped_quotes(text[: m.start()])) % 2
+    )
+    if unchecked:
+        _reject_repeated_keys(text[: run.start()])
+    at = run.start() - (text[run.start() - 1 : run.start()] == "-")
+    raise ManifestError(
+        f"manifest holds an integer of {len(run[0])} digits at"
+        f" {_line_column(text, at)}, beyond the float range"
+    )
 
 
 def loads_manifest(text: str) -> RunSet:
@@ -452,20 +463,20 @@ def loads_manifest(text: str) -> RunSet:
     # hooked parse, which names a repeated key before any field error.
     try:
         data = json.loads(text)
-    except (ValueError, RecursionError):
-        _checked_loads(text, parsed=False)
+    except (ValueError, RecursionError) as exc:
+        _checked_loads(text, exc)
         raise
     try:
         runset = _runset_from(data)
     except (ValueError, RecursionError):
-        _checked_loads(text, parsed=True)
+        _checked_loads(text, None)
         raise  # a field error, and no key repeats
     pairs = _pairs_in(data)
     if pairs != text.count(":") and pairs != (
         text.count('":') + len(re.findall(r'"[ \t\n\r]+:', text))
         - _escaped_quotes(text, r"[ \t\n\r]*:")
     ):
-        _checked_loads(text, parsed=True)
+        _checked_loads(text, None)
     return runset
 
 

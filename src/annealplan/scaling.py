@@ -68,8 +68,7 @@ class Prediction(NamedTuple):
     extrapolated: bool
 
 
-@dataclass(frozen=True)
-class Crossover:
+class Crossover(NamedTuple):
     """Compute value where two fitted curves intersect and the lead flips."""
 
     compute: float
@@ -194,12 +193,7 @@ def crossover(fit_a: ScalingFit, fit_b: ScalingFit) -> Crossover | None:
         return None
     (a_lo, a_hi), (b_lo, b_hi) = fit_a.compute_range, fit_b.compute_range
     in_range = a_lo <= c_star <= a_hi and b_lo <= c_star <= b_hi
-    return Crossover(
-        compute=c_star,
-        leader_below=leader_below,
-        leader_above=leader_above,
-        in_range=in_range,
-    )
+    return Crossover(c_star, leader_below, leader_above, in_range)
 
 
 def rank_at_budget(fits: Sequence[ScalingFit], budget: float) -> list[RankedSource]:

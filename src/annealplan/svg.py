@@ -50,6 +50,10 @@ def render_fit_svg(points: Sequence[UtilityPoint], fits: Sequence[ScalingFit]) -
     y_pad = max(0.05 * (y_hi - y_lo), 1e-6)
     x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
     y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
+    # Each source's points in input order, so each fit visits only its own.
+    by_source: dict[str, list[tuple[float, float]]] = {}
+    for point, x, y in zip(points, xs, ys):
+        by_source.setdefault(point.source_id, []).append((x, y))
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
@@ -135,12 +139,8 @@ def render_fit_svg(points: Sequence[UtilityPoint], fits: Sequence[ScalingFit]) -
             f'<text x="{_WIDTH - _MARGIN_RIGHT + 40}" y="{label_y}" font-size="11"'
             f' font-family="sans-serif">{escape(fit.source_id)}</text>'
         )
-        for point in points:
-            if point.source_id == fit.source_id:
-                parts.append(
-                    f'<circle cx="{_fmt(sx(math.log10(point.compute)))}"'
-                    f' cy="{_fmt(sy(point.delta.value))}" r="3.5" fill="{color}"/>'
-                )
+        for x, y in by_source.get(fit.source_id, ()):
+            parts.append(f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="3.5" fill="{color}"/>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

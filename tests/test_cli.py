@@ -297,6 +297,29 @@ def test_crossover_csv_reads_back_every_pair(drawn):
     assert warnings == identical
 
 
+def test_crossover_text_calls_crossover_once_per_pair(monkeypatch):
+    # Each pair goes through the module-level name, which a tracer may wrap
+    # to count pairs; a shortcut past it would count none.
+    fits = [
+        ScalingFit(source_id=f"s{i}", intercept=intercept, slope=slope, n_points=4, rmse=0.0,
+                   compute_range=(1e18, 1e22), basis=CostBasis.CURATION_ONLY)
+        for i, (intercept, slope) in enumerate(
+            [(0.0, 0.01), (0.5, 0.0), (0.5, 0.0), (-0.2, 0.02), (1.0, 0.01), (0.3, -0.01), (0.1, 0.015)]
+        )
+    ]
+    expected = cli._crossover_text(fits, [])
+    pairs = []
+
+    def counting_crossover(fit_a, fit_b):
+        pairs.append((fit_a.source_id, fit_b.source_id))
+        return crossover(fit_a, fit_b)
+
+    monkeypatch.setattr(cli, "crossover", counting_crossover)
+    assert cli._crossover_text(fits, []) == expected
+    n = len(fits)
+    assert len(pairs) == len(set(pairs)) == n * (n - 1) // 2
+
+
 @pytest.mark.parametrize("valid", [True, False], ids=["valid", "invalid"])
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 def test_planning_leaves_the_collector_as_found(sim_manifest, tmp_path, capsys, enabled, valid):

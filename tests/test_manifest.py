@@ -215,6 +215,41 @@ class TestLoadManifest:
                 assert (depth, str(info.value)) == (depth, expected)
         assert 0 < len(plain_parsed) < 2 * sys.getrecursionlimit()
 
+    def test_integer_past_the_digit_limit_is_named_at_any_depth_the_plain_parse_reaches(
+        self, monkeypatch
+    ):
+        # Just below the recursion limit the hooked parse can give up before
+        # the literal the plain parse stopped at. The literal is still named,
+        # after a repeated key whose object closes before it.
+        plain_errors = {}
+        loads = json.loads
+
+        def recording_loads(text, **kwargs):
+            try:
+                return loads(text, **kwargs)
+            except (ValueError, RecursionError) as exc:
+                if not kwargs:
+                    plain_errors[text] = type(exc)
+                raise
+
+        monkeypatch.setattr(json, "loads", recording_loads)
+        too_deep = "manifest nests JSON arrays and objects too deeply to parse"
+        literal = "7" * 5000
+        for depth in range(1, sys.getrecursionlimit() + 10):
+            at_literal = (f"manifest holds an integer of 5000 digits at line 1 column {depth + 1},"
+                          " beyond the float range")
+            for text, message in [
+                ("[" * depth + literal + "]" * depth, at_literal),
+                ("[" * depth + literal + ', {"a": 1, "a": 2}' + "]" * depth, at_literal),
+                ("[" * depth + '{"a": 1, "a": 2}, ' + literal + "]" * depth,
+                 f"manifest repeats the key 'a' within one JSON object at line 1 column {depth + 10}"),
+            ]:
+                with pytest.raises(ManifestError) as info:
+                    loads_manifest(text)
+                expected = message if plain_errors[text] is ValueError else too_deep
+                assert (depth, str(info.value)) == (depth, expected)
+        assert set(plain_errors.values()) == {ValueError, RecursionError}
+
     def test_integer_past_the_digit_limit_names_its_position(self, tmp_path, capsys):
         # int() refuses a literal of more than 4,300 digits, so json.loads
         # raises a plain ValueError that names neither field nor position.

@@ -10,6 +10,7 @@ from annealplan.costs import CostBasis
 from annealplan.manifest import UtilityPoint
 from annealplan.metrics import MetricKind, UtilityDelta
 from annealplan.scaling import (
+    Crossover,
     ScalingFit,
     crossover,
     fit_by_source,
@@ -213,6 +214,19 @@ class TestCrossover:
         assert got.leader_below == "head_start"
         assert got.leader_above == "steep"
         assert not got.in_range  # e^10 is far below both fit ranges
+
+    def test_result_is_an_immutable_named_tuple(self):
+        assert Crossover._fields == ("compute", "leader_below", "leader_above", "in_range")
+        got = crossover(make_fit(0.0, 2.0, source="steep"), make_fit(10.0, 1.0, source="head_start"))
+        with pytest.raises(AttributeError):
+            got.compute = 1.0
+        built = Crossover(got.compute, got.leader_below, got.leader_above, got.in_range)
+        assert got == built
+        assert hash(got) == hash(built)
+
+    def test_crossing_fits_that_share_a_source_id_give_none(self):
+        # The leader is told apart by id, so one id on both lines leads on both sides.
+        assert crossover(make_fit(0.0, 2.0, source="s"), make_fit(10.0, 1.0, source="s")) is None
 
     def test_parallel_lines(self):
         assert crossover(make_fit(0.0, 0.01, source="a"), make_fit(1.0, 0.01, source="b")) is None
