@@ -425,7 +425,9 @@ def _checked_loads(text: str, plain: Exception | None) -> None:
             _reject_repeated_keys(text)
             return
         if type(plain) is not ValueError:
-            raise ManifestError("manifest nests JSON arrays and objects too deeply to parse") from None
+            raise ManifestError(
+                "manifest nests JSON arrays and objects too deeply to parse"
+            ) from None
         # The plain parse stopped at an integer literal past the digit
         # limit; the hook's extra frames passed the recursion limit before
         # it, so objects that close before the literal are still unchecked.

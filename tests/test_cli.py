@@ -304,7 +304,8 @@ def test_crossover_text_calls_crossover_once_per_pair(monkeypatch):
         ScalingFit(source_id=f"s{i}", intercept=intercept, slope=slope, n_points=4, rmse=0.0,
                    compute_range=(1e18, 1e22), basis=CostBasis.CURATION_ONLY)
         for i, (intercept, slope) in enumerate(
-            [(0.0, 0.01), (0.5, 0.0), (0.5, 0.0), (-0.2, 0.02), (1.0, 0.01), (0.3, -0.01), (0.1, 0.015)]
+            [(0.0, 0.01), (0.5, 0.0), (0.5, 0.0), (-0.2, 0.02), (1.0, 0.01), (0.3, -0.01),
+             (0.1, 0.015)]
         )
     ]
     expected = cli._crossover_text(fits, [])

@@ -242,7 +242,8 @@ class TestLoadManifest:
                 ("[" * depth + literal + "]" * depth, at_literal),
                 ("[" * depth + literal + ', {"a": 1, "a": 2}' + "]" * depth, at_literal),
                 ("[" * depth + '{"a": 1, "a": 2}, ' + literal + "]" * depth,
-                 f"manifest repeats the key 'a' within one JSON object at line 1 column {depth + 10}"),
+                 "manifest repeats the key 'a' within one JSON object"
+                 f" at line 1 column {depth + 10}"),
             ]:
                 with pytest.raises(ManifestError) as info:
                     loads_manifest(text)

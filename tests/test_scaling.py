@@ -217,7 +217,7 @@ class TestCrossover:
 
     def test_result_is_an_immutable_named_tuple(self):
         assert Crossover._fields == ("compute", "leader_below", "leader_above", "in_range")
-        got = crossover(make_fit(0.0, 2.0, source="steep"), make_fit(10.0, 1.0, source="head_start"))
+        got = crossover(make_fit(0.0, 2.0, source="a"), make_fit(10.0, 1.0, source="b"))
         with pytest.raises(AttributeError):
             got.compute = 1.0
         built = Crossover(got.compute, got.leader_below, got.leader_above, got.in_range)
