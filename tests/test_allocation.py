@@ -127,9 +127,11 @@ class TestAllocateProportional:
             ratios = [fit.slope / plan.assignments[fit.source_id] for fit in fits]
             assert max(ratios) - min(ratios) <= 1e-9 * max(abs(r) for r in ratios)
 
-    def test_nonpositive_budget(self):
-        with pytest.raises(ValueError, match="c_max"):
-            allocate_proportional([make_fit(0.0, 1.0, "a")], 0.0)
+    @pytest.mark.parametrize("c_max", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+    def test_nonpositive_budget(self, c_max):
+        with pytest.raises(ValueError) as info:
+            allocate_proportional([make_fit(0.0, 1.0, "a")], c_max)
+        assert str(info.value) == f"c_max must be positive, got {c_max}"
 
     def test_infinite_budget(self):
         with pytest.raises(ValueError, match="c_max must be finite, got inf"):
@@ -157,6 +159,12 @@ class TestGridOracle:
     def test_single_source_full_budget(self):
         oracle = allocate_grid_oracle([make_fit(0.0, 1.0, "a")], 5.0, resolution=10)
         assert oracle.assignments["a"] == 5.0
+
+    @pytest.mark.parametrize("c_max", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+    def test_nonpositive_budget(self, c_max):
+        with pytest.raises(ValueError) as info:
+            allocate_grid_oracle([make_fit(0.0, 1.0, "a")], c_max, resolution=10)
+        assert str(info.value) == f"c_max must be positive, got {c_max}"
 
     def test_never_beats_closed_form(self):
         rng = np.random.default_rng(47)

@@ -44,6 +44,25 @@ def curve_points(intercept, slope, computes, source="s"):
     ]
 
 
+# Two to eight points with distinct computes from 1e-3 to 1e30 FLOPs. Equal
+# computes are left out: the stable sort behind drop_smallest would then
+# pick which of them goes.
+DISTINCT_POINTS = st.lists(
+    st.tuples(st.floats(1e-3, 1e30), MAGNITUDES),
+    min_size=2,
+    max_size=8,
+    unique_by=lambda row: row[0],
+).map(lambda rows: [point(c, d, steps=i + 1) for i, (c, d) in enumerate(rows)])
+
+
+def fit_outcome(points, drop_smallest=0):
+    """The fit's repr, which pins every bit of its floats, or its error."""
+    try:
+        return repr(fit_log_linear(points, drop_smallest=drop_smallest))
+    except ValueError as error:
+        return f"ValueError: {error}"
+
+
 def make_fit(intercept, slope, source="s", c_range=(1e18, 1e22)):
     return fit_log_linear(curve_points(intercept, slope, c_range, source=source))
 
@@ -177,6 +196,18 @@ class TestFitLogLinear:
         assert abs(cleaned.slope - 0.002) < abs(corrupted.slope - 0.002)
         assert cleaned.n_points == 3
         assert cleaned.compute_range == (1e19, 1e21)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(DISTINCT_POINTS, st.data())
+    def test_point_order_moves_no_bit(self, pts, data):
+        assert fit_outcome(data.draw(st.permutations(pts))) == fit_outcome(pts)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(DISTINCT_POINTS, st.data())
+    def test_drop_smallest_fits_the_larger_computes(self, pts, data):
+        k = data.draw(st.integers(0, len(pts) - 2))
+        rest = sorted(pts, key=lambda p: p.compute)[k:]
+        assert fit_outcome(pts, drop_smallest=k) == fit_outcome(rest)
 
 
 class TestPredict:
@@ -409,9 +440,11 @@ class TestRankAtBudget:
         with pytest.raises(ValueError, match="bases"):
             rank_at_budget([fit_a, fit_log_linear(pts)], 1e20)
 
-    def test_nonpositive_budget(self):
-        with pytest.raises(ValueError, match="budget"):
-            rank_at_budget([make_fit(0.0, 0.01)], 0.0)
+    @pytest.mark.parametrize("budget", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+    def test_nonpositive_budget(self, budget):
+        with pytest.raises(ValueError) as info:
+            rank_at_budget([make_fit(0.0, 0.01)], budget)
+        assert str(info.value) == f"budget must be positive, got {budget}"
 
     def test_infinite_budget(self):
         with pytest.raises(ValueError, match="budget must be finite, got inf"):
