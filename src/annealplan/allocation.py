@@ -16,7 +16,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .scaling import ScalingFit, predict
+from .scaling import ScalingFit, _check_positive_finite, predict
 
 if TYPE_CHECKING:
     import numpy as np
@@ -61,13 +61,6 @@ def _check_fits(fits: Sequence[ScalingFit]) -> None:
         raise ValueError("cannot allocate across fits with mixed cost bases")
 
 
-def _check_budget(c_max: float) -> None:
-    if not c_max > 0:
-        raise ValueError(f"c_max must be positive, got {c_max}")
-    if not math.isfinite(c_max):
-        raise ValueError(f"c_max must be finite, got {c_max}")
-
-
 def mixture_utility(fits: Sequence[ScalingFit], assignments: Mapping[str, float]) -> float:
     """Total predicted delta of a mixture under additive independence.
 
@@ -91,36 +84,41 @@ def mixture_utility(fits: Sequence[ScalingFit], assignments: Mapping[str, float]
     return total
 
 
+def _by_slope(fits: Sequence[ScalingFit]) -> tuple[list[ScalingFit], _Exclusions]:
+    """The positive-slope fits, and an exclusion for each non-positive slope."""
+    included = [fit for fit in fits if fit.slope > 0]
+    excluded = tuple(
+        (fit.source_id, EXCLUDED_NON_POSITIVE_SLOPE) for fit in fits if fit.slope <= 0
+    )
+    return included, excluded
+
+
 def _plan(
     fits: Sequence[ScalingFit],
     c_max: float,
-    assignments: dict[str, float],
+    bought: Mapping[str, float],
     excluded: _Exclusions,
     warnings: Sequence[str] = (),
 ) -> AllocationPlan:
-    """The plan of ``assignments``, warning of each share outside its fit's range."""
+    """The plan that buys ``bought`` and assigns every other fit zero.
+
+    A bought source leaves ``excluded``. Each share outside its fit's
+    range adds a warning after ``warnings``.
+    """
+    assignments = {}
     warnings = list(warnings)
     for fit in fits:
-        compute = assignments[fit.source_id]
+        compute = assignments[fit.source_id] = bought.get(fit.source_id, 0.0)
         c_lo, c_hi = fit.compute_range
         if compute > 0 and not c_lo <= compute <= c_hi:
             warnings.append(
                 f"{fit.source_id}: assignment {compute:.6g} outside fitted range"
                 f" [{c_lo:.6g}, {c_hi:.6g}]; prediction is extrapolated"
             )
+    excluded = tuple(e for e in excluded if e[0] not in bought)
     return AllocationPlan(
         assignments, c_max, mixture_utility(fits, assignments), excluded, tuple(warnings)
     )
-
-
-def _sole_buyer(
-    fits: Sequence[ScalingFit], c_max: float, source_id: str, excluded: _Exclusions, warnings=()
-) -> AllocationPlan:
-    """The plan in which ``source_id`` buys the whole budget."""
-    assignments = {fit.source_id: 0.0 for fit in fits}
-    assignments[source_id] = c_max
-    excluded = tuple(e for e in excluded if e[0] != source_id)
-    return _plan(fits, c_max, assignments, excluded, warnings)
 
 
 def allocate_proportional(fits: Sequence[ScalingFit], c_max: float) -> AllocationPlan:
@@ -131,22 +129,17 @@ def allocate_proportional(fits: Sequence[ScalingFit], c_max: float) -> Allocatio
     fit predicts best at ``c_max``.
     """
     _check_fits(fits)
-    _check_budget(c_max)
-    included = [fit for fit in fits if fit.slope > 0]
-    excluded = tuple(
-        (fit.source_id, EXCLUDED_NON_POSITIVE_SLOPE) for fit in fits if fit.slope <= 0
-    )
+    _check_positive_finite(c_max, "c_max")
+    included, excluded = _by_slope(fits)
     if not included:
         best = min(fits, key=lambda fit: (-predict(fit, c_max).value, fit.source_id)).source_id
         warning = f"no source has a positive slope; assigning the whole budget to {best}"
-        return _sole_buyer(fits, c_max, best, excluded, [warning])
+        return _plan(fits, c_max, {best: c_max}, excluded, [warning])
     if len(included) == 1:  # s * c / s need not round to c
-        return _sole_buyer(fits, c_max, included[0].source_id, excluded)
+        return _plan(fits, c_max, {included[0].source_id: c_max}, excluded)
     slope_sum = math.fsum(fit.slope for fit in included)
-    assignments = {fit.source_id: 0.0 for fit in fits}
-    for fit in included:
-        assignments[fit.source_id] = fit.slope * c_max / slope_sum
-    return _plan(fits, c_max, assignments, excluded)
+    shares = {fit.source_id: fit.slope * c_max / slope_sum for fit in included}
+    return _plan(fits, c_max, shares, excluded)
 
 
 def _compositions(n_parts: int, total: int) -> np.ndarray:
@@ -189,15 +182,12 @@ def allocate_grid_oracle(
         )
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
-    _check_budget(c_max)
+    _check_positive_finite(c_max, "c_max")
 
-    included = [fit for fit in fits if fit.slope > 0]
-    excluded = tuple(
-        (fit.source_id, EXCLUDED_NON_POSITIVE_SLOPE) for fit in fits if fit.slope <= 0
-    )
+    included, excluded = _by_slope(fits)
     if not included:  # the closed form's fallback family, scored by the objective
         best = min((-mixture_utility(fits, {fit.source_id: c_max}), fit.source_id) for fit in fits)
-        return _sole_buyer(fits, c_max, best[1], excluded)
+        return _plan(fits, c_max, {best[1]: c_max}, excluded)
 
     if resolution < len(included):
         raise ValueError(
@@ -221,7 +211,5 @@ def allocate_grid_oracle(
     utilities = (intercepts + slopes * np.log(grid * step)).sum(axis=1)
     best = int(np.argmax(utilities))
 
-    assignments = {fit.source_id: 0.0 for fit in fits}
-    for i, fit in enumerate(included):
-        assignments[fit.source_id] = float(grid[best, i]) * step
-    return _plan(fits, c_max, assignments, excluded)
+    shares = {fit.source_id: float(grid[best, i]) * step for i, fit in enumerate(included)}
+    return _plan(fits, c_max, shares, excluded)

@@ -85,34 +85,11 @@ class RankedSource:
     tied: bool
 
 
-def _check_points(points: Sequence[UtilityPoint], drop_smallest: int) -> list[UtilityPoint]:
-    source_ids = {p.source_id for p in points}
-    if len(source_ids) > 1:
-        raise ValueError(f"points mix sources: {sorted(source_ids)}")
-    where = f"source {points[0].source_id!r}: " if points else ""
-    if len(points) < 2:
-        raise ValueError(f"{where}need at least 2 points to fit, got {len(points)}")
-    bases = {p.basis for p in points}
-    if len(bases) > 1:
-        raise ValueError("points mix cost bases")
-    for p in points:
-        if not p.compute > 0:
-            raise ValueError(
-                f"compute must be positive to fit in log space, got {p.compute} for {p.source_id!r}"
-            )
-    if drop_smallest:
-        if drop_smallest < 0:
-            raise ValueError(f"drop_smallest must be >= 0, got {drop_smallest}")
-        points = sorted(points, key=lambda p: p.compute)[drop_smallest:]
-        if len(points) < 2:
-            raise ValueError(
-                f"{where}dropping {drop_smallest} smallest-compute points leaves fewer than 2"
-            )
-    # Distinct computes can share one ln, or nearly, and leave no spread.
-    ln_computes = [math.log(p.compute) for p in points]
-    if max(ln_computes) - min(ln_computes) <= _LN_SPREAD_RTOL * max(1.0, *map(abs, ln_computes)):
-        raise ValueError(f"{where}degenerate design: all points share one ln(compute)")
-    return list(points)
+def _check_positive_finite(value: float, name: str) -> None:
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _ols(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
@@ -139,19 +116,41 @@ def fit_log_linear(points: Sequence[UtilityPoint], drop_smallest: int = 0) -> Sc
         drop_smallest: exclude this many smallest-compute points before
             fitting (small-scale runs can be noisy outliers).
     """
-    kept = _check_points(points, drop_smallest)
-    xs = [math.log(p.compute) for p in kept]
-    ys = [p.delta.value for p in kept]
-    intercept, slope, rmse = _ols(xs, ys)
-    computes = [p.compute for p in kept]
+    source_ids = {p.source_id for p in points}
+    if len(source_ids) > 1:
+        raise ValueError(f"points mix sources: {sorted(source_ids)}")
+    where = f"source {points[0].source_id!r}: " if points else ""
+    if len(points) < 2:
+        raise ValueError(f"{where}need at least 2 points to fit, got {len(points)}")
+    if len({p.basis for p in points}) > 1:
+        raise ValueError("points mix cost bases")
+    for p in points:
+        if not p.compute > 0:
+            raise ValueError(
+                f"compute must be positive to fit in log space, got {p.compute} for {p.source_id!r}"
+            )
+    if drop_smallest:
+        if drop_smallest < 0:
+            raise ValueError(f"drop_smallest must be >= 0, got {drop_smallest}")
+        points = sorted(points, key=lambda p: p.compute)[drop_smallest:]
+        if len(points) < 2:
+            raise ValueError(
+                f"{where}dropping {drop_smallest} smallest-compute points leaves fewer than 2"
+            )
+    xs = [math.log(p.compute) for p in points]
+    # Distinct computes can share one ln, or nearly, and leave no spread.
+    if max(xs) - min(xs) <= _LN_SPREAD_RTOL * max(1.0, *map(abs, xs)):
+        raise ValueError(f"{where}degenerate design: all points share one ln(compute)")
+    intercept, slope, rmse = _ols(xs, [p.delta.value for p in points])
+    computes = [p.compute for p in points]
     return ScalingFit(
-        source_id=kept[0].source_id,
+        source_id=points[0].source_id,
         intercept=intercept,
         slope=slope,
-        n_points=len(kept),
+        n_points=len(points),
         rmse=rmse,
         compute_range=(min(computes), max(computes)),
-        basis=kept[0].basis,
+        basis=points[0].basis,
     )
 
 
@@ -206,10 +205,7 @@ def rank_at_budget(fits: Sequence[ScalingFit], budget: float) -> list[RankedSour
     """
     if not fits:
         raise ValueError("need at least one fit to rank")
-    if not budget > 0:
-        raise ValueError(f"budget must be positive, got {budget}")
-    if not math.isfinite(budget):
-        raise ValueError(f"budget must be finite, got {budget}")
+    _check_positive_finite(budget, "budget")
     bases = {fit.basis for fit in fits}
     if len(bases) > 1:
         raise ValueError("cannot rank fits with mixed cost bases")
