@@ -57,6 +57,8 @@ def render_fit_svg(points: Sequence[UtilityPoint], fits: Sequence[ScalingFit]) -
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
+    # The canvas grows below the plot to hold one legend line per fit.
+    height = max(_HEIGHT, _MARGIN_TOP + 16 * (len(fits) + 1))
 
     def sx(x: float) -> float:
         return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -65,9 +67,9 @@ def render_fit_svg(points: Sequence[UtilityPoint], fits: Sequence[ScalingFit]) -
         return _MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}"'
-        f' viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{height}"'
+        f' viewBox="0 0 {_WIDTH} {height}">',
+        f'<rect width="{_WIDTH}" height="{height}" fill="white"/>',
         f'<rect x="{_MARGIN_LEFT}" y="{_MARGIN_TOP}" width="{plot_w}" height="{plot_h}"'
         ' fill="none" stroke="#cccccc"/>',
     ]
