@@ -341,6 +341,42 @@ def test_planning_leaves_the_collector_as_found(sim_manifest, tmp_path, capsys, 
     assert (code, err) == (0 if valid else 1, expected)
 
 
+def _warning_argv(command, sim_manifest, tmp_path):
+    """Arguments under which ``command`` succeeds with at least one warning."""
+    from annealplan.simulate import GroundTruthSource, Scenario
+
+    zero = SourceCostModel(kind=SourceKind.ZERO_COST)
+    if command == "fit":  # every treated score is clamped into Brier's range
+        scenario = Scenario(sources=(GroundTruthSource("probe", 5.0, 0.0, zero),),
+                            baseline_score=0.1)
+    elif command == "crossover":  # two sources with the same truth fit identically
+        scenario = Scenario(sources=tuple(GroundTruthSource(s, 0.01, 0.002, zero) for s in "ab"))
+    elif command == "diversity":  # an empty corpus has no n-grams of any order
+        corpus = tmp_path / "empty.txt"
+        corpus.write_text("", encoding="utf-8")
+        return ["diversity", "--corpus", str(corpus), "--n-max", "2"]
+    else:  # rank and allocate far above the grid extrapolate
+        flag = {"rank": "--budget", "allocate": "--c-max"}[command]
+        return [command, "--manifest", str(sim_manifest), "--basis", "total", flag, "1e30"]
+    manifest = tmp_path / f"{command}.json"
+    manifest.write_bytes(generate_manifest(scenario))
+    return [command, "--manifest", str(manifest), "--basis", "total"]
+
+
+@pytest.mark.parametrize("command", ["fit", "rank", "crossover", "allocate", "diversity"])
+def test_failed_write_prints_one_error_and_no_warning(sim_manifest, tmp_path, capsys, command):
+    argv = _warning_argv(command, sim_manifest, tmp_path)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0 and err.startswith("warning: "), err
+    missing = tmp_path / "missing" / "out.csv"
+    code, out, err = run_cli(capsys, *argv, "--out", str(missing))
+    assert (code, out) == (1, "")
+    lines = err.splitlines(keepends=True)
+    assert len(lines) == 1 and lines[0].startswith("error: ") and lines[0].endswith("\n"), err
+    assert str(missing) in err
+    assert "warning:" not in err
+
+
 class TestAllocate:
     def test_plan_with_oracle_gap(self, sim_manifest, capsys):
         code, out, err = run_cli(

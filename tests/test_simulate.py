@@ -107,6 +107,19 @@ class TestRecoveryProperties:
 
 
 class TestRankFlipScenario:
+    @pytest.mark.parametrize("sigma", [0.0, 0.01])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sources_are_pinned(self, seed, sigma):
+        scenario = scenario_rank_flip(seed, noise_sigma=sigma)
+        assert scenario.rng_seed == seed
+        assert [
+            (s.source_id, s.true_intercept.hex(), s.true_slope, s.noise_sigma)
+            for s in scenario.sources
+        ] == [
+            ("wrap_like", "0x1.29e3df03d23c5p-3", -0.002, sigma),
+            ("mbf_like", "-0x1.54f1a88d90976p-1", 0.015, sigma),
+        ]
+
     def test_crossover_inside_grid(self):
         scenario = scenario_rank_flip(11)
         fits, points = fits_from(generate_manifest(scenario))
