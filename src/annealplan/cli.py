@@ -80,11 +80,6 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8", newline="")
 
 
-def _warn(warnings: list[str]) -> None:
-    for message in warnings:
-        print(f"warning: {message}", file=sys.stderr)
-
-
 def _bool(value: bool) -> str:
     return "true" if value else "false"
 
@@ -161,7 +156,7 @@ def _fit_rows(
     return rows
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> list[str]:
     points, fits, warnings = _load_fits(args)
     text = _csv_text(_FIT_HEADER, _fit_rows(fits, points, args.delta_sign == "metric"))
     # SVG first: if its path is unwritable the command fails with no
@@ -174,11 +169,10 @@ def _cmd_fit(args) -> int:
         if args.svg:  # an SVG without its CSV would be partial output
             Path(args.svg).unlink(missing_ok=True)
         raise
-    _warn(warnings)
-    return 0
+    return warnings
 
 
-def _cmd_rank(args) -> int:
+def _cmd_rank(args) -> list[str]:
     if not args.budget > 0:
         raise _UsageError("--budget must be positive")
     _, fits, warnings = _load_fits(args)
@@ -198,8 +192,7 @@ def _cmd_rank(args) -> int:
         for i, r in enumerate(ranked)
     ]
     _emit(_csv_text(header, rows), args.out)
-    _warn(warnings)
-    return 0
+    return warnings
 
 
 _CROSSOVER_HEADER = [
@@ -240,14 +233,13 @@ def _crossover_text(fits: list[ScalingFit], warnings: list[str]) -> str:
     return "".join(lines)
 
 
-def _cmd_crossover(args) -> int:
+def _cmd_crossover(args) -> list[str]:
     _, fits, warnings = _load_fits(args)
     _emit(_crossover_text(fits, warnings), args.out)
-    _warn(warnings)
-    return 0
+    return warnings
 
 
-def _cmd_allocate(args) -> int:
+def _cmd_allocate(args) -> list[str]:
     if not args.c_max > 0:
         raise _UsageError("--c-max must be positive")
     _, fits, warnings = _load_fits(args)
@@ -283,8 +275,7 @@ def _cmd_allocate(args) -> int:
          oracle_utility, oracle_gap]
     )
     _emit(_csv_text(header, rows), args.out)
-    _warn(warnings + list(plan.warnings))
-    return 0
+    return warnings + list(plan.warnings)
 
 
 def _geometry_from_args(args) -> AnnealingGeometry:
@@ -310,7 +301,7 @@ def _model_from_flag(flag: str, param_count: float) -> ModelSpec:
         raise ValueError(f"{flag}: {exc}") from exc
 
 
-def _cmd_cost(args) -> int:
+def _cmd_cost(args) -> list[str]:
     basis = CostBasis(args.basis)
     geom = _geometry_from_args(args)
     if (args.steps is None) == (args.tokens is None):
@@ -370,10 +361,10 @@ def _cmd_cost(args) -> int:
     if overflowed:
         raise ValueError(f"{flag} {amount} prices beyond the float range: {', '.join(overflowed)}")
     _emit(_csv_text(header, [row]), args.out)
-    return 0
+    return []
 
 
-def _cmd_diversity(args) -> int:
+def _cmd_diversity(args) -> list[str]:
     if args.n_max < 1:
         raise _UsageError("--n-max must be >= 1")
     from .diversity import _MAX_ORDER  # loads numpy, as the profiler below does
@@ -406,17 +397,16 @@ def _cmd_diversity(args) -> int:
     header = ["n", "distinct", "total", "ratio", "entropy_bits"]
     rows = [[row.n, row.distinct, row.total, row.ratio, row.entropy_bits] for row in report.per_n]
     _emit(_csv_text(header, rows), args.out)
-    _warn(warnings)
-    return 0
+    return warnings
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> list[str]:
     if args.scenario != "rank-flip":
         raise _UsageError(f"unknown scenario {args.scenario!r}")
     scenario = scenario_rank_flip(args.seed, noise_sigma=args.noise)
     payload = generate_manifest(scenario)
     Path(args.out).write_bytes(payload)
-    return 0
+    return []
 
 
 def _add_manifest_options(parser: argparse.ArgumentParser) -> None:
@@ -530,7 +520,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        # Warnings follow the command's output, so a failed write prints none.
+        for message in args.func(args):
+            print(f"warning: {message}", file=sys.stderr)
+        return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

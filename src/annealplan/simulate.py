@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 from .costs import (
     SOURCE_FLOAT_FIELDS,
@@ -177,12 +177,7 @@ def generate_manifest(scenario: Scenario) -> bytes:
     manifest = {
         "baseline_id": _BASELINE_ID,
         "training_model": {"param_count": int(_TRAINING_MODEL.param_count)},
-        "geometry": {
-            "batch_size": _GEOMETRY.batch_size,
-            "sequence_length": _GEOMETRY.sequence_length,
-            "upsample_ratio": _GEOMETRY.upsample_ratio,
-            "epochs": _GEOMETRY.epochs,
-        },
+        "geometry": asdict(_GEOMETRY),
         "sources": {s.source_id: _source_to_json(s.cost_model) for s in scenario.sources},
         "runs": runs,
     }
@@ -211,46 +206,20 @@ def scenario_rank_flip(rng_seed: int, noise_sigma: float = 0.0) -> Scenario:
     the smallest grid compute therefore prefers wrap_like while the
     fitted curves prefer mbf_like at the top of the grid.
     """
-    wrap_cost = SourceCostModel(
-        kind=SourceKind.REPHRASE,
-        expansion_factor=3.0,
-        generator=ModelSpec(param_count=3e9),
+    rephrase = SourceCostModel(
+        kind=SourceKind.REPHRASE, expansion_factor=3.0, generator=ModelSpec(param_count=3e9)
     )
-    mbf_cost = SourceCostModel(
-        kind=SourceKind.MBF,
-        mbf_recall=22.0,
-        annotator_per_token_flops=2e8,
+    mbf = SourceCostModel(kind=SourceKind.MBF, mbf_recall=22.0, annotator_per_token_flops=2e8)
+    # Intercepts are set below, once the grid's compute span is known.
+    sources = (
+        GroundTruthSource("wrap_like", 0.0, -0.002, rephrase, noise_sigma),
+        GroundTruthSource("mbf_like", 0.0, 0.015, mbf, noise_sigma),
     )
-    wrap_slope, mbf_slope = -0.002, 0.015
-    crossover_delta = 0.05
-
-    probe = Scenario(
-        sources=(
-            GroundTruthSource("wrap_like", 0.0, wrap_slope, wrap_cost),
-            GroundTruthSource("mbf_like", 0.0, mbf_slope, mbf_cost),
-        ),
-        rng_seed=rng_seed,
-    )
-    low = max(probe.source_compute(s, probe.steps_grid[0]) for s in probe.sources)
-    high = min(probe.source_compute(s, probe.steps_grid[-1]) for s in probe.sources)
+    probe = Scenario(sources=sources, rng_seed=rng_seed)
+    low = max(probe.source_compute(s, probe.steps_grid[0]) for s in sources)
+    high = min(probe.source_compute(s, probe.steps_grid[-1]) for s in sources)
     log_crossover = (math.log(low) + math.log(high)) / 2.0
-
-    return Scenario(
-        sources=(
-            GroundTruthSource(
-                "wrap_like",
-                crossover_delta - wrap_slope * log_crossover,
-                wrap_slope,
-                wrap_cost,
-                noise_sigma=noise_sigma,
-            ),
-            GroundTruthSource(
-                "mbf_like",
-                crossover_delta - mbf_slope * log_crossover,
-                mbf_slope,
-                mbf_cost,
-                noise_sigma=noise_sigma,
-            ),
-        ),
-        rng_seed=rng_seed,
-    )
+    crossover_delta = 0.05
+    return replace(probe, sources=tuple(
+        replace(s, true_intercept=crossover_delta - s.true_slope * log_crossover) for s in sources
+    ))

@@ -29,6 +29,7 @@ _PALETTE = (
     "#17becf",
     "#7f7f7f",
 )
+_DOTTED = ' stroke-dasharray="3,4"'
 
 
 def _fmt(value: float) -> str:
@@ -116,21 +117,14 @@ def render_fit_svg(points: Sequence[UtilityPoint], fits: Sequence[ScalingFit]) -
     for idx, fit in enumerate(sorted(fits, key=lambda f: f.source_id)):
         color = _PALETTE[idx % len(_PALETTE)]
         r_lo, r_hi = math.log10(fit.compute_range[0]), math.log10(fit.compute_range[1])
-        # Solid inside the fitted range, dotted where extrapolated.
-        if x_lo < r_lo:
-            parts.append(
-                f'<polyline points="{line_points(fit, x_lo, r_lo)}" fill="none"'
-                f' stroke="{color}" stroke-width="1.5" stroke-dasharray="3,4"/>'
-            )
-        parts.append(
-            f'<polyline points="{line_points(fit, max(x_lo, r_lo), min(x_hi, r_hi))}"'
-            f' fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
-        if r_hi < x_hi:
-            parts.append(
-                f'<polyline points="{line_points(fit, r_hi, x_hi)}" fill="none"'
-                f' stroke="{color}" stroke-width="1.5" stroke-dasharray="3,4"/>'
-            )
+        # Solid inside the fitted range, dotted where the plot extrapolates it.
+        for lo, hi, dash in ((x_lo, r_lo, _DOTTED), (max(x_lo, r_lo), min(x_hi, r_hi), ""),
+                             (r_hi, x_hi, _DOTTED)):
+            if lo < hi or not dash:
+                parts.append(
+                    f'<polyline points="{line_points(fit, lo, hi)}" fill="none"'
+                    f' stroke="{color}" stroke-width="1.5"{dash}/>'
+                )
         label_y = _MARGIN_TOP + 16 + 16 * idx
         parts.append(
             f'<line x1="{_WIDTH - _MARGIN_RIGHT + 10}" y1="{label_y - 4}"'
