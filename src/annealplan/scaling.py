@@ -12,7 +12,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .costs import CostBasis
+from .costs import CostBasis, _require_finite
 from .manifest import UtilityPoint
 
 __all__ = [
@@ -54,6 +54,7 @@ class ScalingFit:
     basis: CostBasis
 
     def __post_init__(self) -> None:
+        _require_finite(self, "intercept", "slope")
         if self.n_points < 2:
             raise ValueError(f"a fit needs at least 2 points, got {self.n_points}")
         c_lo, c_hi = self.compute_range

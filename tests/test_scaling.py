@@ -97,6 +97,17 @@ def reference_crossover(fit_a, fit_b):
     return struct.pack("<d", c_star), leader_below, leader_above, in_range
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["intercept", "slope"])
+def test_non_finite_coefficient_rejected(field, value):
+    # A nan slope was neither bought nor excluded by the allocators, and a
+    # nan or infinite coefficient ranked with a nan or infinite prediction.
+    coefficients = {"intercept": 0.1, "slope": 0.01, field: value}
+    with pytest.raises(ValueError) as info:
+        raw_fit(coefficients["intercept"], coefficients["slope"], "b")
+    assert str(info.value) == f"{field} must be finite, got {value}"
+
+
 class TestFitLogLinear:
     def test_noiseless_recovery(self):
         fit = fit_log_linear(curve_points(0.01, 0.002, [1e19, 1e20, 1e21]))
