@@ -32,7 +32,7 @@ from .costs import (
 )
 from .manifest import ManifestError, UtilityPoint, build_utility_points, load_manifest
 from .metrics import MetricDirection
-from .scaling import ScalingFit, crossover, fit_by_source, rank_at_budget
+from .scaling import ScalingFit, _check_positive_finite, crossover, fit_by_source, rank_at_budget
 from .simulate import generate_manifest, scenario_rank_flip
 from .svg import render_fit_svg
 
@@ -173,8 +173,7 @@ def _cmd_fit(args) -> list[str]:
 
 
 def _cmd_rank(args) -> list[str]:
-    if not args.budget > 0:
-        raise _UsageError("--budget must be positive")
+    _check_positive_finite(args.budget, "--budget")
     _, fits, warnings = _load_fits(args)
     ranked = rank_at_budget(fits, args.budget)
     extrapolated = [r.source_id for r in ranked if r.extrapolated]
@@ -240,8 +239,7 @@ def _cmd_crossover(args) -> list[str]:
 
 
 def _cmd_allocate(args) -> list[str]:
-    if not args.c_max > 0:
-        raise _UsageError("--c-max must be positive")
+    _check_positive_finite(args.c_max, "--c-max")
     _, fits, warnings = _load_fits(args)
     plan = allocate_proportional(fits, args.c_max)
     oracle_utility = ""
@@ -294,9 +292,10 @@ _SOURCE_FLAGS = tuple("--" + name.replace("_", "-") for name in (
 ))
 
 
-def _model_from_flag(flag: str, param_count: float) -> ModelSpec:
+def _flag(flag: str, build, /, *args):
+    """``build(*args)``, its ``ValueError`` prefixed with the flag it checks."""
     try:
-        return ModelSpec(param_count)
+        return build(*args)
     except ValueError as exc:
         raise ValueError(f"{flag}: {exc}") from exc
 
@@ -331,7 +330,7 @@ def _cmd_cost(args) -> list[str]:
         kind = SourceKind(kind_name)
         generator = None
         if args.generator_params is not None:
-            generator = _model_from_flag("--generator-params", args.generator_params)
+            generator = _flag("--generator-params", ModelSpec, args.generator_params)
         if kind in (SourceKind.SYNTHETIC, SourceKind.REPHRASE) and generator is None:
             raise _UsageError(f"--kind {kind.value} requires --generator-params")
         # Flags left out take SourceCostModel's defaults.
@@ -344,7 +343,7 @@ def _cmd_cost(args) -> list[str]:
 
     training_model = None
     if args.training_params is not None:
-        training_model = _model_from_flag("--training-params", args.training_params)
+        training_model = _flag("--training-params", ModelSpec, args.training_params)
     training = 0.0
     if basis is CostBasis.CURATION_PLUS_ANNEALING:
         if training_model is None:
@@ -365,20 +364,14 @@ def _cmd_cost(args) -> list[str]:
 
 
 def _cmd_diversity(args) -> list[str]:
-    if args.n_max < 1:
-        raise _UsageError("--n-max must be >= 1")
-    from .diversity import _MAX_ORDER  # loads numpy, as the profiler below does
-
-    if args.n_max > _MAX_ORDER:
-        raise _UsageError(f"--n-max must be <= {_MAX_ORDER}")
     # Attribute lookups on the module, not bare names, so the first one
     # reaches __getattr__ and a name replaced on the module is honoured.
     cli = sys.modules[__name__]
+    profiler = _flag("--n-max", cli.NgramProfiler, args.n_max)
     if args.format == "text":
         documents = cli.read_text_token_documents(args.corpus)
     else:
         documents = cli.read_binary_token_documents(args.corpus)
-    profiler = cli.NgramProfiler(args.n_max)
     if args.single_stream:
         # One unbounded stream: n-grams may span input documents. Rebinding
         # frees the per-document arrays before any are counted.

@@ -224,7 +224,7 @@ class TestRank:
         )
         assert code == 1
         assert out == ""
-        assert "error: budget must be finite, got inf" in err
+        assert "error: --budget must be finite, got inf" in err
 
 
 class TestCrossoverCmd:
@@ -377,6 +377,30 @@ def test_failed_write_prints_one_error_and_no_warning(sim_manifest, tmp_path, ca
     assert "warning:" not in err
 
 
+_BUDGET_FLAGS = pytest.mark.parametrize(
+    "command, flag", [("rank", "--budget"), ("allocate", "--c-max")]
+)
+
+
+@_BUDGET_FLAGS
+@pytest.mark.parametrize(
+    "value, rule",
+    [("0", "positive, got 0.0"), ("-5", "positive, got -5.0"), ("nan", "positive, got nan"),
+     ("inf", "finite, got inf")],
+    ids=["zero", "negative", "nan", "inf"],
+)
+def test_bad_budget_is_named_by_its_flag(sim_manifest, capsys, command, flag, value, rule):
+    code, out, err = run_cli(capsys, command, "--manifest", str(sim_manifest), flag, value)
+    assert (code, out, err) == (1, "", f"error: {flag} must be {rule}\n")
+
+
+@_BUDGET_FLAGS
+def test_infinite_budget_is_refused_before_the_manifest_is_read(tmp_path, capsys, command, flag):
+    missing = tmp_path / "missing.json"
+    code, out, err = run_cli(capsys, command, "--manifest", str(missing), flag, "inf")
+    assert (code, out, err) == (1, "", f"error: {flag} must be finite, got inf\n")
+
+
 class TestAllocate:
     def test_plan_with_oracle_gap(self, sim_manifest, capsys):
         code, out, err = run_cli(
@@ -398,7 +422,7 @@ class TestAllocate:
         )
         assert code == 1
         assert out == ""
-        assert "error: c_max must be finite, got inf" in err
+        assert "error: --c-max must be finite, got inf" in err
 
     def test_proportional_split_two_positive(self, tmp_path, capsys):
         # Hand-built manifest with two improving sources.
@@ -873,14 +897,15 @@ class TestDiversity:
         corpus.write_text("a b c\n")
         proc = run_within_2_gib("diversity", "--corpus", str(corpus), "--n-max", "100000000")
         assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
-        assert proc.stderr == "usage error: --n-max must be <= 64\n"
+        assert proc.stderr == "error: --n-max: n_max must be <= 64, got 100000000\n"
 
     def test_n_max_bounds_are_usage_errors(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"
         corpus.write_text("a b c\n", encoding="utf-8")
         for n_max, bound in (("0", ">= 1"), ("65", "<= 64")):
             code, out, err = run_cli(capsys, "diversity", "--corpus", str(corpus), "--n-max", n_max)
-            assert (code, out, err) == (1, "", f"usage error: --n-max must be {bound}\n")
+            expected = f"error: --n-max: n_max must be {bound}, got {n_max}\n"
+            assert (code, out, err) == (1, "", expected)
         code, out, err = run_cli(capsys, "diversity", "--corpus", str(corpus), "--n-max", "64")
         assert code == 0, err
         assert parse_csv(out)[-1]["n"] == "64"

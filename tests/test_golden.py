@@ -310,7 +310,7 @@ GOLDEN = {
     "allocate seeds total oracle":
         "cc79a74abe34189f23b2326a24be8904bffdbd6b005dadc83c04ef337e3c7759",
     "allocate zero c-max":
-        "4f8198f875c52714e2d36248a540c359b38f65dd0892f496f0dbc60b34322804",
+        "16c37870937c00d470da08a9af6ae2c074ce931b1cac8a04fc39645116c81ca7",
     "cost epochs below one":
         "e8673e58beda07c971e0ed232d1e043f657867d0d5cb169d689c997c0c398722",
     "cost expansion without generator":
@@ -424,7 +424,7 @@ GOLDEN = {
     "diversity binary single":
         "73688ea9721dc90e8be7afe6ac92d8dedd0a5fdde33dd50e002fe1a5c572ae67",
     "diversity n0":
-        "a8e852584f752a0939a6ed4ef03959bba32014beec62f7eefb8a9723f89e9fdd",
+        "676aba7319e34c7d270bdc75fe463de7d78a127102d339d06644fef173ad9362",
     "diversity text":
         "d2e386d1c7082a52bc2427c31abb1f790d70d2b4660d76152bac8072b845d816",
     "diversity text n2":
@@ -502,7 +502,7 @@ GOLDEN = {
     "rank seeds total small":
         "f387f480a073c05cb4e2345467588330d8a69edb513178838c3b84b012834089",
     "rank zero budget":
-        "c850fd863a6e77a00374c046d94fbaf10aed0fa82c0fadcdc4556ef0c47a0f3c",
+        "887b73b327513edfea54522f35205bb61172de20598534b2dd70ac1345672db3",
     "simulate flip":
         "2ad8bb9b7f88a0f3e72595122118b205b401247d2d2ff40c048d3bc2c051f6e7",
     "simulate unknown":
