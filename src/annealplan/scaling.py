@@ -157,8 +157,7 @@ def fit_log_linear(points: Sequence[UtilityPoint], drop_smallest: int = 0) -> Sc
 
 def predict(fit: ScalingFit, compute: float) -> Prediction:
     """Predicted delta at ``compute``, flagged when outside the fitted range."""
-    if not compute > 0:
-        raise ValueError(f"compute must be positive, got {compute}")
+    _check_positive_finite(compute, "compute")
     value = fit.intercept + fit.slope * math.log(compute)
     c_lo, c_hi = fit.compute_range
     return Prediction(value=value, extrapolated=not c_lo <= compute <= c_hi)

@@ -244,6 +244,19 @@ class TestPredict:
         with pytest.raises(ValueError, match="positive"):
             predict(fit, 0.0)
 
+    @pytest.mark.parametrize(
+        "compute, message",
+        [(0.0, "positive, got 0.0"), (-1.0, "positive, got -1.0"), (math.nan, "positive, got nan"),
+         (-math.inf, "positive, got -inf"), (math.inf, "finite, got inf")],
+        ids=["zero", "negative", "nan", "-inf", "inf"],
+    )
+    @pytest.mark.parametrize("slope", [0.0, 0.01, -0.01], ids=["flat", "rising", "falling"])
+    def test_compute_must_be_positive_and_finite(self, compute, message, slope):
+        # inf gave a nan prediction on a flat fit and -inf on a falling one.
+        with pytest.raises(ValueError) as info:
+            predict(make_fit(0.0, slope), compute)
+        assert str(info.value) == f"compute must be {message}"
+
 
 class TestCrossover:
     def test_hand_solved_intersection(self):
