@@ -116,11 +116,11 @@ def render_fit_svg(points: Sequence[UtilityPoint], fits: Sequence[ScalingFit]) -
 
     for idx, fit in enumerate(sorted(fits, key=lambda f: f.source_id)):
         color = _PALETTE[idx % len(_PALETTE)]
-        r_lo, r_hi = math.log10(fit.compute_range[0]), math.log10(fit.compute_range[1])
-        # Solid inside the fitted range, dotted where the plot extrapolates it.
-        for lo, hi, dash in ((x_lo, r_lo, _DOTTED), (max(x_lo, r_lo), min(x_hi, r_hi), ""),
-                             (r_hi, x_hi, _DOTTED)):
-            if lo < hi or not dash:
+        # Solid inside the fitted range, dotted where the plot extrapolates
+        # it; the range is clamped to the plot and empty segments skipped.
+        r_lo, r_hi = (min(max(math.log10(c), x_lo), x_hi) for c in fit.compute_range)
+        for lo, hi, dash in ((x_lo, r_lo, _DOTTED), (r_lo, r_hi, ""), (r_hi, x_hi, _DOTTED)):
+            if lo < hi:
                 parts.append(
                     f'<polyline points="{line_points(fit, lo, hi)}" fill="none"'
                     f' stroke="{color}" stroke-width="1.5"{dash}/>'

@@ -54,8 +54,10 @@ def line_styles(svg):
         ((1e10, 1e20), [None, "3,4"]),
         ((1e20, 1e30), ["3,4", None]),
         ((1e19, 1e21), ["3,4", None, "3,4"]),
+        ((1e25, 1e26), ["3,4"]),
+        ((1e10, 1e12), ["3,4"]),
     ],
-    ids=["past-both", "past-low", "past-high", "inside"],
+    ids=["past-both", "past-low", "past-high", "inside", "wholly-above", "wholly-below"],
 )
 def test_fit_line_is_dotted_only_outside_its_range(compute_range, dashes):
     fits, points = fits_and_points(1)
@@ -68,6 +70,8 @@ def test_fit_line_is_dotted_only_outside_its_range(compute_range, dashes):
     segments = [el.get("points").split() for el in root.iter(f"{SVG}polyline")]
     for before, after in zip(segments, segments[1:]):
         assert before[-1] == after[0]
+    # Every segment stays within the plot's frame, x = 70 to 560.
+    assert all(70 <= float(xy.split(",")[0]) <= 560 for segment in segments for xy in segment)
 
 
 def test_rank_flip_plot_dots_both_ends_of_every_fit(tmp_path):
