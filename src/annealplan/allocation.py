@@ -16,7 +16,8 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .scaling import ScalingFit, _check_positive_finite, predict
+from .costs import _check_at_least, _check_positive_finite
+from .scaling import ScalingFit, predict
 
 if TYPE_CHECKING:
     import numpy as np
@@ -34,6 +35,8 @@ _Exclusions = tuple[tuple[str, str], ...]  # (source id, reason) pairs
 # The oracle enumerates every composition of the budget grid; beyond a
 # handful of sources that blows up combinatorially.
 MAX_ORACLE_SOURCES = 4
+# The fewest grid steps that can split the budget between two sources.
+MIN_ORACLE_RESOLUTION = 2
 # _compositions builds a dense grid of (resolution - k + 1) ** (k - 1)
 # cells for k included sources. At this cap an oracle call peaks near
 # 1 GB, so larger grids are refused before any of it is allocated.
@@ -180,8 +183,7 @@ def allocate_grid_oracle(
             f"grid oracle supports at most {MAX_ORACLE_SOURCES} sources;"
             f" use allocate_proportional for {len(fits)}"
         )
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
+    _check_at_least(resolution, MIN_ORACLE_RESOLUTION, "resolution")
     _check_positive_finite(c_max, "c_max")
 
     included, excluded = _by_slope(fits)

@@ -17,7 +17,7 @@ import math
 import sys
 from pathlib import Path
 
-from .allocation import allocate_grid_oracle, allocate_proportional
+from .allocation import MIN_ORACLE_RESOLUTION, allocate_grid_oracle, allocate_proportional
 from .costs import (
     PRESET_FLOPS_PER_CURATED_TOKEN,
     SOURCE_FLOAT_FIELDS,
@@ -26,13 +26,15 @@ from .costs import (
     ModelSpec,
     SourceCostModel,
     SourceKind,
+    _check_at_least,
+    _check_positive_finite,
     annealing_curation_cost,
     tokens_per_step,
     training_flops,
 )
 from .manifest import ManifestError, UtilityPoint, build_utility_points, load_manifest
 from .metrics import MetricDirection
-from .scaling import ScalingFit, _check_positive_finite, crossover, fit_by_source, rank_at_budget
+from .scaling import ScalingFit, crossover, fit_by_source, rank_at_budget
 from .simulate import generate_manifest, scenario_rank_flip
 from .svg import render_fit_svg
 
@@ -95,6 +97,7 @@ def _parse_tasks(spec: str | None) -> list[str] | None:
 
 def _load_fits(args) -> tuple[list[UtilityPoint], list[ScalingFit], list[str]]:
     """Utility points, per-source fits and clamp warnings of ``--manifest``."""
+    _check_at_least(args.drop_smallest, 0, "--drop-smallest")
     # Loading builds objects that all stay alive, so collector passes over
     # them free nothing; collecting first keeps the pause from raising the peak.
     paused = gc.isenabled()
@@ -240,6 +243,7 @@ def _cmd_crossover(args) -> list[str]:
 
 def _cmd_allocate(args) -> list[str]:
     _check_positive_finite(args.c_max, "--c-max")
+    _check_at_least(args.oracle_resolution, MIN_ORACLE_RESOLUTION, "--oracle-resolution")
     _, fits, warnings = _load_fits(args)
     plan = allocate_proportional(fits, args.c_max)
     oracle_utility = ""
@@ -308,8 +312,7 @@ def _cmd_cost(args) -> list[str]:
     flag, amount = ("--tokens", args.tokens) if args.steps is None else ("--steps", args.steps)
     if not math.isfinite(amount):
         raise ValueError(f"{flag} must be finite, got {amount}")
-    if amount < 0:
-        raise ValueError(f"{flag} must be >= 0, got {amount}")
+    _check_at_least(amount, 0, flag)
 
     total_per_step, upsampled_per_step = tokens_per_step(geom)
     if args.preset is not None:
@@ -331,12 +334,8 @@ def _cmd_cost(args) -> list[str]:
         generator = None
         if args.generator_params is not None:
             generator = _flag("--generator-params", ModelSpec, args.generator_params)
-        if kind in (SourceKind.SYNTHETIC, SourceKind.REPHRASE) and generator is None:
-            raise _UsageError(f"--kind {kind.value} requires --generator-params")
         # Flags left out take SourceCostModel's defaults.
         floats = {n: v for n in SOURCE_FLOAT_FIELDS if (v := getattr(args, n)) is not None}
-        if floats.get("expansion_factor", 0.0) > 0 and generator is None:
-            raise _UsageError("--expansion-factor > 0 requires --generator-params")
         source = SourceCostModel(kind=kind, generator=generator, **floats)
         total_tokens = args.tokens if args.steps is None else args.steps * total_per_step
         curation = annealing_curation_cost(source, geom, total_tokens)

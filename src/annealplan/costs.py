@@ -69,6 +69,18 @@ def _require_finite(obj, *names: str) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _check_positive_finite(value: float, name: str) -> None:
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _check_at_least(value: float, low: int, name: str) -> None:
+    if not value >= low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """A model identified only by its parameter count."""
@@ -76,9 +88,7 @@ class ModelSpec:
     param_count: float
 
     def __post_init__(self) -> None:
-        if not self.param_count > 0:
-            raise ValueError(f"param_count must be positive, got {self.param_count}")
-        _require_finite(self, "param_count")
+        _check_positive_finite(self.param_count, "param_count")
 
 
 @dataclass(frozen=True)
@@ -109,8 +119,7 @@ class AnnealingGeometry:
             raise ValueError(
                 f"upsample_ratio must lie strictly between 0 and 1, got {self.upsample_ratio}"
             )
-        if not self.epochs >= 1.0:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        _check_at_least(self.epochs, 1, "epochs")
         _require_finite(self, "epochs")
 
 
@@ -149,12 +158,13 @@ class SourceCostModel:
             raise ValueError("annotator_per_token_flops must be >= 0")
         if self.annotator_training_flops < 0:
             raise ValueError("annotator_training_flops must be >= 0")
-        if self.kind in (SourceKind.SYNTHETIC, SourceKind.REPHRASE) and self.generator is None:
-            raise ValueError(f"{self.kind.value} source requires a generator model")
-        if self.expansion_factor > 0 and self.generator is None:
-            raise ValueError("expansion_factor > 0 requires a generator model")
-        if not self.mbf_recall >= 1.0:
-            raise ValueError(f"mbf_recall must be >= 1, got {self.mbf_recall}")
+        if self.generator is None:
+            needs = "requires a generator model (generator_params)"
+            if self.kind in (SourceKind.SYNTHETIC, SourceKind.REPHRASE):
+                raise ValueError(f"kind {self.kind.value} {needs}")
+            if self.expansion_factor > 0:
+                raise ValueError(f"expansion_factor > 0 {needs}")
+        _check_at_least(self.mbf_recall, 1, "mbf_recall")
         if self.kind is SourceKind.ZERO_COST:
             if (
                 self.expansion_factor != 0.0
@@ -168,8 +178,7 @@ class SourceCostModel:
 
 def training_flops(tokens: float, model: ModelSpec) -> float:
     """Training cost in FLOPs: 6 FLOPs per parameter per token."""
-    if not tokens >= 0:
-        raise ValueError(f"tokens must be >= 0, got {tokens}")
+    _check_at_least(tokens, 0, "tokens")
     return 6.0 * model.param_count * tokens
 
 
@@ -222,8 +231,7 @@ def annealing_curation_cost(
     unit_cost, which synthetic and rephrase sources pay too for annotated
     seed selection, is 0 when m is. Zero-cost sources cost nothing.
     """
-    if not total_tokens >= 0:
-        raise ValueError(f"total_tokens must be >= 0, got {total_tokens}")
+    _check_at_least(total_tokens, 0, "total_tokens")
     if model.kind is SourceKind.ZERO_COST:
         return 0.0
     m = geom.upsample_ratio * total_tokens / (geom.epochs * (1.0 + model.expansion_factor))
@@ -236,8 +244,7 @@ def annealing_curation_cost(
 
 
 def _preset_curation_cost(preset: str, steps: float, geom: AnnealingGeometry) -> float:
-    if not steps >= 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+    _check_at_least(steps, 0, "steps")
     return steps * tokens_per_step(geom)[1] * PRESET_FLOPS_PER_CURATED_TOKEN[preset]
 
 

@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .costs import _check_at_least
+
 __all__ = [
     "DiversityReport",
     "NgramProfiler",
@@ -213,8 +215,7 @@ class NgramProfiler:
     """
 
     def __init__(self, n_max: int):
-        if n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {n_max}")
+        _check_at_least(n_max, 1, "n_max")
         if n_max > _MAX_ORDER:
             raise ValueError(f"n_max must be <= {_MAX_ORDER}, got {n_max}")
         self.n_max = n_max

@@ -12,7 +12,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .costs import CostBasis, _require_finite
+from .costs import CostBasis, _check_at_least, _check_positive_finite, _require_finite
 from .manifest import UtilityPoint
 
 __all__ = [
@@ -86,13 +86,6 @@ class RankedSource:
     tied: bool
 
 
-def _check_positive_finite(value: float, name: str) -> None:
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value}")
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-
-
 def _ols(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
     # Closed-form least squares on centered coordinates; returns
     # (intercept, slope, rmse).
@@ -131,8 +124,7 @@ def fit_log_linear(points: Sequence[UtilityPoint], drop_smallest: int = 0) -> Sc
                 f"compute must be positive to fit in log space, got {p.compute} for {p.source_id!r}"
             )
     if drop_smallest:
-        if drop_smallest < 0:
-            raise ValueError(f"drop_smallest must be >= 0, got {drop_smallest}")
+        _check_at_least(drop_smallest, 0, "drop_smallest")
         points = sorted(points, key=lambda p: p.compute)[drop_smallest:]
         if len(points) < 2:
             raise ValueError(

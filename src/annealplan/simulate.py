@@ -26,6 +26,7 @@ from .costs import (
     ModelSpec,
     SourceCostModel,
     SourceKind,
+    _check_at_least,
     _require_finite,
     tokens_per_step,
     total_cost,
@@ -71,8 +72,7 @@ class GroundTruthSource:
 
     def __post_init__(self) -> None:
         _require_finite(self, "true_intercept", "true_slope", "noise_sigma")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        _check_at_least(self.noise_sigma, 0, "noise_sigma")
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,7 @@ class Scenario:
         if _BASELINE_ID in ids:
             raise ValueError(f"baseline id {_BASELINE_ID!r} collides with a source")
         _require_finite(self, "baseline_score", "baseline_noise_sigma")
-        if self.baseline_noise_sigma < 0:
-            raise ValueError(f"baseline_noise_sigma must be >= 0, got {self.baseline_noise_sigma}")
+        _check_at_least(self.baseline_noise_sigma, 0, "baseline_noise_sigma")
 
     def source_compute(self, source: GroundTruthSource, steps: int) -> float:
         """Cost of a run at ``steps``, curation plus annealing."""

@@ -570,9 +570,9 @@ class TestCost:
         assert float(row["training_flops"]) > 0
 
     def test_synthetic_requires_generator_flag(self, capsys):
-        code, _, err = run_cli(capsys, "cost", "--kind", "synthetic", "--tokens", "1e9")
-        assert code == 1
-        assert "--generator-params" in err
+        code, out, err = run_cli(capsys, "cost", "--kind", "synthetic", "--tokens", "1e9")
+        assert (code, out) == (1, "")
+        assert err == "error: kind synthetic requires a generator model (generator_params)\n"
 
     @pytest.mark.parametrize(
         "flag, field",

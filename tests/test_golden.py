@@ -314,7 +314,7 @@ GOLDEN = {
     "cost epochs below one":
         "e8673e58beda07c971e0ed232d1e043f657867d0d5cb169d689c997c0c398722",
     "cost expansion without generator":
-        "3cf44e77e935acaef8c9d44c1662a32a6f5b2542c74f75ca5d8c43d3e32fcb96",
+        "4286df5ad1317d00c45d47f182cd2552a08ebc5e691b90d93a60c521b3783fc3",
     "cost kind zero_cost --steps 1000":
         "c684046724d86f64bfd5f97a35cbdd33e2b4c4f27cf8e8d0bbe6d17a3eef972c",
     "cost kind zero_cost --steps 1000 total":
@@ -362,7 +362,7 @@ GOLDEN = {
     "cost synthetic --tokens 3.3e9 total":
         "18dea66eff8f1dd32b22281191cb3004fd487d1d24c15fdc7512a65e1457b741",
     "cost synthetic without generator":
-        "8cc83682a52c8e911fe57091c2a6cdf4dd5d5202484f9617aba8cf244f03c020",
+        "fac8a873a9c558762f48b4266ed5f37d5bcc1ce4df627ec7e6bec50499ee9e6a",
     "cost tinygsm --steps 1234.5":
         "674463cc8b20b2a65a729862e39734d75bebaf86988425db3b4d372ebb5a3eb8",
     "cost tinygsm --steps 1234.5 total":
