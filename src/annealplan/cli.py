@@ -505,13 +505,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = _build_parser().parse_args(argv)
         # Warnings follow the command's output, so a failed write prints none.
         for message in args.func(args):
             print(f"warning: {message}", file=sys.stderr)

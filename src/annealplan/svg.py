@@ -106,13 +106,12 @@ def render_fit_svg(points: Sequence[UtilityPoint], fits: Sequence[ScalingFit]) -
         "utility delta</text>"
     )
 
-    def line_points(fit: ScalingFit, lo: float, hi: float, segments: int = 32) -> str:
-        coords = []
-        for i in range(segments + 1):
-            x = lo + (hi - lo) * i / segments
-            y = fit.intercept + fit.slope * x * math.log(10)
-            coords.append(f"{_fmt(sx(x))},{_fmt(sy(y))}")
-        return " ".join(coords)
+    def line_points(fit: ScalingFit, lo: float, hi: float) -> str:
+        # Straight on the log10 axis, so its two ends draw it.
+        return " ".join(
+            f"{_fmt(sx(x))},{_fmt(sy(fit.intercept + fit.slope * x * math.log(10)))}"
+            for x in (lo, hi)
+        )
 
     for idx, fit in enumerate(sorted(fits, key=lambda f: f.source_id)):
         color = _PALETTE[idx % len(_PALETTE)]

@@ -444,7 +444,7 @@ GOLDEN = {
     "fit flip curation-only metric-sign":
         "e014982f162f6fd90c256ca4143ca7ed6fde464d73bb109ee04a250df7b86ddd",
     "fit flip svg":
-        "312724d0773fe3335093530a45bda74cd61b686d9db3f56403b95f1beb57766a",
+        "858d4aaac97bac40bed3f6360b2a19cdd2eb349038ae497496a84bcd2cbdd011",
     "fit flip total":
         "d3990ae7f690bc7dd2985f747d7ce6baf72f809d073024a0a66252122b8b10f5",
     "fit flip total drop1":
