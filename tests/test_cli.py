@@ -401,6 +401,37 @@ def test_infinite_budget_is_refused_before_the_manifest_is_read(tmp_path, capsys
     assert (code, out, err) == (1, "", f"error: {flag} must be finite, got inf\n")
 
 
+@pytest.mark.parametrize(
+    "command, argv",
+    [("fit", []), ("rank", ["--budget", "1e21"]), ("crossover", []),
+     ("allocate", ["--c-max", "1e21"])],
+    ids=["fit", "rank", "crossover", "allocate"],
+)
+def test_bad_drop_smallest_is_refused_before_the_manifest_is_read(
+    tmp_path, capsys, command, argv
+):
+    missing = tmp_path / "missing.json"
+    code, out, err = run_cli(
+        capsys, command, "--manifest", str(missing), *argv, "--drop-smallest", "-1"
+    )
+    assert (code, out, err) == (1, "", "error: --drop-smallest must be >= 0, got -1\n")
+
+
+@pytest.mark.parametrize("oracle", [[], ["--with-oracle"]], ids=["plain", "oracle"])
+@pytest.mark.parametrize("resolution", ["0", "1"])
+def test_bad_oracle_resolution_is_refused_before_the_manifest_is_read(
+    tmp_path, capsys, oracle, resolution
+):
+    # Refused even when no oracle runs: a flag's bound does not depend on another flag.
+    missing = tmp_path / "missing.json"
+    code, out, err = run_cli(
+        capsys, "allocate", "--manifest", str(missing), "--c-max", "1e21", *oracle,
+        "--oracle-resolution", resolution,
+    )
+    expected = f"error: --oracle-resolution must be >= 2, got {resolution}\n"
+    assert (code, out, err) == (1, "", expected)
+
+
 class TestAllocate:
     def test_plan_with_oracle_gap(self, sim_manifest, capsys):
         code, out, err = run_cli(
@@ -573,6 +604,12 @@ class TestCost:
         code, out, err = run_cli(capsys, "cost", "--kind", "synthetic", "--tokens", "1e9")
         assert (code, out) == (1, "")
         assert err == "error: kind synthetic requires a generator model (generator_params)\n"
+
+    @pytest.mark.parametrize("source", [["--kind", "mbf"], ["--preset", "tinygsm"]])
+    @pytest.mark.parametrize("flag", ["--steps", "--tokens"])
+    def test_negative_amount_is_named_by_its_flag(self, capsys, source, flag):
+        code, out, err = run_cli(capsys, "cost", *source, flag, "-1")
+        assert (code, out, err) == (1, "", f"error: {flag} must be >= 0, got -1.0\n")
 
     @pytest.mark.parametrize(
         "flag, field",

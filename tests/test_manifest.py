@@ -448,6 +448,8 @@ class TestLoadManifest:
              " expected one of ['mbf', 'rephrase', 'synthetic', 'zero_cost']"),
             (lambda d: d["sources"].update(med_filter={"kind": "synthetic", "generator_params": 0}),
              "sources['med_filter'].generator_params: param_count must be positive, got 0"),
+            (lambda d: d["sources"].update(med_filter={"kind": "rephrase"}),
+             "sources['med_filter']: kind rephrase requires a generator model (generator_params)"),
             (lambda d: d.update(sources=[]), "sources must be an object"),
             (lambda d: d["runs"][0]["scores"].__setitem__(0, 0.5),
              "runs[0].scores[0] must be an object"),
@@ -466,7 +468,8 @@ class TestLoadManifest:
             "geometry-not-object", "geometry-unknown-field", "geometry-constructor",
             "training_model-not-object", "training_model-unknown-field",
             "training_model-constructor", "source-not-object", "source-unknown-field",
-            "source-constructor", "source-kind", "generator_params", "sources-not-object",
+            "source-constructor", "source-kind", "generator_params", "generator-missing",
+            "sources-not-object",
             "score-not-object", "score-unknown-field", "score-metric", "score-range",
             "score-n_examples",
         ],
