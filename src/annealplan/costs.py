@@ -69,6 +69,7 @@ def _require_finite(obj, *names: str) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+# The package's numeric bound rules; callers pass the parameter's or the flag's name.
 def _check_positive_finite(value: float, name: str) -> None:
     if not value > 0:
         raise ValueError(f"{name} must be positive, got {value}")
