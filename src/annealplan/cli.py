@@ -42,7 +42,10 @@ __all__ = ["main"]
 
 # Bound on first use by __getattr__: importing diversity loads numpy,
 # which no planning command needs.
-_DIVERSITY_NAMES = ("NgramProfiler", "read_binary_token_documents", "read_text_token_documents")
+_DIVERSITY_NAMES = (
+    "NgramProfiler", "_read_text_blocks", "read_binary_token_documents",
+    "read_text_token_documents",
+)
 
 
 def __getattr__(name: str):
@@ -367,19 +370,24 @@ def _cmd_diversity(args) -> list[str]:
     # reaches __getattr__ and a name replaced on the module is honoured.
     cli = sys.modules[__name__]
     profiler = _flag("--n-max", cli.NgramProfiler, args.n_max)
-    if args.format == "text":
-        documents = cli.read_text_token_documents(args.corpus)
+    if args.format == "text" and not args.single_stream:
+        # Each block of lines goes to the profiler in one call.
+        for keys, lengths in cli._read_text_blocks(args.corpus):
+            profiler._add_documents(keys, lengths)
     else:
-        documents = cli.read_binary_token_documents(args.corpus)
-    if args.single_stream:
-        # One unbounded stream: n-grams may span input documents. Rebinding
-        # frees the per-document arrays before any are counted.
-        import numpy as np
+        if args.format == "text":
+            documents = cli.read_text_token_documents(args.corpus)
+        else:
+            documents = cli.read_binary_token_documents(args.corpus)
+        if args.single_stream:
+            # One unbounded stream: n-grams may span input documents. Rebinding
+            # frees the per-document arrays before any are counted.
+            import numpy as np
 
-        documents = list(documents)
-        documents = [np.concatenate(documents) if documents else []]
-    for document in documents:
-        profiler.add_document(document)
+            documents = list(documents)
+            documents = [np.concatenate(documents) if documents else []]
+        for document in documents:
+            profiler.add_document(document)
     report = profiler.report()
     warnings = [
         f"no n-grams of order {row.n}; ratio 1.0 is a convention for an empty set"

@@ -11,11 +11,14 @@ hashing all orders 1..n_max is O(N·n_max) work for N tokens. Tokens
 are whatever the caller supplies: integers, or strings. A string is
 keyed by a 64-bit hash of its UTF-8 bytes, computed in numpy for a
 whole batch at once, so a ``str`` token and the text reader's key for
-the same bytes count as one token. The text reader splits lines on
-Python's whitespace (``str.split()``, Unicode separators included) and
-yields those keys, one ``uint64`` array per line, without building a
-``str`` per token. N-grams never span document boundaries; feed a whole
-corpus as one document to get a single unbounded stream.
+the same bytes count as one token. The text reader reads a file in
+blocks of whole lines, splits them on Python's whitespace
+(``str.split()``, Unicode separators included) and keys every token of
+a block in one pass, without building a ``str`` per token. Each block's
+keys and per-line token counts can go to the profiler in one call, or
+be sliced into one ``uint64`` array per line. N-grams never span
+document boundaries; feed a whole corpus as one document to get a
+single unbounded stream.
 
 Shannon entropy is computed in bits from the exact count table. The
 reported value is clamped to its mathematical bound log2(distinct) so
@@ -24,6 +27,8 @@ the uniform-distribution equality survives floating-point rounding.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import operator
 import struct
 from collections.abc import Iterable, Iterator
@@ -79,8 +84,10 @@ _CONSOLIDATE_FLOOR = 4 << 20
 _MAX_ORDER = 64
 
 
-def _mix64(values: np.ndarray) -> np.ndarray:
-    x = values.astype(np.uint64) + _MIX_OFFSET
+def _mix64(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """splitmix64 of each integer modulo 2**64, into ``out`` or a new array."""
+    # The add casts any integer dtype to uint64 itself, with no copy before it.
+    x = np.add(values, _MIX_OFFSET, out=out, dtype=np.uint64, casting="unsafe")
     x ^= x >> np.uint64(30)
     x *= _MIX_1
     x ^= x >> np.uint64(27)
@@ -106,7 +113,7 @@ def _token_keys(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np
     windows = np.ndarray((len(data) + 1,), dtype="<u8", buffer=padded, strides=(1,))
     words = windows[starts]
     words &= _TAIL_MASK[np.minimum(lengths, 8)]
-    sums = _mix64(words)
+    sums = _mix64(words, out=words)
     sums[lengths == 0] = 0
     long = np.flatnonzero(lengths > 8)
     if len(long):
@@ -118,19 +125,38 @@ def _token_keys(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np
         offset = (np.arange(1, len(token) + 1) - np.repeat(first_word, n_words)) << 3
         words = windows[starts[token] + offset]
         words &= _TAIL_MASK[np.minimum(lengths[token] - offset, 8)]
-        words ^= offset.astype(np.uint64) * _WORD_STEP
+        words ^= np.multiply(offset, _WORD_STEP, dtype=np.uint64, casting="unsafe")
         totals = np.zeros(len(words) + 1, dtype=np.uint64)
-        np.cumsum(_mix64(words), out=totals[1:])
+        np.cumsum(_mix64(words, out=words), out=totals[1:])
         sums[long] += totals[word_end] - totals[first_word]
-    return _mix64(sums ^ lengths.astype(np.uint64))
+    np.bitwise_xor(sums, lengths, out=sums, dtype=np.uint64, casting="unsafe")
+    return _mix64(sums, out=sums)
 
 
-def _run_starts(keys: np.ndarray) -> np.ndarray:
-    """Indices at which sorted ``keys`` start a run of equal values."""
-    change = np.empty(len(keys), dtype=bool)
-    change[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=change[1:])
+def _run_bounds(keys: np.ndarray) -> np.ndarray:
+    """Indices at which sorted ``keys`` start a run of equal values, then ``len(keys)``."""
+    change = np.empty(len(keys) + 1, dtype=bool)
+    change[0] = change[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=change[1:-1])
     return np.flatnonzero(change)
+
+
+def _entropy_bits(counts: np.ndarray, total: int) -> float:
+    """``-(p * log2(p)).sum()`` over ``p = counts / total``, summed in table order.
+
+    When no count exceeds the number of counts, each term is computed
+    once per count value and gathered by count, so the only array of
+    table size is the gathered terms; the terms and their order are the
+    same either way.
+    """
+    largest = int(counts.max())
+    if largest > len(counts):
+        probabilities = counts / total
+        return float(-(probabilities * np.log2(probabilities)).sum())
+    probabilities = np.arange(largest + 1) / total
+    probabilities[0] = 1.0  # no count is 0; this keeps log2 finite
+    terms = probabilities * np.log2(probabilities)
+    return float(-terms[counts].sum())
 
 
 def _string_keys(tokens: list[str]) -> np.ndarray:
@@ -211,7 +237,8 @@ class NgramProfiler:
     a boundary that n-grams do not cross. Documents of any size are
     fine: short ones are buffered whole, in any order, and counted in
     large batches, so many tiny documents cost no more than one big one;
-    a document longer than a batch is counted at once.
+    a document longer than a batch is counted at once. The text reader's
+    blocks of documents go in with :meth:`_add_documents`, one call each.
     """
 
     def __init__(self, n_max: int):
@@ -251,25 +278,51 @@ class NgramProfiler:
                 token = next(token for token in tokens if exc.object[exc.start] in token)
                 raise ValueError(f"str token {token!r} cannot be encoded as UTF-8") from None
         capacity = len(self._keys)
-        if size > capacity:
-            keys = _string_keys(tokens) if is_text else _id_keys(tokens)
-            # Each slice carries the n_max - 1 keys after its first `capacity`,
-            # so every window starting in those ends inside it; _count counts
-            # only those, and the next slice counts the rest.
-            for start in range(0, size, capacity):
-                piece = keys[start : start + capacity + self.n_max - 1]
-                self._count(piece, [len(piece)])
-            return
-        if self._filled + len(self._text) + size > capacity:
-            self._flush()
-        if is_text:
+        if not is_text:
+            self._add_documents(_id_keys(tokens), [size])
+        elif size > capacity:
+            self._add_documents(_string_keys(tokens), [size])
+        else:
+            if self._filled + len(self._text) + size > capacity:
+                self._flush()
             # Keyed in one numpy pass per flush, not one per document.
             self._text.extend(tokens)
             self._text_lengths.append(size)
-        else:
-            self._keys[self._filled : self._filled + size] = _id_keys(tokens)
-            self._filled += size
-            self._lengths.append(size)
+
+    def _add_documents(self, keys: np.ndarray, lengths: list[int]) -> None:
+        """Count whole documents of ``lengths`` integer keys, laid end to end in ``keys``.
+
+        Documents that fit in the flush buffer are copied into it with one
+        slice assignment. Otherwise they are split at document boundaries:
+        each run that fits goes in whole, a flush makes room for the next,
+        and a document longer than the buffer is counted at once.
+        """
+        capacity = len(self._keys)
+        if self._filled + len(self._text) + len(keys) <= capacity:
+            self._keys[self._filled : self._filled + len(keys)] = keys
+            self._filled += len(keys)
+            self._lengths += lengths
+            return
+        ends = list(itertools.accumulate(lengths))
+        done = first = 0  # keys and documents taken so far
+        while first < len(lengths):
+            room = capacity - self._filled - len(self._text)
+            last = bisect.bisect_right(ends, done + room, lo=first)
+            if last > first:
+                end = ends[last - 1]
+                self._add_documents(keys[done:end], lengths[first:last])
+            elif lengths[first] > capacity:
+                end, last = ends[first], first + 1
+                # Each slice carries the n_max - 1 keys after its first `capacity`,
+                # so every window starting in those ends inside it; _count counts
+                # only those, and the next slice counts the rest.
+                for start in range(done, end, capacity):
+                    piece = keys[start : min(start + capacity + self.n_max - 1, end)]
+                    self._count(piece, [len(piece)])
+            else:
+                self._flush()
+                continue
+            done, first = end, last
 
     def _flush(self) -> None:
         end = self._filled + len(self._text)
@@ -289,7 +342,12 @@ class NgramProfiler:
         Only windows starting in the first ``_FLUSH_TOKENS`` keys count.
         """
         mixed = _mix64(keys)
-        docs = np.repeat(np.arange(len(lengths)), lengths)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        ends = np.cumsum(lengths)
+        # within[i]: the window of the current order that starts at key i
+        # stays in one document. Each order drops one more start per
+        # document long enough to have one: the n - 1'th key from its end.
+        within = np.ones(len(keys), dtype=bool)
         # Order 1's part is a view of `mixed`, which the later orders read,
         # so no part is sorted before the last order is hashed.
         self._parts[1].append(mixed[: len(self._keys)])
@@ -307,10 +365,10 @@ class NgramProfiler:
                 hashes = hashes[:width]
                 hashes *= _WINDOW_MULTIPLIER
             hashes += mixed[n - 1 : n - 1 + width]
-            # Keep the windows that stay within one document.
-            within = hashes[docs[:width] == docs[n - 1 : n - 1 + width]]
-            if len(within):
-                self._parts[n].append(within)
+            within[(ends - (n - 1))[lengths >= n - 1]] = False
+            kept = hashes[within[:width]]
+            if len(kept):
+                self._parts[n].append(kept)
         for n in range(1, self.n_max + 1):
             self._consolidate_if_due(n)
 
@@ -330,17 +388,24 @@ class NgramProfiler:
         keys = parts[0] if len(parts) == 1 else np.concatenate(parts)
         parts.clear()
         keys.sort()
-        starts = _run_starts(keys)
-        keys, counts = keys[starts], np.diff(starts, append=len(keys))
-        table = self._tables[n]
-        if table is not None:
-            keys = np.concatenate([table[0], keys])
-            # Two sorted runs: the stable sort only merges them.
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
-            starts = _run_starts(keys)
-            counts = np.add.reduceat(np.concatenate([table[1], counts])[order], starts)
-            keys = keys[starts]
+        bounds = _run_bounds(keys)
+        # Each array is freed as soon as the next no longer needs it.
+        keys = keys[bounds[:-1]]
+        counts = np.diff(bounds)
+        del bounds
+        if self._tables[n] is not None:
+            table_keys, table_counts = self._tables[n]
+            self._tables[n] = None
+            # Keys already in the table add to its counts in place; the rest
+            # are inserted where they sort.
+            at = np.searchsorted(table_keys, keys)
+            found = at < len(table_keys)
+            found[found] = table_keys[at[found]] == keys[found]
+            table_counts[at[found]] += counts[found]
+            new = ~found
+            keys = np.insert(table_keys, at[new], keys[new])
+            del table_keys
+            counts = np.insert(table_counts, at[new], counts[new])
         self._tables[n] = (keys, counts)
 
     def counts(self, n: int) -> np.ndarray:
@@ -362,8 +427,7 @@ class NgramProfiler:
                 counts = table[1]
                 total = int(counts.sum())
                 distinct = len(counts)
-                probabilities = counts / total
-                entropy = float(-(probabilities * np.log2(probabilities)).sum())
+                entropy = _entropy_bits(counts, total)
                 entropy = min(max(entropy, 0.0), float(np.log2(distinct))) + 0.0
                 ratio = distinct / total
                 empty = False
@@ -397,7 +461,16 @@ def read_text_token_documents(path) -> Iterator[np.ndarray]:
     Lines end at ``\\n`` only and are split on the whitespace ``str.split()``
     uses; a token's key is the one :class:`NgramProfiler` gives the same
     string. Decoding errors report the absolute byte offset of the bad byte.
+    The file is read by the block reader; each line's array is a view of
+    its block's keys.
     """
+    for keys, lengths in _read_text_blocks(path):
+        bounds = [0, *itertools.accumulate(lengths)]
+        yield from (keys[a:b] for a, b in zip(bounds, bounds[1:]))
+
+
+def _read_text_blocks(path) -> Iterator[tuple[np.ndarray, list[int]]]:
+    """Yield the :func:`_text_block_documents` of each block of whole lines of a UTF-8 file."""
     offset = 0
     with open(path, "rb") as handle:
         while block := handle.read(_TEXT_BLOCK_BYTES):
@@ -410,11 +483,14 @@ def read_text_token_documents(path) -> Iterator[np.ndarray]:
                     f"invalid UTF-8 at byte offset {offset + exc.start} of {path}"
                 ) from exc
             offset += len(block)
-            yield from _text_block_documents(np.frombuffer(block, dtype=np.uint8))
+            yield _text_block_documents(np.frombuffer(block, dtype=np.uint8))
 
 
-def _text_block_documents(data: np.ndarray) -> list[np.ndarray]:
-    """Token keys of each line of valid UTF-8 ``data`` that ends at a line end."""
+def _text_block_documents(data: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Token keys of valid UTF-8 ``data`` that ends at a line end, and each line's token count.
+
+    An empty or whitespace-only line counts 0 tokens.
+    """
     space = ((data - 9) < 5) | ((data - 28) < 5)
     # A longer separator's lead byte is C2, E1, E2 or E3, and valid UTF-8
     # keeps its continuation bytes inside the block.
@@ -439,8 +515,7 @@ def _text_block_documents(data: np.ndarray) -> list[np.ndarray]:
     line_ends = np.flatnonzero(data == 0x0A)
     if data[-1] != 0x0A:
         line_ends = np.append(line_ends, len(data))
-    bounds = [0, *np.searchsorted(starts, line_ends).tolist()]
-    return [keys[a:b] for a, b in zip(bounds, bounds[1:])]
+    return keys, np.diff(np.searchsorted(starts, line_ends), prepend=0).tolist()
 
 
 def read_binary_token_documents(path) -> Iterator[np.ndarray]:

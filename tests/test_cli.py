@@ -8,7 +8,10 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 from xml.etree import ElementTree
 
 import pytest
@@ -881,6 +884,61 @@ class TestDiversity:
         assert code == 0
         report = diversity.profile_corpus([[t for d in docs for t in d]], 3)
         assert_matches_report(out, report)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        block=st.integers(1, 40),
+        flush=st.integers(1, 6),
+        lines=st.lists(
+            st.lists(st.sampled_from(["a", "bb", "w7", "é", " ", "\t", "\x85", "\u3000"]),
+                     max_size=24).map("".join),
+            max_size=12,
+        ),
+        last_newline=st.booleans(),
+    )
+    def test_text_blocks_count_like_split_lines(self, block, flush, lines, last_newline):
+        # Each block goes to the profiler in one call. With tiny blocks and
+        # buffers, blocks hold more tokens than the buffer and lines longer
+        # than it; empty and whitespace-only lines and a last line without
+        # a line end must count as str.split() lines do.
+        from annealplan.diversity import profile_corpus
+
+        text = "\n".join(lines) + ("\n" if last_newline else "")
+        expected = profile_corpus([line.split() for line in text.split("\n")], 3)
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus = Path(tmp) / "c.txt"
+            corpus.write_bytes(text.encode())
+            out = io.StringIO()
+            with mock.patch.multiple(
+                "annealplan.diversity", _TEXT_BLOCK_BYTES=block, _FLUSH_TOKENS=flush
+            ), contextlib.redirect_stdout(out):
+                assert main(["diversity", "--corpus", str(corpus), "--n-max", "3"]) == 0
+        assert_matches_report(out.getvalue(), expected)
+
+    def test_one_call_peak_memory(self, tmp_path, capsys):
+        # tracemalloc sees numpy's buffers, so the peak repeats exactly. On
+        # this 600,000-token corpus a call peaked at 45.2 MiB; feeding one
+        # array per line and keeping the full-size temporaries, 54.4 MiB.
+        import numpy as np
+
+        from annealplan import diversity  # imports stay outside the traced call
+
+        rng = np.random.default_rng(7)
+        words = np.minimum(rng.zipf(1.15, size=600_000), 1 << 22).reshape(-1, 60)
+        corpus = tmp_path / "c.txt"
+        corpus.write_text(
+            "".join(" ".join(f"w{w}" for w in row) + "\n" for row in words.tolist()),
+            encoding="utf-8",
+        )
+        assert diversity.NgramProfiler
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(capsys, "diversity", "--corpus", str(corpus))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 49 << 20
 
     def test_single_stream_binary_matches_library(self, tmp_path, capsys):
         import numpy as np

@@ -70,6 +70,34 @@ class TestNgramEntropy:
             stream_stats(["a"], 0)
 
 
+def direct_entropy(counts):
+    probabilities = counts / int(counts.sum())
+    return float(-(probabilities * np.log2(probabilities)).sum())
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data(), size=st.integers(1, 80), past_the_table_guard=st.booleans())
+def test_entropy_table_matches_the_direct_sum(data, size, past_the_table_guard):
+    # Counts up to `size` take the per-count-value table; a larger one, the
+    # direct formula. Either way every term and the summation order are
+    # today's, so every bit of the sum is too.
+    largest = 3 * size if past_the_table_guard else size
+    counts = data.draw(st.lists(st.integers(1, largest), min_size=size, max_size=size))
+    if past_the_table_guard:
+        counts[data.draw(st.integers(0, size - 1))] = largest
+    counts = np.array(counts, dtype=np.int64)
+    total = int(counts.sum())
+    assert diversity._entropy_bits(counts, total).hex() == direct_entropy(counts).hex()
+
+
+@pytest.mark.parametrize("largest", [1, 1000, 100_000, 10**9])
+def test_entropy_table_matches_the_direct_sum_on_large_tables(largest):
+    rng = np.random.default_rng(largest)
+    counts = np.minimum(rng.zipf(1.2, size=100_003), largest).astype(np.int64)
+    total = int(counts.sum())
+    assert diversity._entropy_bits(counts, total).hex() == direct_entropy(counts).hex()
+
+
 class TestProfileCorpus:
     def test_matches_single_order_ops(self):
         rng = np.random.default_rng(19)
