@@ -281,6 +281,7 @@ class NgramProfiler:
         if not is_text:
             self._add_documents(_id_keys(tokens), [size])
         elif size > capacity:
+            # Keyed at once, and counted in slices like any long document.
             self._add_documents(_string_keys(tokens), [size])
         else:
             if self._filled + len(self._text) + size > capacity:
