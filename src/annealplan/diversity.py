@@ -12,13 +12,21 @@ are whatever the caller supplies: integers, or strings. A string is
 keyed by a 64-bit hash of its UTF-8 bytes, computed in numpy for a
 whole batch at once, so a ``str`` token and the text reader's key for
 the same bytes count as one token. The text reader reads a file in
-blocks of whole lines, splits them on Python's whitespace
+256 KiB blocks of whole lines, splits them on Python's whitespace
 (``str.split()``, Unicode separators included) and keys every token of
 a block in one pass, without building a ``str`` per token. Each block's
 keys and per-line token counts can go to the profiler in one call, or
 be sliced into one ``uint64`` array per line. N-grams never span
 document boundaries; feed a whole corpus as one document to get a
 single unbounded stream.
+
+Blocks and window hashes are sized to stay in cache. Two kinds of work
+run on two worker threads, and neither allocates anything that outlives
+it: the reader's UTF-8 check and keying of the next blocks, while the
+calling thread counts the ones before; and the in-place sorts of the
+pending hashes of two orders at a time. The threads end with the
+reader or the sort, and every count and entropy bit is the one a single
+thread gives.
 
 Shannon entropy is computed in bits from the exact count table. The
 reported value is clamped to its mathematical bound log2(distinct) so
@@ -28,10 +36,13 @@ the uniform-distribution equality survives floating-point rounding.
 from __future__ import annotations
 
 import bisect
+import collections
+import contextlib
 import itertools
 import operator
 import struct
 from collections.abc import Iterable, Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +81,16 @@ _WHITESPACE_2 = [int.from_bytes(c.encode(), "big") for c in _WHITESPACE if len(c
 _WHITESPACE_3 = [int.from_bytes(c.encode(), "big") for c in _WHITESPACE if len(c.encode()) == 3]
 
 _FLUSH_TOKENS = 1 << 20
-# The text reader reads this many bytes, then the rest of the line.
-_TEXT_BLOCK_BYTES = 4 << 20
+# A flush's windows are hashed this many window starts at a time, so each
+# pass over them stays in cache.
+_COUNT_CHUNK = 1 << 15
+# The text reader reads this many bytes, then the rest of the line: small
+# enough that the passes that key a block stay in cache.
+_TEXT_BLOCK_BYTES = 256 << 10
+# Worker threads of one reader or one consolidation, and how many blocks
+# the reader's workers may key ahead of the block last yielded.
+_THREADS = 2
+_BLOCKS_AHEAD = 2
 # The binary reader reads a document in pieces of at most this many bytes.
 _BINARY_PIECE_BYTES = 16 << 20
 # Pending raw window hashes of one order (not distinct keys) are sorted
@@ -139,6 +158,20 @@ def _run_bounds(keys: np.ndarray) -> np.ndarray:
     change[0] = change[-1] = True
     np.not_equal(keys[1:], keys[:-1], out=change[1:-1])
     return np.flatnonzero(change)
+
+
+def _sort_in_place(arrays: list[np.ndarray]) -> None:
+    """Sort each array in place, on ``_THREADS`` threads when there are several.
+
+    The threads only sort: they allocate no array that outlives the call.
+    """
+    if len(arrays) < 2:
+        for keys in arrays:
+            keys.sort()
+        return
+    with ThreadPoolExecutor(_THREADS) as pool:
+        # Largest first, so the last array to start is a short one.
+        list(pool.map(np.ndarray.sort, sorted(arrays, key=len, reverse=True)))
 
 
 def _entropy_bits(counts: np.ndarray, total: int) -> float:
@@ -252,7 +285,9 @@ class NgramProfiler:
         self._tables: list[tuple[np.ndarray, np.ndarray] | None] = [None] * (n_max + 1)
         # Buffered documents: integer keys fill _keys from the front and
         # string tokens wait in _text, keyed into _keys after them at a flush.
-        self._keys = np.empty(_FLUSH_TOKENS, dtype=np.uint64)
+        # The buffer is allocated when first needed and released by report().
+        self._capacity = _FLUSH_TOKENS
+        self._keys: np.ndarray | None = None
         self._filled = 0
         self._lengths: list[int] = []
         self._text: list[str] = []
@@ -277,7 +312,7 @@ class NgramProfiler:
             except UnicodeEncodeError as exc:
                 token = next(token for token in tokens if exc.object[exc.start] in token)
                 raise ValueError(f"str token {token!r} cannot be encoded as UTF-8") from None
-        capacity = len(self._keys)
+        capacity = self._capacity
         if not is_text:
             self._add_documents(_id_keys(tokens), [size])
         elif size > capacity:
@@ -298,9 +333,9 @@ class NgramProfiler:
         each run that fits goes in whole, a flush makes room for the next,
         and a document longer than the buffer is counted at once.
         """
-        capacity = len(self._keys)
+        capacity = self._capacity
         if self._filled + len(self._text) + len(keys) <= capacity:
-            self._keys[self._filled : self._filled + len(keys)] = keys
+            self._buffer()[self._filled : self._filled + len(keys)] = keys
             self._filled += len(keys)
             self._lengths += lengths
             return
@@ -325,12 +360,17 @@ class NgramProfiler:
                 continue
             done, first = end, last
 
+    def _buffer(self) -> np.ndarray:
+        if self._keys is None:
+            self._keys = np.empty(self._capacity, dtype=np.uint64)
+        return self._keys
+
     def _flush(self) -> None:
         end = self._filled + len(self._text)
         if not end:
             return
         if self._text:
-            self._keys[self._filled : end] = _string_keys(self._text)
+            self._buffer()[self._filled : end] = _string_keys(self._text)
         self._count(self._keys[:end], self._lengths + self._text_lengths)
         self._filled = 0
         self._lengths.clear()
@@ -342,87 +382,118 @@ class NgramProfiler:
 
         Only windows starting in the first ``_FLUSH_TOKENS`` keys count.
         """
-        mixed = _mix64(keys)
+        self._add_windows(keys, lengths)
+        self._consolidate([
+            n
+            for n, table in enumerate(self._tables[1:], 1)
+            if sum(map(len, self._parts[n]))
+            > max(_CONSOLIDATE_FLOOR, 0 if table is None else len(table[0]))
+        ])
+
+    def _add_windows(self, keys: np.ndarray, lengths: list[int]) -> None:
+        """Add the hashes of :meth:`_count`'s windows to each order's pending parts.
+
+        The windows are hashed ``_COUNT_CHUNK`` starts at a time, so every
+        pass stays in cache, and each order's kept hashes go into one part.
+        It is apart from :meth:`_count` so that none of its arrays is still
+        alive when :meth:`_count` consolidates.
+        """
+        n_max, size = self.n_max, len(keys)
+        starts = min(size, self._capacity)
         lengths = np.asarray(lengths, dtype=np.int64)
         ends = np.cumsum(lengths)
-        # within[i]: the window of the current order that starts at key i
-        # stays in one document. Each order drops one more start per
-        # document long enough to have one: the n - 1'th key from its end.
-        within = np.ones(len(keys), dtype=bool)
-        # Order 1's part is a view of `mixed`, which the later orders read,
-        # so no part is sorted before the last order is hashed.
-        self._parts[1].append(mixed[: len(self._keys)])
-        hashes = mixed
-        for n in range(2, self.n_max + 1):
-            width = min(len(keys) - n + 1, len(self._keys))
-            if width <= 0:
-                break
-            # Order n's window hash is order n - 1's times the multiplier
-            # plus the next mixed key: order 2 writes a new array, and each
-            # later order updates it in place.
-            if hashes is mixed:
-                hashes = hashes[:width] * _WINDOW_MULTIPLIER
-            else:
-                hashes = hashes[:width]
-                hashes *= _WINDOW_MULTIPLIER
-            hashes += mixed[n - 1 : n - 1 + width]
-            within[(ends - (n - 1))[lengths >= n - 1]] = False
-            kept = hashes[within[:width]]
-            if len(kept):
-                self._parts[n].append(kept)
-        for n in range(1, self.n_max + 1):
-            self._consolidate_if_due(n)
+        # left[i]: keys left in key i's document from i on, capped at n_max.
+        # The window of order n that starts at i stays in one document iff
+        # left[i] >= n.
+        left = np.full(size, n_max, dtype=np.uint8)
+        for d in range(1, n_max):
+            left[(ends - d)[lengths >= d]] = d
+        # One part per order, sized to hold the windows of that order that count.
+        parts = [np.empty(starts, dtype=np.uint64)]
+        parts += [np.empty(np.count_nonzero(left[:starts] >= n), dtype=np.uint64)
+                  for n in range(2, n_max + 1)]
+        filled = [0] * n_max
+        mixed = np.empty(min(size, _COUNT_CHUNK + n_max - 1), dtype=np.uint64)
+        hashes = np.empty(len(mixed), dtype=np.uint64)
+        for first in range(0, starts, _COUNT_CHUNK):
+            last = min(first + _COUNT_CHUNK, starts)
+            # The chunk's keys and the n_max - 1 after them, which its
+            # windows reach.
+            stop = min(last + n_max - 1, size)
+            chunk = _mix64(keys[first:stop], out=mixed[: stop - first])
+            parts[0][first:last] = chunk[: last - first]
+            window = chunk
+            for n in range(2, n_max + 1):
+                width = min(last, size - n + 1) - first
+                if width <= 0:
+                    break
+                # Order n's window hash is order n - 1's times the multiplier
+                # plus the next mixed key.
+                window = np.multiply(window[:width], _WINDOW_MULTIPLIER, out=hashes[:width])
+                window += chunk[n - 1 : n - 1 + width]
+                chosen = window[left[first : first + width] >= n]
+                parts[n - 1][filled[n - 1] : filled[n - 1] + len(chosen)] = chosen
+                filled[n - 1] += len(chosen)
+        for n, part in enumerate(parts, 1):
+            if len(part):
+                self._parts[n].append(part)
 
-    def _consolidate_if_due(self, n: int) -> None:
-        table = self._tables[n]
-        pending = sum(map(len, self._parts[n]))
-        if pending > max(_CONSOLIDATE_FLOOR, 0 if table is None else len(table[0])):
-            self._consolidate(n)
+    def _consolidate(self, orders: Iterable[int]) -> None:
+        """Sort and count the pending hashes of each of ``orders`` into its table.
 
-    def _consolidate(self, n: int) -> None:
-        """Sort and count order ``n``'s pending hashes into its table."""
-        parts = self._parts[n]
-        if not parts:
-            return
-        # No caller holds a part and its order does not matter, so a lone
-        # part is sorted in place.
-        keys = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        parts.clear()
-        keys.sort()
-        bounds = _run_bounds(keys)
-        # Each array is freed as soon as the next no longer needs it.
-        keys = keys[bounds[:-1]]
-        counts = np.diff(bounds)
-        del bounds
-        if self._tables[n] is not None:
-            table_keys, table_counts = self._tables[n]
-            self._tables[n] = None
-            # Keys already in the table add to its counts in place; the rest
-            # are inserted where they sort.
-            at = np.searchsorted(table_keys, keys)
-            found = at < len(table_keys)
-            found[found] = table_keys[at[found]] == keys[found]
-            table_counts[at[found]] += counts[found]
-            new = ~found
-            keys = np.insert(table_keys, at[new], keys[new])
-            del table_keys
-            counts = np.insert(table_counts, at[new], counts[new])
-        self._tables[n] = (keys, counts)
+        Orders go ``_THREADS`` at a time: their pending hashes are sorted in
+        place on worker threads, then counted on the caller's thread, so no
+        more than ``_THREADS`` orders' concatenated hashes are alive at once.
+        """
+        orders = [n for n in orders if self._parts[n]]
+        for group in range(0, len(orders), _THREADS):
+            pending = []
+            for n in orders[group : group + _THREADS]:
+                parts = self._parts[n]
+                # No caller holds a part and its order does not matter, so a
+                # lone part is sorted in place.
+                pending.append((n, parts[0] if len(parts) == 1 else np.concatenate(parts)))
+                parts.clear()
+            _sort_in_place([keys for _, keys in pending])
+            while pending:
+                n, keys = pending.pop(0)
+                bounds = _run_bounds(keys)
+                # Each array is freed as soon as the next no longer needs it.
+                keys = keys[bounds[:-1]]
+                counts = np.diff(bounds)
+                del bounds
+                if self._tables[n] is not None:
+                    table_keys, table_counts = self._tables[n]
+                    self._tables[n] = None
+                    # Keys already in the table add to its counts in place; the
+                    # rest are inserted where they sort.
+                    at = np.searchsorted(table_keys, keys)
+                    found = at < len(table_keys)
+                    found[found] = table_keys[at[found]] == keys[found]
+                    table_counts[at[found]] += counts[found]
+                    new = ~found
+                    keys = np.insert(table_keys, at[new], keys[new])
+                    del table_keys
+                    counts = np.insert(table_counts, at[new], counts[new])
+                self._tables[n] = (keys, counts)
 
     def counts(self, n: int) -> np.ndarray:
         """Per-key occurrence counts for order ``n``, sorted (diagnostic)."""
         if not 1 <= n <= self.n_max:
             raise ValueError(f"n must be in [1, {self.n_max}], got {n}")
         self._flush()
-        self._consolidate(n)
+        self._consolidate([n])
         table = self._tables[n]
         return np.empty(0, dtype=np.int64) if table is None else np.sort(table[1])
 
     def report(self) -> DiversityReport:
         self._flush()
+        # The flush buffer is idle until the next document; freeing it makes
+        # room for the tables.
+        self._keys = None
+        self._consolidate(range(1, self.n_max + 1))
         rows = []
         for n in range(1, self.n_max + 1):
-            self._consolidate(n)
             table = self._tables[n]
             if table is not None:
                 counts = table[1]
@@ -465,26 +536,45 @@ def read_text_token_documents(path) -> Iterator[np.ndarray]:
     The file is read by the block reader; each line's array is a view of
     its block's keys.
     """
-    for keys, lengths in _read_text_blocks(path):
-        bounds = [0, *itertools.accumulate(lengths)]
-        yield from (keys[a:b] for a, b in zip(bounds, bounds[1:]))
+    with contextlib.closing(_read_text_blocks(path)) as blocks:
+        for keys, lengths in blocks:
+            bounds = [0, *itertools.accumulate(lengths)]
+            yield from (keys[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
 def _read_text_blocks(path) -> Iterator[tuple[np.ndarray, list[int]]]:
-    """Yield the :func:`_text_block_documents` of each block of whole lines of a UTF-8 file."""
-    offset = 0
-    with open(path, "rb") as handle:
-        while block := handle.read(_TEXT_BLOCK_BYTES):
-            if not block.endswith(b"\n"):
-                block += handle.readline()
-            try:
-                block.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ValueError(
-                    f"invalid UTF-8 at byte offset {offset + exc.start} of {path}"
-                ) from exc
-            offset += len(block)
-            yield _text_block_documents(np.frombuffer(block, dtype=np.uint8))
+    """Yield the :func:`_text_block_documents` of each block of whole lines of a UTF-8 file.
+
+    The caller's thread reads the blocks; ``_THREADS`` worker threads check
+    and key them, at most ``_BLOCKS_AHEAD`` blocks ahead of the one last
+    yielded. Blocks, and a bad block's error, come out in file order, and
+    the workers end with the generator.
+    """
+    pool = ThreadPoolExecutor(_THREADS)
+    keyed: collections.deque = collections.deque()
+    try:
+        with open(path, "rb") as handle:
+            offset = 0
+            while block := handle.read(_TEXT_BLOCK_BYTES):
+                if not block.endswith(b"\n"):
+                    block += handle.readline()
+                keyed.append(pool.submit(_check_text_block, block, offset, path))
+                offset += len(block)
+                if len(keyed) > _BLOCKS_AHEAD:
+                    yield keyed.popleft().result()
+        while keyed:
+            yield keyed.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _check_text_block(block: bytes, offset: int, path) -> tuple[np.ndarray, list[int]]:
+    """:func:`_text_block_documents` of the block of lines at byte ``offset`` of ``path``."""
+    try:
+        block.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"invalid UTF-8 at byte offset {offset + exc.start} of {path}") from exc
+    return _text_block_documents(np.frombuffer(block, dtype=np.uint8))
 
 
 def _text_block_documents(data: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -496,18 +586,19 @@ def _text_block_documents(data: np.ndarray) -> tuple[np.ndarray, list[int]]:
     # A longer separator's lead byte is C2, E1, E2 or E3, and valid UTF-8
     # keeps its continuation bytes inside the block.
     lead = np.flatnonzero(data >= 0xC2)
-    lead2 = lead[data[lead] == 0xC2]
-    code2 = (data[lead2].astype(np.int32) << 8) | data[lead2 + 1]
-    at = lead2[np.isin(code2, _WHITESPACE_2)]
-    space[at] = space[at + 1] = True
-    lead3 = lead[(data[lead] >= 0xE1) & (data[lead] <= 0xE3)]
-    code3 = (
-        (data[lead3].astype(np.int32) << 16)
-        | (data[lead3 + 1].astype(np.int32) << 8)
-        | data[lead3 + 2]
-    )
-    at = lead3[np.isin(code3, _WHITESPACE_3)]
-    space[at] = space[at + 1] = space[at + 2] = True
+    if len(lead):  # an ASCII block skips the lookups
+        lead2 = lead[data[lead] == 0xC2]
+        code2 = (data[lead2].astype(np.int32) << 8) | data[lead2 + 1]
+        at = lead2[np.isin(code2, _WHITESPACE_2)]
+        space[at] = space[at + 1] = True
+        lead3 = lead[(data[lead] >= 0xE1) & (data[lead] <= 0xE3)]
+        code3 = (
+            (data[lead3].astype(np.int32) << 16)
+            | (data[lead3 + 1].astype(np.int32) << 8)
+            | data[lead3 + 2]
+        )
+        at = lead3[np.isin(code3, _WHITESPACE_3)]
+        space[at] = space[at + 1] = space[at + 2] = True
 
     # Tokens run from a space-to-text edge to the next text-to-space edge.
     edges = np.flatnonzero(np.diff(space, prepend=True, append=True))

@@ -889,6 +889,7 @@ class TestDiversity:
     @given(
         block=st.integers(1, 40),
         flush=st.integers(1, 6),
+        chunk=st.integers(1, 8),
         lines=st.lists(
             st.lists(st.sampled_from(["a", "bb", "w7", "é", " ", "\t", "\x85", "\u3000"]),
                      max_size=24).map("".join),
@@ -896,11 +897,12 @@ class TestDiversity:
         ),
         last_newline=st.booleans(),
     )
-    def test_text_blocks_count_like_split_lines(self, block, flush, lines, last_newline):
+    def test_text_blocks_count_like_split_lines(self, block, flush, chunk, lines, last_newline):
         # Each block goes to the profiler in one call. With tiny blocks and
         # buffers, blocks hold more tokens than the buffer and lines longer
         # than it; empty and whitespace-only lines and a last line without
-        # a line end must count as str.split() lines do.
+        # a line end must count as str.split() lines do, wherever the edges
+        # of the chunks that windows are hashed in fall.
         from annealplan.diversity import profile_corpus
 
         text = "\n".join(lines) + ("\n" if last_newline else "")
@@ -910,10 +912,36 @@ class TestDiversity:
             corpus.write_bytes(text.encode())
             out = io.StringIO()
             with mock.patch.multiple(
-                "annealplan.diversity", _TEXT_BLOCK_BYTES=block, _FLUSH_TOKENS=flush
+                "annealplan.diversity",
+                _TEXT_BLOCK_BYTES=block, _FLUSH_TOKENS=flush, _COUNT_CHUNK=chunk,
             ), contextlib.redirect_stdout(out):
                 assert main(["diversity", "--corpus", str(corpus), "--n-max", "3"]) == 0
         assert_matches_report(out.getvalue(), expected)
+
+    def test_no_thread_outlives_a_call(self, tmp_path, capsys, monkeypatch):
+        # The reader keys blocks, and consolidation sorts, on worker threads
+        # that must end with the call, the generator or the error.
+        import threading
+
+        from annealplan import diversity
+
+        monkeypatch.setattr(diversity, "_TEXT_BLOCK_BYTES", 16)
+        monkeypatch.setattr(diversity, "_FLUSH_TOKENS", 8)
+        monkeypatch.setattr(diversity, "_CONSOLIDATE_FLOOR", 4)
+        good = tmp_path / "good.txt"
+        good.write_text("alpha beta gamma delta\n" * 50, encoding="utf-8")
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(good.read_bytes() + b"\xff\n" + good.read_bytes())
+        before = threading.enumerate()
+        assert run_cli(capsys, "diversity", "--corpus", str(good))[0] == 0
+        assert threading.enumerate() == before
+        code, _, err = run_cli(capsys, "diversity", "--corpus", str(bad))
+        assert code == 1 and "invalid UTF-8" in err
+        assert threading.enumerate() == before
+        documents = diversity.read_text_token_documents(good)
+        next(documents)
+        documents.close()
+        assert threading.enumerate() == before
 
     def test_one_call_peak_memory(self, tmp_path, capsys):
         # tracemalloc sees numpy's buffers, so the peak repeats exactly. On

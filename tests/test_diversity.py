@@ -313,6 +313,22 @@ class TestConsolidation:
     # order consolidates while documents are still being added.
     SMALL_CONSTANTS = [(997, 1000), (64, 50), (5, 3)]
 
+    @pytest.mark.parametrize("flush, floor", [(1 << 20, 4 << 20), *SMALL_CONSTANTS])
+    def test_documents_fed_after_a_report_count_like_a_fresh_profiler(
+        self, monkeypatch, flush, floor
+    ):
+        # report() consolidates every order and releases the flush buffer;
+        # the documents fed after it must still be buffered, sorted and
+        # merged into the tables like any others.
+        monkeypatch.setattr(diversity, "_FLUSH_TOKENS", flush)
+        monkeypatch.setattr(diversity, "_CONSOLIDATE_FLOOR", floor)
+        docs = mixed_corpus(67)
+        profiler = profiled(docs[:70], 4)
+        profiler.report()
+        for doc in docs[70:]:
+            profiler.add_document(doc)
+        assert results(profiler) == results(profiled(docs, 4))
+
     @pytest.mark.parametrize("flush, floor", SMALL_CONSTANTS)
     def test_mid_stream_consolidation_matches_one_table(self, monkeypatch, flush, floor):
         docs = mixed_corpus(61)
@@ -347,17 +363,22 @@ def as_document(kind, ids):
 @given(
     flush=st.integers(1, 8),
     floor=st.integers(1, 8),
+    chunk=st.integers(1, 8),
     n_max=st.integers(1, 4),
     specs=st.lists(
         st.tuples(st.sampled_from(DOCUMENT_KINDS), st.lists(st.integers(0, 3), max_size=20)),
         max_size=6,
     ),
 )
-def test_any_flush_size_counts_like_tuples(flush, floor, n_max, specs):
+def test_any_flush_size_counts_like_tuples(flush, floor, chunk, n_max, specs):
     # Long documents are counted in overlapping slices; short ones are
     # buffered whole. Neither may change a count or an entropy bit, nor
-    # may consolidating inside one slice's count.
-    with mock.patch.multiple(diversity, _FLUSH_TOKENS=flush, _CONSOLIDATE_FLOOR=floor):
+    # may consolidating inside one slice's count. Windows are hashed a
+    # chunk at a time, so chunk edges fall inside documents, at their
+    # ends and in a slice's trailing n_max - 1 keys.
+    with mock.patch.multiple(
+        diversity, _FLUSH_TOKENS=flush, _CONSOLIDATE_FLOOR=floor, _COUNT_CHUNK=chunk
+    ):
         report, counts = results(profiled([as_document(*spec) for spec in specs], n_max))
     assert (report, counts) == results(profiled([as_document(*spec) for spec in specs], n_max))
     docs = [list(as_document(*spec)) for spec in specs]
@@ -514,6 +535,23 @@ class TestReaders:
         offset = len(good.encode()) + 3
         with pytest.raises(ValueError, match=f"byte offset {offset} of"):
             list(read_text_token_documents(path))
+
+    def test_bad_utf8_in_later_block_yields_the_earlier_blocks_first(
+        self, tmp_path, monkeypatch
+    ):
+        # Blocks are keyed ahead on worker threads, but come out in file
+        # order: every line of the blocks before the bad one, and no line
+        # of the bad block, even one before the bad byte.
+        monkeypatch.setattr(diversity, "_TEXT_BLOCK_BYTES", 16)
+        line = "first line é\n"  # 14 bytes: each block holds two lines
+        path = tmp_path / "bad.txt"
+        path.write_bytes((line * 5).encode() + b"ok \xe2\x80 cut\n")
+        offset = len((line * 5).encode()) + 3
+        docs = []
+        with pytest.raises(ValueError, match=f"byte offset {offset} of"):
+            for doc in read_text_token_documents(path):
+                docs.append(doc.tolist())
+        assert docs == [text_keys(line.split()).tolist()] * 4
 
     def test_reader_documents_and_string_documents_share_keys(self, tmp_path):
         rng = np.random.default_rng(23)
