@@ -403,7 +403,8 @@ def _cmd_diversity(args) -> list[str]:
 def _cmd_simulate(args) -> list[str]:
     if args.scenario != "rank-flip":
         raise _UsageError(f"unknown scenario {args.scenario!r}")
-    scenario = scenario_rank_flip(args.seed, noise_sigma=args.noise)
+    _check_at_least(args.seed, 0, "--seed")
+    scenario = _flag("--noise", scenario_rank_flip, args.seed, args.noise)
     payload = generate_manifest(scenario)
     Path(args.out).write_bytes(payload)
     return []

@@ -35,10 +35,8 @@ the uniform-distribution equality survives floating-point rounding.
 
 from __future__ import annotations
 
-import bisect
 import collections
 import contextlib
-import itertools
 import operator
 import struct
 from collections.abc import Iterable, Iterator
@@ -160,20 +158,6 @@ def _run_bounds(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(change)
 
 
-def _sort_in_place(arrays: list[np.ndarray]) -> None:
-    """Sort each array in place, on ``_THREADS`` threads when there are several.
-
-    The threads only sort: they allocate no array that outlives the call.
-    """
-    if len(arrays) < 2:
-        for keys in arrays:
-            keys.sort()
-        return
-    with ThreadPoolExecutor(_THREADS) as pool:
-        # Largest first, so the last array to start is a short one.
-        list(pool.map(np.ndarray.sort, sorted(arrays, key=len, reverse=True)))
-
-
 def _entropy_bits(counts: np.ndarray, total: int) -> float:
     """``-(p * log2(p)).sum()`` over ``p = counts / total``, summed in table order.
 
@@ -211,11 +195,12 @@ def _string_keys(tokens: list[str]) -> np.ndarray:
 
 
 def _id_keys(tokens) -> np.ndarray:
-    """Keys of integer tokens, or an integer array that casts to them.
+    """Keys of integer or bool tokens, or an integer or bool array that casts to them.
 
-    An id's key is its value modulo 2**64, so ids must lie in
-    [-2**63, 2**64). An integer array, the caller's own included, is
-    returned uncopied: casting it to ``uint64`` wraps each id to its key.
+    An id's key is its value modulo 2**64 (a bool's is 0 or 1), so ids
+    must lie in [-2**63, 2**64). An integer or bool array, the caller's
+    own included, is returned uncopied: casting it to ``uint64`` wraps
+    each id to its key.
     The profiler copies a document whole into its flush buffer, or counts
     it at once, so the caller may refill the array for the next document.
     Tokens numpy puts in no integer dtype (ids past ``int64`` beside
@@ -223,7 +208,7 @@ def _id_keys(tokens) -> np.ndarray:
     a time.
     """
     ids = np.asarray(tokens)
-    if ids.dtype.kind in "iu":
+    if ids.dtype.kind in "biu":
         return ids
     try:
         values = [operator.index(t) for t in tokens]
@@ -267,11 +252,13 @@ class NgramProfiler:
     """Single-pass n-gram counter for every order 1..n_max.
 
     Feed documents one at a time with :meth:`add_document`; each call is
-    a boundary that n-grams do not cross. Documents of any size are
-    fine: short ones are buffered whole, in any order, and counted in
-    large batches, so many tiny documents cost no more than one big one;
-    a document longer than a batch is counted at once. The text reader's
-    blocks of documents go in with :meth:`_add_documents`, one call each.
+    a boundary that n-grams do not cross. The text reader's blocks of
+    documents go in with :meth:`_add_documents`, one call each. Documents
+    of any size are fine: they are buffered whole, in any order, and
+    counted in large batches, so many tiny documents cost no more than
+    one big one. A document or block that lacks room in the buffer
+    flushes it first; one longer than the buffer is counted at once, in
+    slices.
     """
 
     def __init__(self, n_max: int):
@@ -312,53 +299,39 @@ class NgramProfiler:
             except UnicodeEncodeError as exc:
                 token = next(token for token in tokens if exc.object[exc.start] in token)
                 raise ValueError(f"str token {token!r} cannot be encoded as UTF-8") from None
-        capacity = self._capacity
-        if not is_text:
-            self._add_documents(_id_keys(tokens), [size])
-        elif size > capacity:
-            # Keyed at once, and counted in slices like any long document.
-            self._add_documents(_string_keys(tokens), [size])
-        else:
-            if self._filled + len(self._text) + size > capacity:
+        if is_text and size <= self._capacity:
+            if self._filled + len(self._text) + size > self._capacity:
                 self._flush()
             # Keyed in one numpy pass per flush, not one per document.
             self._text.extend(tokens)
             self._text_lengths.append(size)
+        else:
+            self._add_documents(_string_keys(tokens) if is_text else _id_keys(tokens), [size])
 
     def _add_documents(self, keys: np.ndarray, lengths: list[int]) -> None:
         """Count whole documents of ``lengths`` integer keys, laid end to end in ``keys``.
 
-        Documents that fit in the flush buffer are copied into it with one
-        slice assignment. Otherwise they are split at document boundaries:
-        each run that fits goes in whole, a flush makes room for the next,
-        and a document longer than the buffer is counted at once.
+        The flush buffer is flushed first if it lacks room for the keys.
+        Keys that fit are then copied into it with one slice assignment;
+        keys longer than the buffer are counted at once, in slices.
         """
         capacity = self._capacity
-        if self._filled + len(self._text) + len(keys) <= capacity:
+        if self._filled + len(self._text) + len(keys) > capacity:
+            self._flush()
+        if len(keys) <= capacity:
             self._buffer()[self._filled : self._filled + len(keys)] = keys
             self._filled += len(keys)
             self._lengths += lengths
             return
-        ends = list(itertools.accumulate(lengths))
-        done = first = 0  # keys and documents taken so far
-        while first < len(lengths):
-            room = capacity - self._filled - len(self._text)
-            last = bisect.bisect_right(ends, done + room, lo=first)
-            if last > first:
-                end = ends[last - 1]
-                self._add_documents(keys[done:end], lengths[first:last])
-            elif lengths[first] > capacity:
-                end, last = ends[first], first + 1
-                # Each slice carries the n_max - 1 keys after its first `capacity`,
-                # so every window starting in those ends inside it; _count counts
-                # only those, and the next slice counts the rest.
-                for start in range(done, end, capacity):
-                    piece = keys[start : min(start + capacity + self.n_max - 1, end)]
-                    self._count(piece, [len(piece)])
-            else:
-                self._flush()
-                continue
-            done, first = end, last
+        ends = np.cumsum(lengths)
+        # Each slice carries the n_max - 1 keys after its first `capacity`, so
+        # every window starting in those ends inside it; _count counts only
+        # those, and the next slice counts the rest. A document that a slice's
+        # edge cuts is two documents there, which drops none of those windows.
+        for start in range(0, len(keys), capacity):
+            stop = min(start + capacity + self.n_max - 1, len(keys))
+            cuts = ends[(start < ends) & (ends < stop)] - start
+            self._count(keys[start:stop], np.diff(cuts, prepend=0, append=stop - start))
 
     def _buffer(self) -> np.ndarray:
         if self._keys is None:
@@ -454,7 +427,11 @@ class NgramProfiler:
                 # lone part is sorted in place.
                 pending.append((n, parts[0] if len(parts) == 1 else np.concatenate(parts)))
                 parts.clear()
-            _sort_in_place([keys for _, keys in pending])
+            # The threads only sort: they allocate no array that outlives the
+            # call. Largest first, so the last array to start is a short one.
+            with ThreadPoolExecutor(_THREADS) as pool:
+                list(pool.map(np.ndarray.sort,
+                              sorted((keys for _, keys in pending), key=len, reverse=True)))
             while pending:
                 n, keys = pending.pop(0)
                 bounds = _run_bounds(keys)
@@ -538,8 +515,7 @@ def read_text_token_documents(path) -> Iterator[np.ndarray]:
     """
     with contextlib.closing(_read_text_blocks(path)) as blocks:
         for keys, lengths in blocks:
-            bounds = [0, *itertools.accumulate(lengths)]
-            yield from (keys[a:b] for a, b in zip(bounds, bounds[1:]))
+            yield from np.split(keys, np.cumsum(lengths[:-1]))
 
 
 def _read_text_blocks(path) -> Iterator[tuple[np.ndarray, list[int]]]:
@@ -558,7 +534,7 @@ def _read_text_blocks(path) -> Iterator[tuple[np.ndarray, list[int]]]:
             while block := handle.read(_TEXT_BLOCK_BYTES):
                 if not block.endswith(b"\n"):
                     block += handle.readline()
-                keyed.append(pool.submit(_check_text_block, block, offset, path))
+                keyed.append(pool.submit(_text_block_documents, block, offset, path))
                 offset += len(block)
                 if len(keyed) > _BLOCKS_AHEAD:
                     yield keyed.popleft().result()
@@ -568,20 +544,18 @@ def _read_text_blocks(path) -> Iterator[tuple[np.ndarray, list[int]]]:
         pool.shutdown(cancel_futures=True)
 
 
-def _check_text_block(block: bytes, offset: int, path) -> tuple[np.ndarray, list[int]]:
-    """:func:`_text_block_documents` of the block of lines at byte ``offset`` of ``path``."""
+def _text_block_documents(block: bytes, offset: int, path) -> tuple[np.ndarray, list[int]]:
+    """Token keys of the block of lines at byte ``offset`` of ``path``, and each line's token count.
+
+    The block ends at a line end or at the end of the file. Invalid UTF-8
+    is reported by its absolute byte offset. An empty or whitespace-only
+    line counts 0 tokens.
+    """
     try:
         block.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"invalid UTF-8 at byte offset {offset + exc.start} of {path}") from exc
-    return _text_block_documents(np.frombuffer(block, dtype=np.uint8))
-
-
-def _text_block_documents(data: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Token keys of valid UTF-8 ``data`` that ends at a line end, and each line's token count.
-
-    An empty or whitespace-only line counts 0 tokens.
-    """
+    data = np.frombuffer(block, dtype=np.uint8)
     space = ((data - 9) < 5) | ((data - 28) < 5)
     # A longer separator's lead byte is C2, E1, E2 or E3, and valid UTF-8
     # keeps its continuation bytes inside the block.

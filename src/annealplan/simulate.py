@@ -99,6 +99,7 @@ class Scenario:
             raise ValueError(f"baseline id {_BASELINE_ID!r} collides with a source")
         _require_finite(self, "baseline_score", "baseline_noise_sigma")
         _check_at_least(self.baseline_noise_sigma, 0, "baseline_noise_sigma")
+        _check_at_least(self.rng_seed, 0, "rng_seed")
 
     def source_compute(self, source: GroundTruthSource, steps: int) -> float:
         """Cost of a run at ``steps``, curation plus annealing."""

@@ -27,7 +27,7 @@ from annealplan.diversity import NgramProfiler
 from annealplan.manifest import UtilityPoint
 from annealplan.metrics import MetricKind, UtilityDelta
 from annealplan.scaling import ScalingFit, fit_log_linear
-from annealplan.simulate import GroundTruthSource
+from annealplan.simulate import GroundTruthSource, Scenario
 
 NAN = math.nan
 BASIS = CostBasis.CURATION_PLUS_ANNEALING
@@ -91,6 +91,10 @@ CASES = {
                              "noise_sigma must be >= 0, got -1.0"),
     "noise_sigma-nan": (lambda: GroundTruthSource("s", 0.0, 0.0, MBF, noise_sigma=NAN),
                         "noise_sigma must be finite, got nan"),
+    "rng_seed-negative": (
+        lambda: Scenario(sources=(GroundTruthSource("s", 0.0, 0.0, MBF),), rng_seed=-1),
+        "rng_seed must be >= 0, got -1",
+    ),
 }
 
 

@@ -1050,6 +1050,20 @@ class TestSimulate:
         )
         assert code == 0, err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--seed", "-1", "error: --seed must be >= 0, got -1\n"),
+            ("--noise", "-1", "error: --noise: noise_sigma must be >= 0, got -1.0\n"),
+            ("--noise", "nan", "error: --noise: noise_sigma must be finite, got nan\n"),
+        ],
+    )
+    def test_bad_flag_named(self, tmp_path, capsys, flag, value, message):
+        out_path = tmp_path / "runs.json"
+        code, out, err = run_cli(capsys, "simulate", flag, value, "--out", str(out_path))
+        assert (code, out, err) == (1, "", message)
+        assert not out_path.exists()
+
     def test_unknown_scenario(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--scenario", "mystery", "--out", str(tmp_path / "x.json")

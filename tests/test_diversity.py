@@ -256,6 +256,15 @@ class TestProfileCorpus:
         assert report.stats(1).distinct == 3
         assert report == profile_corpus([np.array(ids, dtype=np.uint64)], 2)
 
+    def test_bool_ids_count_as_0_and_1(self, monkeypatch):
+        # A bool array is keyed like the bool list and the 0/1 list, both
+        # in a document that fits the flush buffer and in one longer than it.
+        monkeypatch.setattr(diversity, "_FLUSH_TOKENS", 4)
+        docs = [[True, False, True], [False] * 3 + [True] * 5, [True]]
+        expected = profile_corpus([[int(t) for t in doc] for doc in docs], 3)
+        assert profile_corpus(docs, 3) == expected
+        assert profile_corpus([np.array(doc) for doc in docs], 3) == expected
+
     @pytest.mark.parametrize("tokens", [[2**64, 1], [-(2**63) - 1, 1], [1.5, 2], [2, 1.0]])
     def test_ids_outside_the_key_range_rejected(self, tokens):
         with pytest.raises(ValueError, match=r"integers in \[-2\*\*63, 2\*\*64\)"):
