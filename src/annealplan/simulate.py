@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, replace
 
 from .costs import (
@@ -90,6 +91,9 @@ class Scenario:
             raise ValueError("scenario needs at least one source")
         if not self.steps_grid:
             raise ValueError("steps_grid must be nonempty")
+        for steps in self.steps_grid:  # the manifest loader's rule for a run's steps
+            if isinstance(steps, bool) or not isinstance(steps, int) or steps <= 0:
+                raise ValueError(f"steps_grid entries must be positive integers, got {steps!r}")
         if any(b >= a for a, b in zip(self.steps_grid[1:], self.steps_grid)):
             raise ValueError(f"steps_grid must be strictly increasing, got {self.steps_grid}")
         ids = [s.source_id for s in self.sources]
@@ -99,6 +103,10 @@ class Scenario:
             raise ValueError(f"baseline id {_BASELINE_ID!r} collides with a source")
         _require_finite(self, "baseline_score", "baseline_noise_sigma")
         _check_at_least(self.baseline_noise_sigma, 0, "baseline_noise_sigma")
+        try:
+            operator.index(self.rng_seed)
+        except TypeError:
+            raise ValueError(f"rng_seed must be an integer, got {self.rng_seed!r}") from None
         _check_at_least(self.rng_seed, 0, "rng_seed")
 
     def source_compute(self, source: GroundTruthSource, steps: int) -> float:
@@ -140,10 +148,23 @@ def generate_manifest(scenario: Scenario) -> bytes:
     Scores pushed outside the metric's valid range by noise or extreme
     ground truth are clamped, with a warning recorded in that run's
     metadata.
-    """
-    import numpy as np  # only the RNG needs it; loaded here, not at import
 
-    rng = np.random.default_rng(scenario.rng_seed)
+    When every sigma is 0 each noise term is exactly 0.0, so no generator
+    is made and numpy is not loaded; the bytes then do not depend on the
+    seed. Otherwise one generator draws every term in a fixed order, the
+    zero-sigma terms included.
+    """
+    if scenario.baseline_noise_sigma or any(s.noise_sigma for s in scenario.sources):
+        import numpy as np  # only the RNG needs it; loaded here, not at import
+
+        rng = np.random.default_rng(scenario.rng_seed)
+
+        def draw(sigma: float) -> float:
+            return float(rng.normal(0.0, sigma))
+    else:
+        def draw(sigma: float) -> float:
+            return 0.0  # what normal(0.0, 0.0) returns on every draw
+
     runs = []
 
     def add_run(source_id: str, seed: int, steps: int, raw: float, metadata: dict) -> None:
@@ -163,13 +184,13 @@ def generate_manifest(scenario: Scenario) -> bytes:
 
     for steps in scenario.steps_grid:
         for seed in (0, 1):
-            noise = float(rng.normal(0.0, scenario.baseline_noise_sigma))
+            noise = draw(scenario.baseline_noise_sigma)
             add_run(_BASELINE_ID, seed, steps, scenario.baseline_score + noise,
                     {"start_lr": "1.515e-04"})
 
     for source in scenario.sources:
         for steps in scenario.steps_grid:
-            delta = scenario.true_delta(source, steps) + float(rng.normal(0.0, source.noise_sigma))
+            delta = scenario.true_delta(source, steps) + draw(source.noise_sigma)
             # Brier is lower-is-better, so an improvement lowers the score.
             add_run(source.source_id, 0, steps, scenario.baseline_score - delta,
                     {"start_lr": "1.515e-04", "generation_basis": _GENERATION_BASIS.value})

@@ -95,6 +95,10 @@ CASES = {
         lambda: Scenario(sources=(GroundTruthSource("s", 0.0, 0.0, MBF),), rng_seed=-1),
         "rng_seed must be >= 0, got -1",
     ),
+    "rng_seed-float": (
+        lambda: Scenario(sources=(GroundTruthSource("s", 0.0, 0.0, MBF),), rng_seed=1.5),
+        "rng_seed must be an integer, got 1.5",
+    ),
 }
 
 

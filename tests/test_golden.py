@@ -6,8 +6,8 @@ a refactor that claims to keep the CLI's output can prove it. When a
 case writes a file (``--out``, ``--svg``, ``simulate``), the file's
 digest is pinned too.
 
-Inputs are fixed: the noise-free rank-flip scenario (its bytes do not
-depend on numpy's random stream, since every draw has sigma 0), a
+Inputs are fixed: the noise-free rank-flip scenario (every sigma is 0,
+so no random number is drawn and its bytes do not depend on numpy), a
 hand-built manifest with three seeds per group, and a small inline
 corpus. No case prints a temporary path. Do not edit a digest to make
 this test pass: a moved digest means the CLI's bytes changed.

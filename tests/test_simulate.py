@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,6 +76,36 @@ class TestGenerateManifest:
         assert all("clamp_warning" in r.metadata for r in treated)
         for run in treated:
             assert 0.0 <= run.scores[0].value <= 2.0
+
+    def test_noise_free_bytes_do_not_depend_on_seed(self):
+        assert generate_manifest(scenario_rank_flip(7)) == generate_manifest(scenario_rank_flip(8))
+
+    def test_bytes_match_the_pinned_digest(self):
+        # One digest over noise-free, noisy and mixed scenarios, recorded from
+        # the generator that drew every term from numpy. A changed draw order
+        # or a skipped zero-sigma draw moves it, and so does a dropped
+        # ``+ 0.0``: the last two scenarios' -0.0 scores would print as 0.0,
+        # and their 0.0 baseline scores as -0.0.
+        flip = scenario_rank_flip(5)
+        scenarios = [
+            *(scenario_rank_flip(seed, noise_sigma=sigma)
+              for sigma in (0.0, 0.003, 0.02) for seed in range(60)),
+            replace(flip, baseline_noise_sigma=0.01),
+            replace(flip, sources=(flip.sources[0], replace(flip.sources[1], noise_sigma=0.01))),
+            Scenario(sources=(GroundTruthSource("flat", -0.0, -0.0, ZERO),),
+                     baseline_score=-0.0, rng_seed=3),
+            Scenario(
+                sources=(GroundTruthSource("flat", -0.0, -0.0, ZERO, noise_sigma=0.01),
+                         GroundTruthSource("flat2", -0.0, -0.0, ZERO)),
+                baseline_score=-0.0, rng_seed=3,
+            ),
+        ]
+        digest = hashlib.sha256()
+        for scenario in scenarios:
+            digest.update(generate_manifest(scenario))
+        assert digest.hexdigest() == (
+            "c71e48962c99700f78e2e5dc755ff7e806712657a21e55cccc1d2a94a4e5773b"
+        )
 
     def test_basis_recorded_in_metadata(self):
         runset = loads_manifest(generate_manifest(scenario_rank_flip(1)).decode("utf-8"))
@@ -169,6 +201,21 @@ class TestScenarioValidation:
                 sources=(GroundTruthSource("s", 0.0, 0.0, ZERO),),
                 steps_grid=(1000, 500),
             )
+
+    @pytest.mark.parametrize("steps", [0, -5, 1000.5, True])
+    def test_rejects_bad_grid_entry(self, steps):
+        # Unchecked, each fails late and under another name: 0 as a math
+        # domain error, -5 as a total_tokens bound, and 1000.5 or True in
+        # the manifest loader when the written manifest is read back.
+        with pytest.raises(ValueError) as info:
+            Scenario(sources=(GroundTruthSource("s", 0.0, 0.0, ZERO),), steps_grid=(steps,))
+        assert str(info.value) == f"steps_grid entries must be positive integers, got {steps!r}"
+
+    def test_accepts_numpy_integer_seed(self):
+        scenario = zero_cost_scenario(0.0, 0.0, seed=np.int64(4), sigma=0.01)
+        assert generate_manifest(scenario) == generate_manifest(zero_cost_scenario(
+            0.0, 0.0, seed=4, sigma=0.01
+        ))
 
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValueError, match="duplicate"):
