@@ -73,7 +73,7 @@ def _require_finite(obj, *names: str) -> None:
 def _check_positive_finite(value: float, name: str) -> None:
     if not value > 0:
         raise ValueError(f"{name} must be positive, got {value}")
-    if not math.isfinite(value):
+    if not value < math.inf:  # exact for integers, even those past the float range
         raise ValueError(f"{name} must be finite, got {value}")
 
 
@@ -108,10 +108,8 @@ class AnnealingGeometry:
     epochs: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
-        if self.sequence_length <= 0:
-            raise ValueError(f"sequence_length must be positive, got {self.sequence_length}")
+        _check_positive_finite(self.batch_size, "batch_size")
+        _check_positive_finite(self.sequence_length, "sequence_length")
         try:
             float(self.batch_size * self.sequence_length)  # tokens per step, priced in floats
         except OverflowError:
@@ -166,14 +164,9 @@ class SourceCostModel:
             if self.expansion_factor > 0:
                 raise ValueError(f"expansion_factor > 0 {needs}")
         _check_at_least(self.mbf_recall, 1, "mbf_recall")
-        if self.kind is SourceKind.ZERO_COST:
-            if (
-                self.expansion_factor != 0.0
-                or self.generator is not None
-                or self.annotator_per_token_flops != 0.0
-                or self.annotator_training_flops != 0.0
-            ):
-                raise ValueError("zero_cost source must have all cost fields zero")
+        priced = self.expansion_factor, self.annotator_per_token_flops, self.annotator_training_flops
+        if self.kind is SourceKind.ZERO_COST and (self.generator is not None or any(priced)):
+            raise ValueError("zero_cost source must have all cost fields zero")
         _require_finite(self, *SOURCE_FLOAT_FIELDS)
 
 

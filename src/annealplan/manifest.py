@@ -40,6 +40,7 @@ from .costs import (
     ModelSpec,
     SourceCostModel,
     SourceKind,
+    _check_positive_finite,
     tokens_per_step,
     total_cost,
 )
@@ -84,8 +85,7 @@ class RunRecord:
     metadata: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.steps <= 0:
-            raise ManifestError(f"steps must be positive, got {self.steps}")
+        _check_positive_finite(self.steps, "steps")
         if not self.suite:
             raise ManifestError(f"run ({self.source_id}, {self.seed}, {self.steps}) has no scores")
 
@@ -245,10 +245,10 @@ def _parse_score(obj, where: str) -> TaskScore:
 
 
 def _scores_in_one_pass(scores_obj: list) -> tuple[tuple, tuple[float, ...]] | None:
-    """The run's (suite, values) if every score surely passes ``_parse_score``, else None.
+    """The run's (suite, values) if every score passes ``_parse_score``, else None.
 
-    Accepts only JSON's own types, so it never accepts what
-    ``_parse_score`` rejects; it may decline what ``_parse_score`` accepts.
+    It declines exactly the lists ``_parse_score`` rejects: a parsed
+    manifest holds only JSON's own types, the only ones it accepts.
     """
     suite: list = []
     values = []
@@ -288,11 +288,9 @@ def _parse_run(obj, index: int, suites: dict[tuple, tuple]) -> RunRecord:
     scores_obj = _get(obj, "scores", where)
     if not isinstance(scores_obj, list):
         raise ManifestError(f"field 'scores' in {where} must be a list")
-    table = _scores_in_one_pass(scores_obj)
-    if table is None:
-        scores = [_parse_score(s, f"{where}.scores[{i}]") for i, s in enumerate(scores_obj)]
-        suite = tuple(x for s in scores for x in (s.task_id, s.metric, s.n_examples))
-        table = suite, tuple(s.value for s in scores)
+    if (table := _scores_in_one_pass(scores_obj)) is None:  # a score is at fault: name it
+        for i, s in enumerate(scores_obj):
+            _parse_score(s, f"{where}.scores[{i}]")
     suite, values = table
     if suite not in suites:
         ids = suite[::3]
@@ -316,7 +314,7 @@ def _parse_run(obj, index: int, suites: dict[tuple, tuple]) -> RunRecord:
     steps = _get_int(obj, "steps", where)
     try:
         return RunRecord(source_id, seed, steps, suite, values, metadata)
-    except ManifestError as exc:
+    except ValueError as exc:
         raise ManifestError(f"{where}: {exc}") from exc
 
 

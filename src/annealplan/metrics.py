@@ -18,6 +18,8 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+from .costs import _check_positive_finite
+
 __all__ = [
     "MetricDirection",
     "MetricKind",
@@ -84,8 +86,7 @@ class TaskScore:
                 f"{self.metric.value} value {self.value} outside valid range [{lo}, {hi}]"
                 f" for task {self.task_id!r}"
             )
-        if self.n_examples <= 0:
-            raise ValueError(f"n_examples must be positive, got {self.n_examples}")
+        _check_positive_finite(self.n_examples, "n_examples")
 
 
 @dataclass(frozen=True)

@@ -54,14 +54,12 @@ class ScalingFit:
     basis: CostBasis
 
     def __post_init__(self) -> None:
-        _require_finite(self, "intercept", "slope")
-        if self.n_points < 2:
-            raise ValueError(f"a fit needs at least 2 points, got {self.n_points}")
+        _require_finite(self, "intercept", "slope", "rmse")
+        _check_at_least(self.n_points, 2, "n_points")
+        _check_at_least(self.rmse, 0, "rmse")
         c_lo, c_hi = self.compute_range
         if not (0 < c_lo <= c_hi):
             raise ValueError(f"invalid compute range [{c_lo}, {c_hi}]")
-        if not math.isfinite(self.rmse) or self.rmse < 0:
-            raise ValueError(f"rmse must be finite and nonnegative, got {self.rmse}")
 
 
 class Prediction(NamedTuple):

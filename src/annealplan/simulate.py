@@ -15,6 +15,7 @@ run in parallel.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import operator
@@ -108,6 +109,13 @@ class Scenario:
         except TypeError:
             raise ValueError(f"rng_seed must be an integer, got {self.rng_seed!r}") from None
         _check_at_least(self.rng_seed, 0, "rng_seed")
+        top = self.steps_grid[-1]  # compute grows with steps, so the last entry costs the most
+        for source in self.sources:
+            with contextlib.suppress(OverflowError):  # from an entry past the float range
+                if math.isfinite(self.source_compute(source, top)):
+                    continue
+            where = f"steps_grid entry {top} prices source {source.source_id!r}"
+            raise ValueError(f"{where} beyond the float range")
 
     def source_compute(self, source: GroundTruthSource, steps: int) -> float:
         """Cost of a run at ``steps``, curation plus annealing."""

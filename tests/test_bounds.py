@@ -8,6 +8,7 @@ Sites whose messages other tests already pin exactly are left out.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -19,13 +20,14 @@ from annealplan.costs import (
     SourceCostModel,
     SourceKind,
     annealing_curation_cost,
+    inference_flops_per_token,
     tinygsm_curation_cost,
     tinygsm_mind_curation_cost,
     training_flops,
 )
 from annealplan.diversity import NgramProfiler
-from annealplan.manifest import UtilityPoint
-from annealplan.metrics import MetricKind, UtilityDelta
+from annealplan.manifest import RunRecord, UtilityPoint
+from annealplan.metrics import MetricKind, TaskScore, UtilityDelta
 from annealplan.scaling import ScalingFit, fit_log_linear
 from annealplan.simulate import GroundTruthSource, Scenario
 
@@ -37,6 +39,10 @@ FIT = ScalingFit(
     source_id="a", intercept=0.0, slope=0.01, n_points=2, rmse=0.0,
     compute_range=(1e18, 1e20), basis=BASIS,
 )
+
+
+def _run(steps):
+    return RunRecord("a", 0, steps, ("t", MetricKind.BRIER, 100), (0.5,))
 
 
 def _points():
@@ -67,6 +73,25 @@ CASES = {
     "param_count-inf": (lambda: ModelSpec(math.inf), "param_count must be finite, got inf"),
     "param_count-minus-inf": (lambda: ModelSpec(-math.inf),
                               "param_count must be positive, got -inf"),
+    "batch_size-nan": (lambda: AnnealingGeometry(NAN, 8192, 0.1),
+                       "batch_size must be positive, got nan"),
+    "batch_size-inf": (lambda: AnnealingGeometry(math.inf, 8192, 0.1),
+                       "batch_size must be finite, got inf"),
+    "batch_size-past-float": (lambda: AnnealingGeometry(10**400, 1, 0.1),
+                              "batch_size * sequence_length is beyond the float range"),
+    "sequence_length-nan": (lambda: AnnealingGeometry(256, NAN, 0.1),
+                            "sequence_length must be positive, got nan"),
+    "sequence_length-inf": (lambda: AnnealingGeometry(256, math.inf, 0.1),
+                            "sequence_length must be finite, got inf"),
+    "run-steps-nan": (lambda: _run(NAN), "steps must be positive, got nan"),
+    "run-steps-inf": (lambda: _run(math.inf), "steps must be finite, got inf"),
+    "n_examples-nan": (lambda: TaskScore("t", MetricKind.BRIER, 0.5, NAN),
+                       "n_examples must be positive, got nan"),
+    "n_examples-inf": (lambda: TaskScore("t", MetricKind.BRIER, 0.5, math.inf),
+                       "n_examples must be finite, got inf"),
+    "n_points-one": (lambda: replace(FIT, n_points=1), "n_points must be >= 2, got 1"),
+    "rmse-nan": (lambda: replace(FIT, rmse=NAN), "rmse must be finite, got nan"),
+    "rmse-negative": (lambda: replace(FIT, rmse=-1.0), "rmse must be >= 0, got -1.0"),
     "generator-synthetic": (
         lambda: SourceCostModel(kind=SourceKind.SYNTHETIC, expansion_factor=1.0),
         "kind synthetic requires a generator model (generator_params)",
@@ -108,3 +133,11 @@ def test_bound_message(case):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_integers_past_the_float_range_construct():
+    # The finite test is exact for integers; pricing such a count fails later.
+    assert _run(10**400).steps == 10**400
+    assert TaskScore("t", MetricKind.BRIER, 0.5, 10**400).n_examples == 10**400
+    with pytest.raises(OverflowError):
+        inference_flops_per_token(ModelSpec(10**400))

@@ -32,7 +32,13 @@ from annealplan.costs import (
 )
 from annealplan.manifest import loads_manifest
 from annealplan.scaling import ScalingFit, crossover
-from annealplan.simulate import _source_to_json, generate_manifest, scenario_rank_flip
+from annealplan.simulate import (
+    GroundTruthSource,
+    Scenario,
+    _source_to_json,
+    generate_manifest,
+    scenario_rank_flip,
+)
 
 from conftest import manifest_dict
 
@@ -228,6 +234,22 @@ class TestRank:
         assert code == 1
         assert out == ""
         assert "error: --budget must be finite, got inf" in err
+
+    def test_identical_fits_tie_lexicographically(self, tmp_path, capsys):
+        mbf = SourceCostModel(kind=SourceKind.MBF, mbf_recall=22.0, annotator_per_token_flops=2e8)
+        twins = Scenario(sources=tuple(GroundTruthSource(s, 0.01, 0.002, mbf) for s in "ba"))
+        path = tmp_path / "twins.json"
+        path.write_bytes(generate_manifest(twins))
+        code, out, err = run_cli(
+            capsys, "rank", "--manifest", str(path), "--basis", "total", "--budget", "1e21"
+        )
+        assert code == 0
+        rows = parse_csv(out)
+        assert [(r["source_id"], r["extrapolated"], r["tied"]) for r in rows] == [
+            ("a", "false", "true"), ("b", "false", "true")
+        ]
+        assert rows[0]["predicted_delta"] == rows[1]["predicted_delta"]
+        assert err == "warning: tied predictions broken lexicographically by source id\n"
 
 
 class TestCrossoverCmd:
@@ -1140,6 +1162,24 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "fit", "--manifest", str(write_manifest(data)))
         assert (code, out) == (1, "")
         assert err.startswith("error: source '") and "degenerate design" in err
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (lambda d: d["runs"].pop(2), "manifest contains no treated runs to analyze"),
+            (lambda d: d["runs"][0].update(scores=[]),
+             "runs[0]: run (full_replay, 0, 1000) has no scores"),
+            (lambda d: d["runs"][0].update(metadata="lr"),
+             "field 'metadata' in runs[0] must be an object"),
+            (lambda d: d.update(runs=[]), "runs must be a nonempty list"),
+        ],
+        ids=["baseline-only", "no-scores", "metadata-not-object", "no-runs"],
+    )
+    def test_manifest_fault_fails_cleanly(self, write_manifest, capsys, fault, message):
+        data = manifest_dict()
+        fault(data)
+        code, out, err = run_cli(capsys, "fit", "--manifest", str(write_manifest(data)))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_unknown_command(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")

@@ -315,6 +315,20 @@ class TestSourceCostModelValidation:
         with pytest.raises(ValueError, match="zero_cost"):
             SourceCostModel(kind=SourceKind.ZERO_COST, annotator_per_token_flops=1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("expansion_factor", math.nan), ("annotator_per_token_flops", 1e-300),
+         ("annotator_training_flops", 1.0), ("generator", ModelSpec(1.0))],
+    )
+    def test_zero_cost_refuses_each_priced_field(self, field, value):
+        with pytest.raises(ValueError) as info:
+            SourceCostModel(kind=SourceKind.ZERO_COST, **{field: value})
+        assert str(info.value) == "zero_cost source must have all cost fields zero"
+
+    def test_zero_cost_takes_signed_zeros(self):
+        fields = ("expansion_factor", "annotator_per_token_flops", "annotator_training_flops")
+        assert SourceCostModel(kind=SourceKind.ZERO_COST, **dict.fromkeys(fields, -0.0))
+
     def test_mbf_recall_bound(self):
         with pytest.raises(ValueError, match="mbf_recall"):
             SourceCostModel(kind=SourceKind.MBF, mbf_recall=0.5)

@@ -463,6 +463,7 @@ class TestLoadManifest:
              " for task 'mmlu_anatomy'"),
             (lambda d: d["runs"][0]["scores"][0].update(n_examples=0),
              "runs[0].scores[0]: n_examples must be positive, got 0"),
+            (lambda d: d["runs"][0].update(steps=0), "runs[0]: steps must be positive, got 0"),
         ],
         ids=[
             "geometry-not-object", "geometry-unknown-field", "geometry-constructor",
@@ -471,7 +472,7 @@ class TestLoadManifest:
             "source-constructor", "source-kind", "generator_params", "generator-missing",
             "sources-not-object",
             "score-not-object", "score-unknown-field", "score-metric", "score-range",
-            "score-n_examples",
+            "score-n_examples", "run-steps",
         ],
     )
     def test_object_enum_and_constructor_messages(self, write_manifest, capsys, fault, message):

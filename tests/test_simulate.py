@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from annealplan.costs import CostBasis, SourceCostModel, SourceKind
+from annealplan.costs import CostBasis, ModelSpec, SourceCostModel, SourceKind
 from annealplan.manifest import build_utility_points, loads_manifest
 from annealplan.scaling import crossover, fit_by_source
 from annealplan.simulate import (
@@ -210,6 +210,29 @@ class TestScenarioValidation:
         with pytest.raises(ValueError) as info:
             Scenario(sources=(GroundTruthSource("s", 0.0, 0.0, ZERO),), steps_grid=(steps,))
         assert str(info.value) == f"steps_grid entries must be positive integers, got {steps!r}"
+
+    @pytest.mark.parametrize("steps", [10**300, 10**400], ids=["10**300", "10**400"])
+    def test_rejects_grid_entry_priced_past_the_float_range(self, steps):
+        # Unchecked, 10**300 makes the compute infinite, so a zero-slope
+        # source wrote a NaN score; 10**400 raised OverflowError from
+        # source_compute.
+        with pytest.raises(ValueError) as info:
+            Scenario(sources=(GroundTruthSource("s", 0.0, 0.0, ZERO),), steps_grid=(1000, steps))
+        assert str(info.value) == (
+            f"steps_grid entry {steps} prices source 's' beyond the float range"
+        )
+
+    def test_grid_is_priced_for_every_source(self):
+        dear = SourceCostModel(
+            kind=SourceKind.SYNTHETIC, expansion_factor=3.0, generator=ModelSpec(1e300)
+        )
+        sources = (GroundTruthSource("cheap", 0.0, 0.0, ZERO),
+                   GroundTruthSource("dear", 0.0, 0.0, dear))
+        with pytest.raises(ValueError) as info:
+            Scenario(sources=sources, steps_grid=(1000,))
+        assert str(info.value) == (
+            "steps_grid entry 1000 prices source 'dear' beyond the float range"
+        )
 
     def test_accepts_numpy_integer_seed(self):
         scenario = zero_cost_scenario(0.0, 0.0, seed=np.int64(4), sigma=0.01)
