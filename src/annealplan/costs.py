@@ -65,7 +65,11 @@ class SourceKind(enum.Enum):
 def _require_finite(obj, *names: str) -> None:
     for name in names:
         value = getattr(obj, name)
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer past the float range
+            raise ValueError(f"{name} is beyond the float range") from None
+        if not finite:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
@@ -110,10 +114,12 @@ class AnnealingGeometry:
     def __post_init__(self) -> None:
         _check_positive_finite(self.batch_size, "batch_size")
         _check_positive_finite(self.sequence_length, "sequence_length")
-        try:
-            float(self.batch_size * self.sequence_length)  # tokens per step, priced in floats
-        except OverflowError:
-            raise ValueError("batch_size * sequence_length is beyond the float range") from None
+        try:  # tokens per step, priced in floats
+            finite = math.isfinite(self.batch_size * self.sequence_length)
+        except OverflowError:  # an integer product past the float range
+            finite = False
+        if not finite:
+            raise ValueError("batch_size * sequence_length is beyond the float range")
         if not 0.0 < self.upsample_ratio < 1.0:
             raise ValueError(
                 f"upsample_ratio must lie strictly between 0 and 1, got {self.upsample_ratio}"

@@ -20,10 +20,16 @@ manifest's text is parsed once, and a count of ':' rules out a repeated
 key. Any error, or a string that starts with optional whitespace and a
 ':', takes a second parse whose hook rejects a repeated key as its
 object closes; only a repeat that hook finds is scanned for its position.
+
+A loaded ``RunSet`` is read-only: its ``sources`` and each run's
+``metadata`` are mapping proxies. ``load_manifest`` keeps the last one it
+built with the sha256 of the file's bytes, and returns that same object
+while the bytes are unchanged; ``loads_manifest`` never caches.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import re
@@ -32,6 +38,7 @@ from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from pathlib import Path
+from types import MappingProxyType
 
 from .costs import (
     SOURCE_FLOAT_FIELDS,
@@ -313,7 +320,7 @@ def _parse_run(obj, index: int, suites: dict[tuple, tuple]) -> RunRecord:
     seed = _get_int(obj, "seed", where)
     steps = _get_int(obj, "steps", where)
     try:
-        return RunRecord(source_id, seed, steps, suite, values, metadata)
+        return RunRecord(source_id, seed, steps, suite, values, MappingProxyType(metadata))
     except ValueError as exc:
         raise ManifestError(f"{where}: {exc}") from exc
 
@@ -523,20 +530,55 @@ def _runset_from(data) -> RunSet:
 
     return RunSet(
         runs=runs,
-        sources=sources,
+        sources=MappingProxyType(sources),
         baseline_id=baseline_id,
         training_model=training_model,
         geometry=geometry,
     )
 
 
+# The last RunSet load_manifest built, with the sha256 of the bytes it came from.
+_last_load: tuple[bytes, RunSet] | None = None
+
+
 def load_manifest(path: str | Path) -> RunSet:
-    """Load, parse, and fully validate a manifest JSON file."""
+    """Load, parse, and fully validate a manifest JSON file.
+
+    While the file's bytes are unchanged, each call returns the same
+    read-only ``RunSet``: the file is read and hashed every time, and
+    parsed only when its sha256 differs from the last successful load's.
+    """
+    global _last_load
+    import hashlib  # here, so that importing the CLI does not load it
+
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        data = Path(path).read_bytes()
+    except OSError as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
-    return loads_manifest(text)
+    digest = hashlib.sha256(data).digest()
+    last = _last_load
+    if last is not None and last[0] == digest:
+        return last[1]
+    _last_load = None  # the old RunSet is not kept alive through the parse
+    try:
+        # As read_text(encoding="utf-8") decodes: strict, with universal newlines.
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
+    del data  # the parse's peak holds the text only
+    # Parsing builds objects that all stay alive, so collector passes over
+    # them free nothing; collecting first keeps the pause from raising the peak.
+    paused = gc.isenabled()
+    if paused:
+        gc.collect()
+        gc.disable()
+    try:
+        runset = loads_manifest(text)
+    finally:
+        if paused:
+            gc.enable()
+    _last_load = digest, runset
+    return runset
 
 
 def _seed_means(runs: Sequence[RunRecord]) -> tuple[float, ...]:

@@ -3,8 +3,9 @@
 numpy is imported on first use by the diversity profiler, the simulator's
 random generator (made only when some noise sigma is above 0) and the grid
 oracle; ``fit``, ``rank``, ``crossover``, ``allocate`` without the oracle,
-``cost`` and a noise-free ``simulate`` never load it. Each check runs in a
-fresh interpreter, because this test process has numpy loaded already.
+``cost`` and a noise-free ``simulate`` never load it. Nor does importing
+the CLI load ``hashlib``, which only ``load_manifest`` needs. Each check
+runs in a fresh interpreter, because this test process has both loaded.
 """
 
 import json
@@ -21,7 +22,8 @@ from annealplan.cli import main
 SRC = Path(annealplan.__file__).resolve().parents[1]
 
 # Runs the named steps in order (all of them when none is named) and prints,
-# per step, [exit code, whether numpy is loaded afterwards].
+# per step, [exit code, whether numpy is loaded afterwards]; "hashlib" says
+# whether the imports loaded hashlib.
 SCRIPT = r"""
 import json
 import sys
@@ -55,7 +57,7 @@ steps = {
     "diversity": ["diversity", "--corpus", corpus, "--n-max", "2"],
     "allocate --with-oracle": ["allocate", *plan, "--c-max", "1e21", "--with-oracle"],
 }
-result = {"import annealplan": [0, "numpy" in sys.modules]}
+result = {"import annealplan": [0, "numpy" in sys.modules], "hashlib": "hashlib" in sys.modules}
 for name in names or steps:
     step = steps[name]
     if callable(step):
@@ -91,6 +93,7 @@ def run_fresh(tmp_path):
 def test_planning_commands_leave_numpy_unloaded(run_fresh, tmp_path):
     assert run_fresh() == {
         "import annealplan": [0, False],
+        "hashlib": False,
         "fit": [0, False],
         "rank": [0, False],
         "crossover": [0, False],
@@ -112,4 +115,4 @@ def test_planning_commands_leave_numpy_unloaded(run_fresh, tmp_path):
 )
 def test_each_later_numpy_user_loads_numpy_itself(run_fresh, name):
     # In the full run numpy is already loaded when these steps start.
-    assert run_fresh(name) == {"import annealplan": [0, False], name: [0, True]}
+    assert run_fresh(name) == {"import annealplan": [0, False], "hashlib": False, name: [0, True]}

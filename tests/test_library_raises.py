@@ -11,7 +11,7 @@ from dataclasses import replace
 import pytest
 
 from annealplan.allocation import allocate_grid_oracle, allocate_proportional
-from annealplan.costs import CostBasis, SourceCostModel, SourceKind
+from annealplan.costs import AnnealingGeometry, CostBasis, SourceCostModel, SourceKind
 from annealplan.diversity import DiversityReport, NgramProfiler
 from annealplan.manifest import ManifestError, RunRecord, average_seeds
 from annealplan.metrics import MetricKind, UtilityDelta, brier_score
@@ -63,6 +63,16 @@ CASES = {
         ValueError, lambda: SourceCostModel(kind=SourceKind.MBF, annotator_training_flops=-1.0),
         "annotator_training_flops must be >= 0",
     ),
+    "annotator_per_token_flops-past-float": (
+        ValueError, lambda: SourceCostModel(kind=SourceKind.MBF, annotator_per_token_flops=10**400),
+        "annotator_per_token_flops is beyond the float range",
+    ),
+    "geometry-float-product-past-float": (
+        ValueError, lambda: AnnealingGeometry(1e200, 1e200, 0.1),
+        "batch_size * sequence_length is beyond the float range",
+    ),
+    "epochs-past-float": (ValueError, lambda: AnnealingGeometry(256, 8192, 0.1, epochs=10**400),
+                          "epochs is beyond the float range"),
     "report-order-missing": (KeyError, lambda: DiversityReport(0, ()).stats(2),
                              "no statistics for n=2"),
     "counts-order-out-of-range": (ValueError, lambda: NgramProfiler(2).counts(3),
@@ -82,6 +92,10 @@ CASES = {
                             "steps_grid must be nonempty"),
     "scenario-baseline-id": (ValueError, lambda: Scenario(sources=_sources("full_replay")),
                              "baseline id 'full_replay' collides with a source"),
+    "true_intercept-past-float": (
+        ValueError, lambda: GroundTruthSource("s", 10**400, 0.0, ZERO),
+        "true_intercept is beyond the float range",
+    ),
     "true-crossover-parallel": (
         ValueError, lambda: true_crossover(Scenario(sources=_sources("a", "b")), "a", "b"),
         "true curves are parallel; no crossover",

@@ -1,9 +1,12 @@
+import gc
 import json
 import math
+import os
 import sys
 
 import pytest
 
+from annealplan import manifest
 from annealplan.cli import main
 from annealplan.costs import (
     AnnealingGeometry,
@@ -596,6 +599,77 @@ class TestLoadManifest:
         data["sources"] = {"m\u00e9d \U0001f50d": data["sources"].pop("med_filter")}
         data["runs"][2]["source_id"] = "m\u00e9d \U0001f50d"
         assert "m\u00e9d \U0001f50d" in load_manifest(write_manifest(data)).sources
+
+    def test_loaded_mappings_are_read_only(self, write_manifest):
+        runset = load_manifest(write_manifest(manifest_dict()))
+        with pytest.raises(TypeError):
+            runset.sources["other"] = runset.sources["med_filter"]
+        with pytest.raises(TypeError):
+            runset.runs[2].metadata["start_lr"] = "0"
+        assert runset.runs[2].metadata == {"start_lr": "1.515e-04"}
+
+
+class TestLoadManifestCache:
+    """load_manifest parses each distinct content once; loads_manifest always parses."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The texts load_manifest hands to loads_manifest, from an empty slot on."""
+        texts = []
+        loads = manifest.loads_manifest
+
+        def counting(text):
+            texts.append(text)
+            return loads(text)
+
+        monkeypatch.setattr(manifest, "_last_load", None)
+        monkeypatch.setattr(manifest, "loads_manifest", counting)
+        return texts
+
+    def test_unchanged_bytes_give_the_same_runset(self, parses, write_manifest):
+        runset = load_manifest(write_manifest(manifest_dict()))
+        assert load_manifest(write_manifest(manifest_dict())) is runset
+        assert load_manifest(write_manifest(manifest_dict(), "copy.json")) is runset
+        assert len(parses) == 1
+        assert loads_manifest(parses[0]) is not loads_manifest(parses[0])
+
+    def test_new_bytes_under_the_old_size_and_mtime_are_parsed(self, parses, write_manifest):
+        data = manifest_dict()
+        path = write_manifest(data)
+        old = os.stat(path)
+        assert load_manifest(path).runs[2].values == (0.45, 0.55)
+        data["runs"][2]["scores"][0]["value"] = 0.46
+        write_manifest(data)
+        os.utime(path, ns=(old.st_atime_ns, old.st_mtime_ns))
+        new = os.stat(path)
+        assert (new.st_size, new.st_mtime_ns) == (old.st_size, old.st_mtime_ns)
+        assert load_manifest(path).runs[2].values == (0.46, 0.55)
+        assert len(parses) == 2
+
+    def test_one_slot(self, parses, write_manifest):
+        data = manifest_dict()
+        a = write_manifest(data, "a.json")
+        data["runs"][2]["seed"] = 5
+        b = write_manifest(data, "b.json")
+        first_a = load_manifest(a)
+        assert load_manifest(b).runs[2].seed == 5
+        assert load_manifest(a) == first_a
+        assert len(parses) == 3
+
+    def test_a_failed_load_is_not_kept(self, parses, write_manifest):
+        valid = write_manifest(manifest_dict(), "valid.json")
+        runset = load_manifest(valid)
+        data = manifest_dict()
+        data["runs"] = data["runs"][2:]
+        invalid = write_manifest(data, "invalid.json")
+        for _ in range(2):
+            with pytest.raises(ManifestError) as info:
+                load_manifest(invalid)
+            assert str(info.value) == "baseline runs not found"
+            assert gc.isenabled()
+        assert load_manifest(valid) == runset
+        assert len(parses) == 4
+
 
 def make_run(
     source="s", seed=0, steps=1000, tasks=(("t1", 0.5), ("t2", 0.6)), metric=MetricKind.BRIER
