@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import math
 import sys
@@ -100,8 +101,18 @@ def _parse_tasks(spec: str | None) -> list[str] | None:
 def _load_fits(args) -> tuple[list[UtilityPoint], list[ScalingFit], list[str]]:
     """Utility points, per-source fits and clamp warnings of ``--manifest``."""
     _check_at_least(args.drop_smallest, 0, "--drop-smallest")
-    runset = load_manifest(args.manifest)
-    points = build_utility_points(runset, _parse_tasks(args.tasks), CostBasis(args.basis))
+    # Loading builds objects that all stay alive, so collector passes over
+    # them free nothing; collecting first keeps the pause from raising the peak.
+    paused = gc.isenabled()
+    if paused:
+        gc.collect()
+        gc.disable()
+    try:
+        runset = load_manifest(args.manifest)
+        points = build_utility_points(runset, _parse_tasks(args.tasks), CostBasis(args.basis))
+    finally:
+        if paused:
+            gc.enable()
     if not points:
         raise ManifestError("manifest contains no treated runs to analyze")
     fits = fit_by_source(points, drop_smallest=args.drop_smallest)

@@ -21,15 +21,15 @@ key. Any error, or a string that starts with optional whitespace and a
 ':', takes a second parse whose hook rejects a repeated key as its
 object closes; only a repeat that hook finds is scanned for its position.
 
-A loaded ``RunSet`` is read-only: its ``sources`` and each run's
-``metadata`` are mapping proxies. ``load_manifest`` keeps the last one it
-built with the sha256 of the file's bytes, and returns that same object
-while the bytes are unchanged; ``loads_manifest`` never caches.
+``load_manifest`` keeps the bytes and ``RunSet`` of its last successful
+load and returns that same object while the file's bytes are unchanged;
+``loads_manifest`` never caches. So a parsed ``RunSet`` is read-only: its
+``sources`` and each run's ``metadata`` refuse changes.
 """
 
 from __future__ import annotations
 
-import gc
+import io
 import json
 import math
 import re
@@ -38,7 +38,6 @@ from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from pathlib import Path
-from types import MappingProxyType
 
 from .costs import (
     SOURCE_FLOAT_FIELDS,
@@ -74,6 +73,19 @@ __all__ = [
 
 # Seed value marking a synthetic run produced by averaging real seeds.
 AGGREGATE_SEED = -1
+
+
+class _ReadOnlyDict(dict):
+    """A dict that refuses changes; it still pickles and copies."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a parsed manifest's mappings are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
 
 
 class ManifestError(ValueError):
@@ -320,7 +332,7 @@ def _parse_run(obj, index: int, suites: dict[tuple, tuple]) -> RunRecord:
     seed = _get_int(obj, "seed", where)
     steps = _get_int(obj, "steps", where)
     try:
-        return RunRecord(source_id, seed, steps, suite, values, MappingProxyType(metadata))
+        return RunRecord(source_id, seed, steps, suite, values, _ReadOnlyDict(metadata))
     except ValueError as exc:
         raise ManifestError(f"{where}: {exc}") from exc
 
@@ -530,54 +542,39 @@ def _runset_from(data) -> RunSet:
 
     return RunSet(
         runs=runs,
-        sources=MappingProxyType(sources),
+        sources=_ReadOnlyDict(sources),
         baseline_id=baseline_id,
         training_model=training_model,
         geometry=geometry,
     )
 
 
-# The last RunSet load_manifest built, with the sha256 of the bytes it came from.
+# The bytes of the last manifest load_manifest parsed, and its RunSet.
 _last_load: tuple[bytes, RunSet] | None = None
 
 
 def load_manifest(path: str | Path) -> RunSet:
     """Load, parse, and fully validate a manifest JSON file.
 
-    While the file's bytes are unchanged, each call returns the same
-    read-only ``RunSet``: the file is read and hashed every time, and
-    parsed only when its sha256 differs from the last successful load's.
+    The file is read on every call and parsed only when its bytes differ
+    from those of the last successful call, whose ``RunSet`` is returned
+    otherwise.
     """
     global _last_load
-    import hashlib  # here, so that importing the CLI does not load it
-
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
-    digest = hashlib.sha256(data).digest()
     last = _last_load
-    if last is not None and last[0] == digest:
+    if last is not None and last[0] == data:
         return last[1]
     _last_load = None  # the old RunSet is not kept alive through the parse
-    try:
-        # As read_text(encoding="utf-8") decodes: strict, with universal newlines.
-        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    try:  # decoded as Path.read_text(encoding="utf-8") decodes
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except UnicodeDecodeError as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
-    del data  # the parse's peak holds the text only
-    # Parsing builds objects that all stay alive, so collector passes over
-    # them free nothing; collecting first keeps the pause from raising the peak.
-    paused = gc.isenabled()
-    if paused:
-        gc.collect()
-        gc.disable()
-    try:
-        runset = loads_manifest(text)
-    finally:
-        if paused:
-            gc.enable()
-    _last_load = digest, runset
+    runset = loads_manifest(text)
+    _last_load = data, runset
     return runset
 
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import annealplan
-from annealplan import cli
+from annealplan import cli, manifest
 from annealplan.cli import main
 from annealplan.costs import (
     SOURCE_FLOAT_FIELDS,
@@ -1189,3 +1189,44 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "fit", "--manifest", "/does/not/exist.json")
         assert code == 1
         assert "cannot read" in err
+
+
+class TestManifestReuse:
+    """main() parses a manifest once while the file's bytes stay unchanged."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The texts load_manifest hands to loads_manifest, from an empty slot on."""
+        texts = []
+        loads = manifest.loads_manifest
+
+        def counting(text):
+            texts.append(text)
+            return loads(text)
+
+        monkeypatch.setattr(manifest, "_last_load", None)
+        monkeypatch.setattr(manifest, "loads_manifest", counting)
+        return texts
+
+    def test_repeats_print_what_a_fresh_process_prints(self, parses, sim_manifest, capsys):
+        plan = ["--manifest", str(sim_manifest), "--basis", "total"]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        for argv in (["fit", *plan], ["rank", *plan, "--budget", "9e19"],
+                     ["rank", *plan, "--budget", "3e21"], ["crossover", *plan],
+                     ["allocate", *plan, "--c-max", "1e21"]):
+            fresh = subprocess.run([sys.executable, "-m", "annealplan", *argv], env=env,
+                                   capture_output=True, text=True, timeout=120)
+            for _ in range(2):
+                assert run_cli(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert len(parses) == 1
+
+    def test_a_failed_load_is_not_kept(self, parses, sim_manifest, write_manifest, capsys):
+        _, expected, _ = run_cli(capsys, "fit", "--manifest", str(sim_manifest))
+        invalid = str(write_manifest({}))
+        for _ in range(2):
+            assert run_cli(capsys, "fit", "--manifest", invalid) == (
+                1, "", "error: missing field 'baseline_id' in manifest\n"
+            )
+        assert run_cli(capsys, "fit", "--manifest", str(sim_manifest)) == (0, expected, "")
+        assert len(parses) == 4

@@ -3,9 +3,8 @@
 numpy is imported on first use by the diversity profiler, the simulator's
 random generator (made only when some noise sigma is above 0) and the grid
 oracle; ``fit``, ``rank``, ``crossover``, ``allocate`` without the oracle,
-``cost`` and a noise-free ``simulate`` never load it. Nor does importing
-the CLI load ``hashlib``, which only ``load_manifest`` needs. Each check
-runs in a fresh interpreter, because this test process has both loaded.
+``cost`` and a noise-free ``simulate`` never load it. Each check runs in a
+fresh interpreter, because this test process has numpy loaded already.
 """
 
 import json
@@ -22,8 +21,7 @@ from annealplan.cli import main
 SRC = Path(annealplan.__file__).resolve().parents[1]
 
 # Runs the named steps in order (all of them when none is named) and prints,
-# per step, [exit code, whether numpy is loaded afterwards]; "hashlib" says
-# whether the imports loaded hashlib.
+# per step, [exit code, whether numpy is loaded afterwards].
 SCRIPT = r"""
 import json
 import sys
@@ -57,7 +55,7 @@ steps = {
     "diversity": ["diversity", "--corpus", corpus, "--n-max", "2"],
     "allocate --with-oracle": ["allocate", *plan, "--c-max", "1e21", "--with-oracle"],
 }
-result = {"import annealplan": [0, "numpy" in sys.modules], "hashlib": "hashlib" in sys.modules}
+result = {"import annealplan": [0, "numpy" in sys.modules]}
 for name in names or steps:
     step = steps[name]
     if callable(step):
@@ -93,7 +91,6 @@ def run_fresh(tmp_path):
 def test_planning_commands_leave_numpy_unloaded(run_fresh, tmp_path):
     assert run_fresh() == {
         "import annealplan": [0, False],
-        "hashlib": False,
         "fit": [0, False],
         "rank": [0, False],
         "crossover": [0, False],
@@ -115,4 +112,4 @@ def test_planning_commands_leave_numpy_unloaded(run_fresh, tmp_path):
 )
 def test_each_later_numpy_user_loads_numpy_itself(run_fresh, name):
     # In the full run numpy is already loaded when these steps start.
-    assert run_fresh(name) == {"import annealplan": [0, False], "hashlib": False, name: [0, True]}
+    assert run_fresh(name) == {"import annealplan": [0, False], name: [0, True]}

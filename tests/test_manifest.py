@@ -1,7 +1,9 @@
-import gc
+import copy
+import dataclasses
 import json
 import math
 import os
+import pickle
 import sys
 
 import pytest
@@ -600,13 +602,40 @@ class TestLoadManifest:
         data["runs"][2]["source_id"] = "m\u00e9d \U0001f50d"
         assert "m\u00e9d \U0001f50d" in load_manifest(write_manifest(data)).sources
 
-    def test_loaded_mappings_are_read_only(self, write_manifest):
+    @pytest.mark.parametrize("change", [
+        lambda m: m.__setitem__("start_lr", "0"), lambda m: m.__delitem__("start_lr"),
+        lambda m: m.update(start_lr="0"), lambda m: m.setdefault("end_lr", "0"),
+        lambda m: m.pop("start_lr"), lambda m: m.popitem(), lambda m: m.clear(),
+        lambda m: m.__ior__({"start_lr": "0"}),
+    ])
+    def test_loaded_mappings_are_read_only(self, write_manifest, change):
         runset = load_manifest(write_manifest(manifest_dict()))
-        with pytest.raises(TypeError):
-            runset.sources["other"] = runset.sources["med_filter"]
-        with pytest.raises(TypeError):
-            runset.runs[2].metadata["start_lr"] = "0"
+        for mapping in (runset.runs[2].metadata, runset.sources):
+            with pytest.raises(TypeError, match="a parsed manifest's mappings are read-only"):
+                change(mapping)
         assert runset.runs[2].metadata == {"start_lr": "1.515e-04"}
+        assert list(runset.sources) == ["med_filter", "full_replay"]
+
+    def test_loaded_runset_pickles_and_copies(self, write_manifest):
+        runset = load_manifest(write_manifest(manifest_dict()))
+        for copied in (pickle.loads(pickle.dumps(runset)), copy.deepcopy(runset)):
+            assert copied == runset
+            with pytest.raises(TypeError):
+                copied.sources["other"] = copied.sources["med_filter"]
+        metadata = dataclasses.asdict(runset)["runs"][2]["metadata"]
+        assert metadata == {"start_lr": "1.515e-04"}
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_newlines_are_read_as_read_text_reads_them(self, tmp_path, newline):
+        # A repeated key is named by line and column, which count "\n".
+        text = json.dumps(manifest_dict(), indent=1).replace('"runs"', '"baseline_id": "x",\n"runs"')
+        path = tmp_path / "newlines.json"
+        path.write_bytes(text.replace("\n", newline).encode())
+        with pytest.raises(ManifestError) as info:
+            load_manifest(path)
+        with pytest.raises(ManifestError) as expected:
+            loads_manifest(text)
+        assert "line" in str(info.value) and str(info.value) == str(expected.value)
 
 
 class TestLoadManifestCache:
@@ -666,7 +695,6 @@ class TestLoadManifestCache:
             with pytest.raises(ManifestError) as info:
                 load_manifest(invalid)
             assert str(info.value) == "baseline runs not found"
-            assert gc.isenabled()
         assert load_manifest(valid) == runset
         assert len(parses) == 4
 
