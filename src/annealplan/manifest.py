@@ -549,6 +549,19 @@ def _runset_from(data) -> RunSet:
     )
 
 
+def _file_holds(path: str | Path, data: bytes) -> bool:
+    """Whether the file holds exactly ``data``; it is read 1 MiB at a
+    time, so no second copy of a large file is held while comparing."""
+    block = bytearray(1 << 20)
+    offset = 0
+    with open(path, "rb") as file:
+        while n := file.readinto(block):
+            if not data.startswith(memoryview(block)[:n], offset):
+                return False
+            offset += n
+    return offset == len(data)
+
+
 # The bytes of the last manifest load_manifest parsed, and its RunSet.
 _last_load: tuple[bytes, RunSet] | None = None
 
@@ -561,13 +574,13 @@ def load_manifest(path: str | Path) -> RunSet:
     otherwise.
     """
     global _last_load
+    last = _last_load
     try:
+        if last is not None and _file_holds(path, last[0]):
+            return last[1]
         data = Path(path).read_bytes()
     except OSError as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
-    last = _last_load
-    if last is not None and last[0] == data:
-        return last[1]
     _last_load = None  # the old RunSet is not kept alive through the parse
     try:  # decoded as Path.read_text(encoding="utf-8") decodes
         text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()

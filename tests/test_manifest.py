@@ -675,6 +675,37 @@ class TestLoadManifestCache:
         assert load_manifest(path).runs[2].values == (0.46, 0.55)
         assert len(parses) == 2
 
+    def test_a_longer_or_shorter_file_is_parsed(self, parses, tmp_path):
+        text = json.dumps(manifest_dict())
+        path = tmp_path / "manifest.json"
+        for content in (text, text + "\n", text):
+            path.write_text(content, encoding="utf-8")
+            load_manifest(path)
+        assert parses == [text, text + "\n", text]
+
+    def test_a_change_past_the_first_mebibyte_is_seen(self, parses, tmp_path):
+        # Trailing whitespace is valid JSON; the file spans three read blocks.
+        text = json.dumps(manifest_dict()) + " " * (2 << 20)
+        path = tmp_path / "manifest.json"
+        path.write_text(text, encoding="utf-8")
+        runset = load_manifest(path)
+        assert load_manifest(path) is runset
+        path.write_text(text[: 3 << 19] + "\n" + text[(3 << 19) + 1:], encoding="utf-8")
+        assert load_manifest(path) == runset
+        assert len(parses) == 2
+
+    def test_a_missing_file_is_named_also_after_a_load(self, parses, write_manifest, tmp_path):
+        missing = tmp_path / "missing.json"
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ManifestError) as info:
+                load_manifest(missing)
+            messages.append(str(info.value))
+            load_manifest(write_manifest(manifest_dict()))
+        assert messages == [
+            f"cannot read manifest {missing}: [Errno 2] No such file or directory: '{missing}'"
+        ] * 2
+
     def test_one_slot(self, parses, write_manifest):
         data = manifest_dict()
         a = write_manifest(data, "a.json")
