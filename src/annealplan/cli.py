@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import gc
 import io
 import math
@@ -101,15 +102,16 @@ def _parse_tasks(spec: str | None) -> list[str] | None:
 def _load_fits(args) -> tuple[list[UtilityPoint], list[ScalingFit], list[str]]:
     """Utility points, per-source fits and clamp warnings of ``--manifest``."""
     _check_at_least(args.drop_smallest, 0, "--drop-smallest")
-    # Loading builds objects that all stay alive, so collector passes over
-    # them free nothing; collecting first keeps the pause from raising the peak.
+    tasks = _parse_tasks(args.tasks)
+    # Loading and the points build objects that all stay alive, so collector
+    # passes over them would free nothing. Nothing is collected first: a
+    # cached load parses nothing, and a fresh process has little garbage.
     paused = gc.isenabled()
     if paused:
-        gc.collect()
         gc.disable()
     try:
         runset = load_manifest(args.manifest)
-        points = build_utility_points(runset, _parse_tasks(args.tasks), CostBasis(args.basis))
+        points = build_utility_points(runset, tasks, CostBasis(args.basis))
     finally:
         if paused:
             gc.enable()
@@ -427,6 +429,7 @@ def _add_manifest_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="output CSV path (default: stdout)")
 
 
+@functools.cache  # built on the first main() call, then reused by every later one
 def _build_parser() -> _Parser:
     parser = _Parser(prog="annealplan", description=__doc__)
     subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

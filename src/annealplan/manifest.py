@@ -591,14 +591,22 @@ def load_manifest(path: str | Path) -> RunSet:
     return runset
 
 
-def _seed_means(runs: Sequence[RunRecord]) -> tuple[float, ...]:
+def _seed_means(
+    runs: Sequence[RunRecord], columns: Sequence[int] | None = None
+) -> tuple[float, ...]:
     """Each task's mean over seeds of one (source, steps), in the first seed's task order.
 
-    Raises unless the runs share source, step count, task set and each
-    task's metric. A single run's values are returned untouched.
+    ``columns`` keeps only the tasks at those indices of the first seed's
+    suite, in that order; None keeps every task. Raises unless the runs
+    share source, step count, task set and each task's metric, kept or
+    not. A single run's values are returned untouched when every task is kept.
     """
     first = runs[0]
-    rows = [first.values]
+
+    def kept(values):
+        return values if columns is None else [values[c] for c in columns]
+
+    rows = [kept(first.values)]
     for run in runs[1:]:
         if run.source_id != first.source_id:
             raise ManifestError(
@@ -609,7 +617,7 @@ def _seed_means(runs: Sequence[RunRecord]) -> tuple[float, ...]:
                 f"cannot average runs at different steps: {first.steps} vs {run.steps}"
             )
         if run.suite == first.suite:
-            rows.append(run.values)
+            rows.append(kept(run.values))
             continue
         mine = dict(zip(first.suite[::3], first.suite[1::3]))
         theirs = dict(zip(run.suite[::3], run.suite[1::3]))
@@ -623,8 +631,8 @@ def _seed_means(runs: Sequence[RunRecord]) -> tuple[float, ...]:
                 f" score tasks {sorted(mixed)} with different metrics"
             )
         values = dict(zip(run.suite[::3], run.values))
-        rows.append([values[t] for t in mine])
-    return first.values if len(rows) == 1 else tuple(map(anchored_mean, zip(*rows)))
+        rows.append([values[t] for t in kept(first.suite[::3])])
+    return tuple(rows[0]) if len(rows) == 1 else tuple(map(anchored_mean, zip(*rows)))
 
 
 def average_seeds(runs: Sequence[RunRecord]) -> RunRecord:
@@ -668,22 +676,24 @@ def build_utility_points(
     groups: dict[tuple[str, int], list[RunRecord]] = {}
     for run in runset.runs:
         groups.setdefault((run.source_id, run.steps), []).append(run)
-    # Suite -> {task_id: metric} of its filtered tasks, and their offsets in it.
-    picked_by_suite: dict[tuple, tuple[dict[str, MetricKind], list[int]]] = {}
+    # Suite -> {task_id: metric} of its filtered tasks, their offsets in it
+    # and their columns of a run's values (None when every task is kept).
+    picked_by_suite: dict[tuple, tuple[dict[str, MetricKind], list[int], list[int] | None]] = {}
 
-    def filtered(runs: list[RunRecord]) -> tuple[dict[str, MetricKind], list[int], list[float]]:
+    def filtered(runs: list[RunRecord]) -> tuple[dict[str, MetricKind], list[int], tuple]:
         """The filtered tasks' metrics, offsets in the suite and seed means."""
-        runs.sort(key=lambda r: r.seed)
+        if len(runs) > 1:
+            runs.sort(key=lambda r: r.seed)
         suite = runs[0].suite
         if suite not in picked_by_suite:
             picked = [
                 i for i in range(0, len(suite), 3)
                 if task_filter is None or any(fnmatchcase(suite[i], p) for p in task_filter)
             ]
-            picked_by_suite[suite] = {suite[i]: suite[i + 1] for i in picked}, picked
-        metrics, picked = picked_by_suite[suite]
-        means = _seed_means(runs)
-        return metrics, picked, [means[i // 3] for i in picked]
+            columns = None if len(picked) * 3 == len(suite) else [i // 3 for i in picked]
+            picked_by_suite[suite] = {suite[i]: suite[i + 1] for i in picked}, picked, columns
+        metrics, picked, columns = picked_by_suite[suite]
+        return metrics, picked, _seed_means(runs, columns)
 
     baseline_agg: dict[int, tuple[dict[str, MetricKind], TaskScore]] = {}
     for (source_id, steps), runs in groups.items():

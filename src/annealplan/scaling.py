@@ -90,12 +90,12 @@ def _ols(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
     n = len(xs)
     x_mean = math.fsum(xs) / n
     y_mean = math.fsum(ys) / n
-    sxx = math.fsum((x - x_mean) ** 2 for x in xs)
-    sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+    sxx = math.fsum([(x - x_mean) ** 2 for x in xs])
+    sxy = math.fsum([(x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)])
     slope = sxy / sxx
     intercept = y_mean - slope * x_mean
     residuals = [y - (intercept + slope * x) for x, y in zip(xs, ys)]
-    rmse = math.sqrt(math.fsum(r * r for r in residuals) / n)
+    rmse = math.sqrt(math.fsum([r * r for r in residuals]) / n)
     return intercept, slope, rmse
 
 

@@ -426,12 +426,15 @@ def test_infinite_budget_is_refused_before_the_manifest_is_read(tmp_path, capsys
     assert (code, out, err) == (1, "", f"error: {flag} must be finite, got inf\n")
 
 
-@pytest.mark.parametrize(
+_PLANNING_COMMANDS = pytest.mark.parametrize(
     "command, argv",
     [("fit", []), ("rank", ["--budget", "1e21"]), ("crossover", []),
      ("allocate", ["--c-max", "1e21"])],
     ids=["fit", "rank", "crossover", "allocate"],
 )
+
+
+@_PLANNING_COMMANDS
 def test_bad_drop_smallest_is_refused_before_the_manifest_is_read(
     tmp_path, capsys, command, argv
 ):
@@ -440,6 +443,16 @@ def test_bad_drop_smallest_is_refused_before_the_manifest_is_read(
         capsys, command, "--manifest", str(missing), *argv, "--drop-smallest", "-1"
     )
     assert (code, out, err) == (1, "", "error: --drop-smallest must be >= 0, got -1\n")
+
+
+@_PLANNING_COMMANDS
+@pytest.mark.parametrize("tasks", [",", " , ,"], ids=["comma", "blanks"])
+def test_empty_task_filter_is_refused_before_the_manifest_is_read(
+    tmp_path, capsys, command, argv, tasks
+):
+    missing = tmp_path / "missing.json"
+    code, out, err = run_cli(capsys, command, "--manifest", str(missing), *argv, "--tasks", tasks)
+    assert (code, out, err) == (1, "", "usage error: --tasks must name at least one glob pattern\n")
 
 
 @pytest.mark.parametrize("oracle", [[], ["--with-oracle"]], ids=["plain", "oracle"])
@@ -1209,16 +1222,29 @@ class TestManifestReuse:
         return texts
 
     def test_repeats_print_what_a_fresh_process_prints(self, parses, sim_manifest, capsys):
+        # One parser serves every main() call of a process: a flag given
+        # once, or a parse that failed, must not leak into a later call.
         plan = ["--manifest", str(sim_manifest), "--basis", "total"]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        for argv in (["fit", *plan], ["rank", *plan, "--budget", "9e19"],
-                     ["rank", *plan, "--budget", "3e21"], ["crossover", *plan],
-                     ["allocate", *plan, "--c-max", "1e21"]):
-            fresh = subprocess.run([sys.executable, "-m", "annealplan", *argv], env=env,
-                                   capture_output=True, text=True, timeout=120)
-            for _ in range(2):
-                assert run_cli(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        refused = (
+            ["rank", *plan],  # by argparse: --budget is required
+            ["fit", *plan, "--tasks", "gsm8k*"],  # by the library: no task matches
+        )
+        accepted = (
+            ["fit", *plan], ["rank", *plan, "--budget", "9e19"],
+            ["rank", *plan, "--budget", "3e21", "--tasks", "sim_*,gsm8k*"],
+            ["crossover", *plan], ["allocate", *plan, "--c-max", "1e21"],
+        )
+        fresh = {}
+        for argv in (*refused, *accepted):
+            done = subprocess.run([sys.executable, "-m", "annealplan", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            fresh[tuple(argv)] = (done.returncode, done.stdout, done.stderr)
+        assert [fresh[tuple(argv)][0] for argv in refused] == [1, 1]
+        for argv in accepted:
+            for repeat in (argv, *refused, argv):
+                assert run_cli(capsys, *repeat) == fresh[tuple(repeat)]
         assert len(parses) == 1
 
     def test_a_failed_load_is_not_kept(self, parses, sim_manifest, write_manifest, capsys):
