@@ -597,16 +597,13 @@ def _seed_means(
     """Each task's mean over seeds of one (source, steps), in the first seed's task order.
 
     ``columns`` keeps only the tasks at those indices of the first seed's
-    suite, in that order; None keeps every task. Raises unless the runs
-    share source, step count, task set and each task's metric, kept or
-    not. A single run's values are returned untouched when every task is kept.
+    suite, in that order, and averages no other; None keeps every task.
+    Raises unless the runs share source, step count, task set and each
+    task's metric, kept or not. A single run's values are returned
+    untouched when every task is kept.
     """
     first = runs[0]
-
-    def kept(values):
-        return values if columns is None else [values[c] for c in columns]
-
-    rows = [kept(first.values)]
+    rows = [first.values]
     for run in runs[1:]:
         if run.source_id != first.source_id:
             raise ManifestError(
@@ -617,7 +614,7 @@ def _seed_means(
                 f"cannot average runs at different steps: {first.steps} vs {run.steps}"
             )
         if run.suite == first.suite:
-            rows.append(kept(run.values))
+            rows.append(run.values)
             continue
         mine = dict(zip(first.suite[::3], first.suite[1::3]))
         theirs = dict(zip(run.suite[::3], run.suite[1::3]))
@@ -631,8 +628,11 @@ def _seed_means(
                 f" score tasks {sorted(mixed)} with different metrics"
             )
         values = dict(zip(run.suite[::3], run.values))
-        rows.append([values[t] for t in kept(first.suite[::3])])
-    return tuple(rows[0]) if len(rows) == 1 else tuple(map(anchored_mean, zip(*rows)))
+        rows.append([values[t] for t in mine])
+    if len(rows) == 1:
+        return first.values if columns is None else tuple([first.values[c] for c in columns])
+    per_task = list(zip(*rows))
+    return tuple(map(anchored_mean, per_task if columns is None else [per_task[c] for c in columns]))
 
 
 def average_seeds(runs: Sequence[RunRecord]) -> RunRecord:
@@ -680,7 +680,9 @@ def build_utility_points(
     # and their columns of a run's values (None when every task is kept).
     picked_by_suite: dict[tuple, tuple[dict[str, MetricKind], list[int], list[int] | None]] = {}
 
-    def filtered(runs: list[RunRecord]) -> tuple[dict[str, MetricKind], list[int], tuple]:
+    def filtered(
+        runs: list[RunRecord],
+    ) -> tuple[dict[str, MetricKind], list[int], tuple[float, ...]]:
         """The filtered tasks' metrics, offsets in the suite and seed means."""
         if len(runs) > 1:
             runs.sort(key=lambda r: r.seed)
