@@ -332,6 +332,8 @@ def _cmd_cost(args) -> list[str]:
             curated, total_tokens = args.steps * upsampled_per_step, args.steps * total_per_step
         curation = curated * PRESET_FLOPS_PER_CURATED_TOKEN[args.preset]
     else:
+        if args.zero_cost and args.kind is not None:
+            raise _UsageError("--zero-cost cannot be combined with --kind")
         kind_name = "zero_cost" if args.zero_cost else args.kind
         if kind_name is None:
             raise _UsageError("provide --preset, --kind, or --zero-cost")

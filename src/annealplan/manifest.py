@@ -15,11 +15,9 @@ Validation is strict: unknown fields and repeated JSON keys are
 rejected, every error names the offending field, and loading the same
 bytes always yields the same points in the same order. A run's scores
 are checked in one pass; only when that pass finds a fault are they
-checked again field by field, to build the error message. A valid
-manifest's text is parsed once, and a count of ':' rules out a repeated
-key. Any error, or a string that starts with optional whitespace and a
-':', takes a second parse whose hook rejects a repeated key as its
-object closes; only a repeat that hook finds is scanned for its position.
+checked again field by field, to build the error message. The text is
+parsed once, by a parse whose hook rejects a repeated key as its object
+closes; only a repeat that hook finds is scanned for its position.
 
 ``load_manifest`` keeps the bytes and ``RunSet`` of its last successful
 load and returns that same object while the file's bytes are unchanged;
@@ -389,25 +387,9 @@ def _reject_repeated_keys(text: str) -> None:
             expect_key = False
 
 
-def _pairs_in(data: dict) -> int:
-    """Key/value pairs in the objects of a manifest that passed validation.
-
-    It must count every object ``_runset_from`` visits; one it missed
-    would send every manifest through :func:`_checked_loads` as well.
-    """
-    runs = data["runs"]
-    return (
-        len(data) + len(data["training_model"]) + len(data["geometry"]) + len(data["sources"])
-        + sum(map(len, data["sources"].values()))
-        + sum(map(len, runs))
-        + sum(sum(map(len, run["scores"])) for run in runs)
-        + sum(len(run["metadata"]) for run in runs if "metadata" in run)
-    )
-
-
-def _escaped_quotes(text: str, then: str = "") -> int:
-    """Quotes in ``text`` that an odd run of backslashes escapes, followed by pattern ``then``."""
-    return sum(len(m[1]) % 2 for m in re.finditer(r'(\\+)"' + then, text)) if "\\" in text else 0
+def _escaped_quotes(text: str) -> int:
+    """Quotes in ``text`` that an odd run of backslashes escapes."""
+    return sum(len(m[1]) % 2 for m in re.finditer(r'(\\+)"', text)) if "\\" in text else 0
 
 
 def _object_without_repeats(pairs: list[tuple[str, object]]) -> dict:
@@ -417,40 +399,26 @@ def _object_without_repeats(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def _checked_loads(text: str, plain: Exception | None) -> None:
-    """Raise the ManifestError of parsing ``text`` with a hook that rejects a repeated key.
+def _checked_loads(text: str):
+    """Parse ``text`` with a hook that rejects a repeated key; errors are ManifestErrors.
 
-    ``plain`` is what a plain ``json.loads`` of ``text`` raised, or None if
-    it parsed. The hook sees each object as the parser closes it, so a
-    repeated key is named before a JSON error, too deep a nesting or an
-    integer literal past the digit limit only if its object closes first.
-    Returns if the text parses, or if only the hook's extra frames pass the
-    recursion limit of a text that parsed and no key repeats.
+    The hook sees each object as the parser closes it, so a repeated key
+    is named before a JSON error, too deep a nesting or an integer literal
+    past the digit limit only if its object closes first.
     """
     try:
-        json.loads(text, object_pairs_hook=_object_without_repeats)
-        return
+        return json.loads(text, object_pairs_hook=_object_without_repeats)
     except ManifestError:  # from the hook, which knows no position
         _reject_repeated_keys(text)
-        return
+        raise
     except json.JSONDecodeError as exc:
         raise ManifestError(
             f"manifest is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from exc
     except RecursionError:
-        if plain is None:
-            _reject_repeated_keys(text)
-            return
-        if type(plain) is not ValueError:
-            raise ManifestError(
-                "manifest nests JSON arrays and objects too deeply to parse"
-            ) from None
-        # The plain parse stopped at an integer literal past the digit
-        # limit; the hook's extra frames passed the recursion limit before
-        # it, so objects that close before the literal are still unchecked.
-        unchecked = True
+        raise ManifestError("manifest nests JSON arrays and objects too deeply to parse") from None
     except ValueError:  # only an integer literal past int()'s digit limit raises this
-        unchecked = False
+        pass
     # Its digits are the first run of more than the limit that is no part
     # of a float and lies outside every string: the text before it parsed,
     # so the unescaped quotes there pair up. Starting the pattern with a
@@ -461,8 +429,6 @@ def _checked_loads(text: str, plain: Exception | None) -> None:
         m for m in digits.finditer(text)
         if not (text.count('"', 0, m.start()) - _escaped_quotes(text[: m.start()])) % 2
     )
-    if unchecked:
-        _reject_repeated_keys(text[: run.start()])
     at = run.start() - (text[run.start() - 1 : run.start()] == "-")
     raise ManifestError(
         f"manifest holds an integer of {len(run[0])} digits at"
@@ -472,31 +438,7 @@ def _checked_loads(text: str, plain: Exception | None) -> None:
 
 def loads_manifest(text: str) -> RunSet:
     """Parse and fully validate manifest JSON from a string."""
-    # json.loads keeps the last of repeated keys, so a repeated key leaves
-    # its object one entry short. Each pair in the text puts one ':' outside
-    # a string, after its key's unescaped closing quote and any whitespace.
-    # So the count of ':', and that of such quotes (more only by strings
-    # that start with optional whitespace and a ':'), are each at least the
-    # text's pairs; equal to the pairs validation visited, either rules out
-    # a repeat. An error, or a count that rules out nothing, takes the
-    # hooked parse, which names a repeated key before any field error.
-    try:
-        data = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        _checked_loads(text, exc)
-        raise
-    try:
-        runset = _runset_from(data)
-    except (ValueError, RecursionError):
-        _checked_loads(text, None)
-        raise  # a field error, and no key repeats
-    pairs = _pairs_in(data)
-    if pairs != text.count(":") and pairs != (
-        text.count('":') + len(re.findall(r'"[ \t\n\r]+:', text))
-        - _escaped_quotes(text, r"[ \t\n\r]*:")
-    ):
-        _checked_loads(text, None)
-    return runset
+    return _runset_from(_checked_loads(text))
 
 
 def _runset_from(data) -> RunSet:

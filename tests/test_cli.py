@@ -731,6 +731,14 @@ class TestCost:
         assert (code, out) == (1, "")
         assert err == f"usage error: --preset cannot be combined with {named}\n"
 
+    @pytest.mark.parametrize("kind", ["mbf", "zero_cost"])
+    def test_zero_cost_rejects_kind(self, capsys, kind):
+        # --zero-cost is shorthand for --kind zero_cost, so it would
+        # otherwise silently override the named kind.
+        code, out, err = run_cli(capsys, "cost", "--zero-cost", "--kind", kind, "--steps", "10")
+        assert (code, out) == (1, "")
+        assert err == "usage error: --zero-cost cannot be combined with --kind\n"
+
     def test_steps_and_tokens_mutually_exclusive(self, capsys):
         code, _, err = run_cli(
             capsys, "cost", "--zero-cost", "--steps", "10", "--tokens", "100"

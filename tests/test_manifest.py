@@ -191,70 +191,38 @@ class TestLoadManifest:
             loads_manifest("[" * 100_000 + '{"a": 1, "a": 2}')
         assert str(info.value) == "manifest nests JSON arrays and objects too deeply to parse"
 
-    def test_depth_only_the_hooked_parse_cannot_reach_is_not_too_deep(self, monkeypatch):
-        # The hooked parse runs a few frames deeper than the plain one, so
-        # just below the recursion limit it can give up where the plain
-        # parse did not. Then the plain parse's own error stands, after a
-        # scan for repeated keys.
-        plain_parsed = set()
-        loads = json.loads
-
-        def recording_loads(text, **kwargs):
-            data = loads(text, **kwargs)
-            if not kwargs:
-                plain_parsed.add(text)
-            return data
-
-        monkeypatch.setattr(json, "loads", recording_loads)
-        too_deep = "manifest nests JSON arrays and objects too deeply to parse"
-        for depth in range(1, sys.getrecursionlimit() + 10):
-            for inner, message in [
-                ('{"a": 1}', "manifest root must be a JSON object"),
-                ('{"a": 1, "a": 2}', f"manifest repeats the key 'a' within one JSON object"
-                                     f" at line 1 column {depth + 10}"),
-            ]:
-                text = "[" * depth + inner + "]" * depth
-                with pytest.raises(ManifestError) as info:
-                    loads_manifest(text)
-                expected = message if text in plain_parsed else too_deep
-                assert (depth, str(info.value)) == (depth, expected)
-        assert 0 < len(plain_parsed) < 2 * sys.getrecursionlimit()
-
-    def test_integer_past_the_digit_limit_is_named_at_any_depth_the_plain_parse_reaches(
-        self, monkeypatch
-    ):
-        # Just below the recursion limit the hooked parse can give up before
-        # the literal the plain parse stopped at. The literal is still named,
-        # after a repeated key whose object closes before it.
-        plain_errors = {}
-        loads = json.loads
-
-        def recording_loads(text, **kwargs):
-            try:
-                return loads(text, **kwargs)
-            except (ValueError, RecursionError) as exc:
-                if not kwargs:
-                    plain_errors[text] = type(exc)
-                raise
-
-        monkeypatch.setattr(json, "loads", recording_loads)
+    def test_each_text_reads_too_deep_from_one_depth_on(self):
+        # One parse reads every text, so a text's own error stands at every
+        # depth below some threshold near the recursion limit, and "too
+        # deeply" from it on. A repeated key whose object closes before a
+        # long literal is still named first, and one after it is not.
         too_deep = "manifest nests JSON arrays and objects too deeply to parse"
         literal = "7" * 5000
-        for depth in range(1, sys.getrecursionlimit() + 10):
-            at_literal = (f"manifest holds an integer of 5000 digits at line 1 column {depth + 1},"
-                          " beyond the float range")
-            for text, message in [
-                ("[" * depth + literal + "]" * depth, at_literal),
-                ("[" * depth + literal + ', {"a": 1, "a": 2}' + "]" * depth, at_literal),
-                ("[" * depth + '{"a": 1, "a": 2}, ' + literal + "]" * depth,
-                 "manifest repeats the key 'a' within one JSON object"
-                 f" at line 1 column {depth + 10}"),
-            ]:
+        limit = sys.getrecursionlimit()
+        for inner, message in [
+            ('{"a": 1}', "manifest root must be a JSON object"),
+            ('{"a": 1, "a": 2}', "manifest repeats the key 'a' within one JSON object"
+                                 " at line 1 column {key_at}"),
+            (literal, "manifest holds an integer of 5000 digits at line 1 column {literal_at},"
+                      " beyond the float range"),
+            (literal + ', {"a": 1, "a": 2}', "manifest holds an integer of 5000 digits"
+                                             " at line 1 column {literal_at}, beyond the float range"),
+            ('{"a": 1, "a": 2}, ' + literal, "manifest repeats the key 'a' within one JSON"
+                                             " object at line 1 column {key_at}"),
+        ]:
+            got = []
+            for depth in range(1, limit + 10):
                 with pytest.raises(ManifestError) as info:
-                    loads_manifest(text)
-                expected = message if plain_errors[text] is ValueError else too_deep
-                assert (depth, str(info.value)) == (depth, expected)
-        assert set(plain_errors.values()) == {ValueError, RecursionError}
+                    loads_manifest("[" * depth + inner + "]" * depth)
+                got.append(str(info.value))
+            threshold = got.index(too_deep) + 1
+            expected = [
+                message.format(literal_at=depth + 1, key_at=depth + 10) if depth < threshold
+                else too_deep
+                for depth in range(1, limit + 10)
+            ]
+            assert got == expected
+            assert limit // 2 < threshold <= limit
 
     def test_integer_past_the_digit_limit_names_its_position(self, tmp_path, capsys):
         # int() refuses a literal of more than 4,300 digits, so json.loads

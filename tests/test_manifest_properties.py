@@ -28,16 +28,16 @@ between seeds, every metric kind, ``--tasks`` globs and signed zeros,
 they must equal, bit for bit, points built score by score with
 ``average_seeds``, the filter, ``aggregate_suite`` and ``utility_delta``.
 
-A valid manifest's text is parsed once, without a repeated-key hook; a
-count of ``:`` proves that no key repeated, and a second, hooked parse
-decides otherwise. On raw JSON text with a repeated key in any kind of object, a
+A manifest's text is parsed once, by a parse whose hook rejects a
+repeated key. On raw JSON text with a repeated key in any kind of object, a
 ``:`` inside a string (plain, escaped, or after an escaped quote), space
 around the ``:`` between keys and values, and invalid JSON after a
 repeated key, ``loads_manifest`` must give the same ``RunSet``, or the
-same error, as a reference parse with an ``object_pairs_hook`` that
-rejects a repeated key as its object closes; the line and column it adds
-to a repeated-key error must point at that key. Only a repeated key may
-cost the scan that finds its position, and then one scan of the whole text.
+same error, as an independent reference parse with an
+``object_pairs_hook`` that names the repeated key as its object closes;
+the line and column ``loads_manifest`` adds to a repeated-key error must
+point at that key. Only a repeated key may cost the scan that finds its
+position, and then one scan of the whole text.
 """
 
 import contextlib
@@ -537,6 +537,7 @@ REPEAT_AT = re.compile(
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(text=raw_manifest_texts())
 def test_parse_without_hook_agrees_with_checked_parse(text):
+    # loads_manifest against the reference, whose hook names the key itself.
     got = _outcome(loads_manifest, text)
     if isinstance(got, str) and (repeat := REPEAT_AT.fullmatch(got)):
         # The hook knows no position; the one reported must hold the key.
@@ -572,8 +573,8 @@ def test_checked_parse_runs_only_when_a_key_may_repeat(monkeypatch):
     assert all(source.keys() >= {"kind", *SOURCE_FLOAT_FIELDS} for source in full["sources"].values())
     clean = json.dumps(BASE)
     colons = clean.replace('"rephrased"', '"re:phrased"').replace('"mmlu_anatomy"', '"bbh:date"')
-    # The count, or else the hooked parse, rules out a repeated key: a
-    # string that starts with a ':' costs the second parse but no scan.
+    # The hooked parse rules out a repeated key, also around a ':' in a
+    # string or a key's ':' after a space, and costs no scan.
     for text in (clean, json.dumps(BASE, indent=2), json.dumps(full), json.dumps(full, indent=2),
                  json.dumps(BASE, separators=(",", " : ")), colons,
                  json.dumps(full, separators=(",", " : ")),
@@ -595,12 +596,15 @@ def test_checked_parse_runs_only_when_a_key_may_repeat(monkeypatch):
         assert calls == []
     # A repeated key is scanned for once, in the whole text, with or
     # without a ':' in a string, space before a key's ':' or a key whose
-    # closing quote follows an escaped backslash.
+    # closing quote follows an escaped backslash. The stubbed scan names
+    # nothing, so the hook's own error stands.
+    hook_error = "manifest repeats a key within one JSON object"
     for text in (clean.replace('"epochs"', '"epochs": 2, "epochs"'),
                  colons.replace('"epochs"', '"epochs" : 2, "epochs"'),
                  colons.replace('"start_lr"', '"start_lr\\\\"', 1)
                  .replace('"epochs"', '"epochs": 2, "epochs"')):
-        loads_manifest(text)
+        with pytest.raises(ManifestError, match=hook_error):
+            loads_manifest(text)
         assert calls == [text]
         calls.clear()
     # A wrong-typed field (an object among them) costs no scan unless a key repeats.
@@ -613,7 +617,29 @@ def test_checked_parse_runs_only_when_a_key_may_repeat(monkeypatch):
                 loads_manifest(text)
             assert calls == []
         text = json.dumps(wrong).replace('"epochs"', '"epochs": 2, "epochs"')
-        with pytest.raises(ManifestError, match="must be an integer"):
+        with pytest.raises(ManifestError, match=hook_error):
             loads_manifest(text)
         assert calls == [text]
         calls.clear()
+
+
+def test_every_text_is_parsed_once(monkeypatch):
+    loads = json.loads
+    texts = []
+
+    def counting_loads(text, **kwargs):
+        texts.append(text)
+        return loads(text, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    clean = json.dumps(BASE)
+    wrong = copy.deepcopy(BASE)
+    wrong["runs"][-1]["seed"] = "0"
+    for text, error in ((clean, None),
+                        (json.dumps(wrong), r"field 'seed' in runs\[\d+\] must be an integer"),
+                        (clean.replace('"epochs"', '"epochs": 2, "epochs"'), "repeats the key 'epochs'"),
+                        (clean.replace('"1.515e-04"', '":1.515e-04"'), None)):
+        with pytest.raises(ManifestError, match=error) if error else contextlib.nullcontext():
+            loads_manifest(text)
+        assert texts == [text]
+        texts.clear()
