@@ -34,6 +34,27 @@ from conftest import manifest_dict
 GEOM = AnnealingGeometry(256, 8192, 0.1)
 
 
+def _assert_too_deep_from_one_depth_on(cases):
+    """Check that each (inner, message) case, nested in d arrays, gives its
+    message for every d below one threshold and "too deeply" from it on."""
+    too_deep = "manifest nests JSON arrays and objects too deeply to parse"
+    limit = sys.getrecursionlimit()
+    for inner, message in cases:
+        got = []
+        for depth in range(1, limit + 10):
+            with pytest.raises(ManifestError) as info:
+                loads_manifest("[" * depth + inner + "]" * depth)
+            got.append(str(info.value))
+        threshold = got.index(too_deep) + 1
+        expected = [
+            message.format(literal_at=depth + 1, key_at=depth + 10) if depth < threshold
+            else too_deep
+            for depth in range(1, limit + 10)
+        ]
+        assert got == expected
+        assert limit // 2 < threshold <= limit
+
+
 class TestLoadManifest:
     def test_minimal_manifest(self, write_manifest):
         runset = load_manifest(write_manifest(manifest_dict()))
@@ -191,38 +212,28 @@ class TestLoadManifest:
             loads_manifest("[" * 100_000 + '{"a": 1, "a": 2}')
         assert str(info.value) == "manifest nests JSON arrays and objects too deeply to parse"
 
-    def test_each_text_reads_too_deep_from_one_depth_on(self):
-        # One parse reads every text, so a text's own error stands at every
-        # depth below some threshold near the recursion limit, and "too
-        # deeply" from it on. A repeated key whose object closes before a
-        # long literal is still named first, and one after it is not.
-        too_deep = "manifest nests JSON arrays and objects too deeply to parse"
-        literal = "7" * 5000
-        limit = sys.getrecursionlimit()
-        for inner, message in [
+    def test_object_reads_too_deep_from_one_depth_on(self):
+        # One parse reads every text, so an object's own error (a field
+        # error, or a repeated key) stands at every depth below some
+        # threshold near the recursion limit, and "too deeply" from it on.
+        _assert_too_deep_from_one_depth_on([
             ('{"a": 1}', "manifest root must be a JSON object"),
             ('{"a": 1, "a": 2}', "manifest repeats the key 'a' within one JSON object"
                                  " at line 1 column {key_at}"),
+        ])
+
+    def test_integer_past_the_digit_limit_reads_too_deep_from_one_depth_on(self):
+        # As above for a long literal. A repeated key whose object closes
+        # before the literal is still named first, and one after it is not.
+        literal = "7" * 5000
+        _assert_too_deep_from_one_depth_on([
             (literal, "manifest holds an integer of 5000 digits at line 1 column {literal_at},"
                       " beyond the float range"),
             (literal + ', {"a": 1, "a": 2}', "manifest holds an integer of 5000 digits"
                                              " at line 1 column {literal_at}, beyond the float range"),
             ('{"a": 1, "a": 2}, ' + literal, "manifest repeats the key 'a' within one JSON"
                                              " object at line 1 column {key_at}"),
-        ]:
-            got = []
-            for depth in range(1, limit + 10):
-                with pytest.raises(ManifestError) as info:
-                    loads_manifest("[" * depth + inner + "]" * depth)
-                got.append(str(info.value))
-            threshold = got.index(too_deep) + 1
-            expected = [
-                message.format(literal_at=depth + 1, key_at=depth + 10) if depth < threshold
-                else too_deep
-                for depth in range(1, limit + 10)
-            ]
-            assert got == expected
-            assert limit // 2 < threshold <= limit
+        ])
 
     def test_integer_past_the_digit_limit_names_its_position(self, tmp_path, capsys):
         # int() refuses a literal of more than 4,300 digits, so json.loads
